@@ -55,16 +55,12 @@ from .distributions import (
     SmoothedBernoulli,
     Uniform,
     abs_deviation_of,
-    cdf,
     contamination_bias,
     eps_ceiling,
     in_mad_family,
     in_quantile_family,
     median_shift_bound,
-    quantile_left,
-    quantile_right,
     robust_moments,
-    sample,
 )
 from .errors import (
     EmptyInputError,
@@ -89,9 +85,7 @@ from .estimators import (
     sample_size_median,
 )
 from .lower_bounds import (
-    HardnessReport,
     LiftedInstance,
-    hardness_probe,
     kl_quadratic_constant,
     kl_smoothed_bernoulli,
     lifted_effective_gaps,
@@ -100,5 +94,6 @@ from .lower_bounds import (
     oblivious_lifting,
 )
 from .quality import QualityGuarantee, lower_tail_bound, quantile_guarantee
+from .harness.runner import HardnessReport, hardness_probe
 
 __version__ = "0.1.0"

@@ -37,10 +37,6 @@ __all__ = [
     "Affine",
     "RobustMoments",
     "FamilyParams",
-    "cdf",
-    "quantile_left",
-    "quantile_right",
-    "sample",
     "robust_moments",
     "abs_deviation_of",
     "in_quantile_family",
@@ -416,27 +412,6 @@ class _AbsDeviation(Distribution):
 def abs_deviation_of(dist: Distribution, center: float) -> Distribution:
     """Distribution of |X - center|; used by the MAD machinery and tests."""
     return _AbsDeviation(dist, float(center))
-
-
-# -- module-level operations ------------------------------------------------
-
-
-def cdf(dist: Distribution, x):
-    return dist.cdf(x)
-
-
-def quantile_left(dist: Distribution, p: float) -> float:
-    return dist.quantile_left(p)
-
-
-def quantile_right(dist: Distribution, p: float) -> float:
-    return dist.quantile_right(p)
-
-
-def sample(dist: Distribution, rng: np.random.Generator, n: int = 1):
-    """Draw n variates; returns a scalar for n=1, else an ndarray."""
-    out = dist.sample(n, rng)
-    return float(out[0]) if n == 1 else out
 
 
 @dataclass(frozen=True)

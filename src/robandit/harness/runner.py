@@ -25,14 +25,14 @@ from ..bandit import (
 )
 from ..contamination import draw_batch
 from ..distributions import robust_moments
-from ..errors import RobanditError
+from ..errors import ParameterOutOfRangeError, RobanditError
 from ..estimators import (
     estimate_mad_ci,
     estimate_median_ci,
     sample_size_mad,
     sample_size_median,
 )
-from ..lower_bounds import lower_bound_samples, malicious_lifting, oblivious_lifting
+from ..lower_bounds import LiftedInstance, lower_bound_samples, malicious_lifting, oblivious_lifting
 from .config import ExperimentConfig
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "wilson_interval",
+    "HardnessReport",
+    "hardness_probe",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -73,6 +75,8 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 
 
 def _format_cell(value: Any) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -104,20 +108,46 @@ class ExperimentResult:
 
 
 def _run_replications(
-    config: ExperimentConfig,
+    seed: int,
+    replications: int,
     parallelism: int,
     worker: Callable[[int, np.random.Generator], dict[str, Any]],
 ) -> list[dict[str, Any]]:
-    indices = range(config.replications)
+    indices = range(replications)
 
     def call(i: int) -> dict[str, Any]:
-        record = worker(i, replication_rng(config.seed, i))
-        return {"replication": i, "seed": mix_seed(config.seed, i), **record}
+        record = worker(i, replication_rng(seed, i))
+        return {"replication": i, "seed": mix_seed(seed, i), **record}
 
     if parallelism <= 1:
         return [call(i) for i in indices]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(call, indices))
+
+
+_RACE_COLUMNS = ["replication", "seed", "chosen_arm", "total_pulls", "rounds", "terminated_by", "success"]
+
+
+def _race_rows(
+    seed: int,
+    replications: int,
+    parallelism: int,
+    race: Callable[[np.random.Generator], Any],
+    is_success: Callable[[int], bool],
+) -> list[dict[str, Any]]:
+    """One ``_RACE_COLUMNS`` row per replication of ``race(rng)``."""
+
+    def worker(_i: int, rng: np.random.Generator) -> dict[str, Any]:
+        result = race(rng)
+        return {
+            "chosen_arm": result.chosen_arm,
+            "total_pulls": result.total_pulls,
+            "rounds": result.rounds,
+            "terminated_by": result.terminated_by,
+            "success": is_success(result.chosen_arm),
+        }
+
+    return _run_replications(seed, replications, parallelism, worker)
 
 
 def _pull_stats(rows: list[dict[str, Any]]) -> list[tuple[str, Any]]:
@@ -211,7 +241,7 @@ def _run_estimate(config: ExperimentConfig, parallelism: int):
             "covered": covered,
         }
 
-    rows = _run_replications(config, parallelism, worker)
+    rows = _run_replications(config.seed, config.replications, parallelism, worker)
     columns = [
         "replication",
         "seed",
@@ -257,53 +287,41 @@ def _run_bai(config: ExperimentConfig, parallelism: int, simple: bool):
             return gap is None or gap <= alpha
         return chosen == report.best_arm
 
-    def worker(_i: int, rng: np.random.Generator) -> dict[str, Any]:
-        if simple:
-            result = run_simple(instance, algo, rng)
-        else:
-            result = run_contaminated_successive_elimination(instance, algo, rng)
-        return {
-            "chosen_arm": result.chosen_arm,
-            "total_pulls": result.total_pulls,
-            "rounds": result.rounds,
-            "terminated_by": result.terminated_by,
-            "success": is_success(result.chosen_arm),
-        }
-
-    rows = _run_replications(config, parallelism, worker)
-    columns = ["replication", "seed", "chosen_arm", "total_pulls", "rounds", "terminated_by", "success"]
+    run = run_simple if simple else run_contaminated_successive_elimination
+    rows = _race_rows(
+        config.seed,
+        config.replications,
+        parallelism,
+        lambda rng: run(instance, algo, rng),
+        is_success,
+    )
     summary = _success_stats(rows) + _pull_stats(rows)
     summary.append(("best_arm", report.best_arm))
-    return columns, rows, summary
+    return _RACE_COLUMNS, rows, summary
 
 
 def _run_gaps(config: ExperimentConfig, target: Path) -> ExperimentResult:
     instance = BanditInstance(config.arms)
     report = effective_gaps(instance, config.family())
-    rows = []
-    for i in range(instance.k):
-        gap_value = report.gaps[i]
-        rows.append(
-            {
-                "arm": i,
-                "median": report.medians[i],
-                "mad": report.mads[i],
-                "bias": report.biases[i],
-                "effective_gap": math.nan if gap_value is None else gap_value,
-                "is_best": i == report.best_arm,
-                "feasible": gap_value is None or gap_value > 0.0,
-            }
-        )
-    # the best arm has no gap of its own; write an empty cell instead of nan
-    lines = ["arm,median,mad,bias,effective_gap,is_best,feasible"]
-    for row in rows:
-        gap_cell = "" if math.isnan(row["effective_gap"]) else repr(row["effective_gap"])
-        lines.append(
-            f'{row["arm"]},{repr(row["median"])},{repr(row["mad"])},{repr(row["bias"])},'
-            f'{gap_cell},{_format_cell(row["is_best"])},{_format_cell(row["feasible"])}'
-        )
+    rows = [
+        {
+            "arm": i,
+            "median": report.medians[i],
+            "mad": report.mads[i],
+            "bias": report.biases[i],
+            # the best arm has no gap of its own and gets an empty cell
+            "effective_gap": report.gaps[i],
+            "is_best": i == report.best_arm,
+            "feasible": report.gaps[i] is None or report.gaps[i] > 0.0,
+        }
+        for i in range(instance.k)
+    ]
     records = target / "records.csv"
-    records.write_text("\n".join(lines) + "\n")
+    write_csv(
+        records,
+        ["arm", "median", "mad", "bias", "effective_gap", "is_best", "feasible"],
+        rows,
+    )
     summary_path = target / "summary.txt"
     infeasible = report.infeasible_arms
     write_summary(
@@ -320,54 +338,103 @@ def _run_gaps(config: ExperimentConfig, target: Path) -> ExperimentResult:
     )
 
 
+@dataclass(frozen=True)
+class HardnessReport:
+    k: int
+    gaps: tuple[float, ...]
+    delta: float
+    lb_value: float
+    mean_pulls: float
+    mean_rounds: float
+    ratio: float
+    success_rate: float
+
+    def as_row(self) -> dict[str, float]:
+        return {
+            "k": self.k,
+            "gap": min(self.gaps) if self.gaps else 0.0,
+            "delta": self.delta,
+            "lb_value": self.lb_value,
+            "mean_pulls": self.mean_pulls,
+            "ratio": self.ratio,
+            "success_rate": self.success_rate,
+        }
+
+
+def _race_lifted(
+    lifted: LiftedInstance,
+    algo: AlgoConfig,
+    replications: int,
+    seed: int,
+    c_eta: float,
+    parallelism: int,
+) -> tuple[list[dict[str, Any]], HardnessReport]:
+    """Race every replication on the lifted instance (best arm at index 0) and
+    compare the mean pull count with the lower bound."""
+    gaps = lifted.classical_gaps
+    # a single arm has nothing to separate; the bound degenerates to zero
+    lb_value = lower_bound_samples(gaps, algo.alpha, algo.delta, c_eta) if gaps else 0.0
+    instance = lifted.instance()
+    rows = _race_rows(
+        seed,
+        replications,
+        parallelism,
+        lambda rng: run_contaminated_successive_elimination(instance, algo, rng),
+        lambda chosen: chosen == 0,
+    )
+    mean_pulls = float(np.mean([r["total_pulls"] for r in rows]))
+    report = HardnessReport(
+        k=lifted.k,
+        gaps=gaps,
+        delta=algo.delta,
+        lb_value=lb_value,
+        mean_pulls=mean_pulls,
+        mean_rounds=float(np.mean([r["rounds"] for r in rows])),
+        ratio=mean_pulls / lb_value if lb_value > 0 else math.inf,
+        success_rate=sum(1 for r in rows if r["success"]) / len(rows),
+    )
+    return rows, report
+
+
+def hardness_probe(
+    lifted: LiftedInstance,
+    config: AlgoConfig,
+    replications: int,
+    seed: int,
+    c_eta: float = 1.0,
+    parallelism: int = 1,
+) -> HardnessReport:
+    """Run the racing algorithm on a lifted instance and compare its pull count
+    with the lower bound. Reports the ratio; with an uncalibrated ``c_eta`` the
+    ratio is a trend measurement, not a certified bound. Replication i races on
+    ``replication_rng(seed, i)``, as ``robandit lb`` does, concurrently up to
+    ``parallelism``."""
+    if replications < 100:
+        raise ParameterOutOfRangeError("hardness probe needs at least 100 replications")
+    return _race_lifted(lifted, config, replications, seed, c_eta, parallelism)[1]
+
+
 def _run_lower_bound(config: ExperimentConfig, parallelism: int, target: Path) -> ExperimentResult:
     if config.model.value == "malicious":
         lifted = malicious_lifting(config.p, config.eps)
     else:
         lifted = oblivious_lifting(config.p, config.eps)
-    algo = _algo_config(config)
-    instance = lifted.instance()
-    gaps = lifted.classical_gaps
-    lb_value = lower_bound_samples(
-        gaps, algo.alpha, algo.delta, config.algorithm.get("c_eta", 1.0)
+    rows, report = _race_lifted(
+        lifted,
+        _algo_config(config),
+        config.replications,
+        config.seed,
+        config.algorithm.get("c_eta", 1.0),
+        parallelism,
     )
-
-    def worker(_i: int, rng: np.random.Generator) -> dict[str, Any]:
-        result = run_contaminated_successive_elimination(instance, algo, rng)
-        return {
-            "chosen_arm": result.chosen_arm,
-            "total_pulls": result.total_pulls,
-            "rounds": result.rounds,
-            "terminated_by": result.terminated_by,
-            "success": result.chosen_arm == 0,
-        }
-
-    rows = _run_replications(config, parallelism, worker)
-    columns = ["replication", "seed", "chosen_arm", "total_pulls", "rounds", "terminated_by", "success"]
     records = target / "records.csv"
-    write_csv(records, columns, rows)
-
-    mean_pulls = float(np.mean([r["total_pulls"] for r in rows]))
-    success_rate = sum(1 for r in rows if r["success"]) / len(rows)
+    write_csv(records, _RACE_COLUMNS, rows)
     aggregate = target / "aggregate.csv"
-    write_csv(
-        aggregate,
-        ["k", "gap", "delta", "lb_value", "mean_pulls", "ratio", "success_rate"],
-        [
-            {
-                "k": lifted.k,
-                "gap": min(gaps),
-                "delta": algo.delta,
-                "lb_value": lb_value,
-                "mean_pulls": mean_pulls,
-                "ratio": mean_pulls / lb_value,
-                "success_rate": success_rate,
-            }
-        ],
-    )
+    row = report.as_row()
+    write_csv(aggregate, list(row), [row])
     summary_path = target / "summary.txt"
     summary = _success_stats(rows) + _pull_stats(rows)
-    summary += [("lb_value", lb_value), ("ratio", mean_pulls / lb_value)]
+    summary += [("lb_value", report.lb_value), ("ratio", report.ratio)]
     write_summary(summary_path, summary)
     return ExperimentResult(
         exit_code=0,

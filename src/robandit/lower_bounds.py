@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import (
-    AlgoConfig,
-    BanditInstance,
-    run_contaminated_successive_elimination,
-)
+from .bandit import BanditInstance
 from .contamination import (
     AtomTriggeredCoupling,
     ContaminatedArm,
@@ -47,8 +43,6 @@ __all__ = [
     "oblivious_lifting",
     "malicious_lifting",
     "lifted_effective_gaps",
-    "HardnessReport",
-    "hardness_probe",
 ]
 
 
@@ -279,73 +273,3 @@ def lifted_effective_gaps(lifted: LiftedInstance) -> tuple[float, ...]:
     biases = [_exact_bias(arm.dist, lifted.eps, lifted.model) for arm in lifted.lifted_arms]
     pessimistic = medians[0] - biases[0]
     return tuple(pessimistic - (medians[i] + biases[i]) for i in range(1, lifted.k))
-
-
-@dataclass(frozen=True)
-class HardnessReport:
-    k: int
-    gaps: tuple[float, ...]
-    delta: float
-    lb_value: float
-    mean_pulls: float
-    mean_rounds: float
-    ratio: float
-    success_rate: float
-
-    def as_row(self) -> dict[str, float]:
-        return {
-            "k": self.k,
-            "gap": min(self.gaps) if self.gaps else 0.0,
-            "delta": self.delta,
-            "lb_value": self.lb_value,
-            "mean_pulls": self.mean_pulls,
-            "ratio": self.ratio,
-            "success_rate": self.success_rate,
-        }
-
-
-def hardness_probe(
-    lifted: LiftedInstance,
-    config: AlgoConfig,
-    replications: int,
-    rng: np.random.Generator,
-    c_eta: float = 1.0,
-    parallelism: int = 1,
-) -> HardnessReport:
-    """Run the racing algorithm on a lifted instance and compare its pull count
-    with the lower bound. Reports the ratio; with an uncalibrated ``c_eta`` the
-    ratio is a trend measurement, not a certified bound. Replications run on
-    independent spawned streams, concurrently up to ``parallelism``."""
-    if replications < 100:
-        raise ParameterOutOfRangeError("hardness probe needs at least 100 replications")
-    instance = lifted.instance()
-    gaps = lifted.classical_gaps
-    # a single arm has nothing to separate; the bound degenerates to zero
-    lb = lower_bound_samples(gaps, config.alpha, config.delta, c_eta) if gaps else 0.0
-    streams = rng.spawn(replications)
-
-    def one(child: np.random.Generator) -> tuple[int, int, int]:
-        result = run_contaminated_successive_elimination(instance, config, child)
-        return result.total_pulls, result.rounds, int(result.chosen_arm == 0)
-
-    if parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(one, streams))
-    else:
-        outcomes = [one(child) for child in streams]
-    total = sum(o[0] for o in outcomes)
-    rounds = sum(o[1] for o in outcomes)
-    successes = sum(o[2] for o in outcomes)
-    mean_pulls = total / replications
-    return HardnessReport(
-        k=lifted.k,
-        gaps=gaps,
-        delta=config.delta,
-        lb_value=lb,
-        mean_pulls=mean_pulls,
-        mean_rounds=rounds / replications,
-        ratio=mean_pulls / lb if lb > 0 else math.inf,
-        success_rate=successes / replications,
-    )

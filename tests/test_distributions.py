@@ -136,9 +136,6 @@ class TestSampling:
         xs = dist.sample(n, RNG(3))
         assert rb.ks_distance(xs, dist) <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * n))
 
-    def test_scalar_sample_helper(self):
-        assert rb.sample(rb.Dirac(3.0), RNG()) == 3.0
-
 
 class TestRobustMoments:
     def test_uniform_closed_form(self):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,28 @@ t_bar = 0.4
 slope_bound = 4.0
 mad_bound = 0.25
 mad_ratio = 2.0
+"""
+
+LOWER_BOUND = """
+[experiment]
+kind = lower-bound
+replications = 3
+seed = 5
+
+[instance]
+model = oblivious
+eps = 0.05
+p = [0.6, 0.4]
+
+[algorithm]
+alpha = 0.05
+delta = 0.1
+eps0 = 0.05
+t_bar = 0.15
+slope_bound = 5.43
+mad_bound = 0.35
+mad_ratio = 2.0
+c_eta = 1.0
 """
 
 
@@ -144,14 +167,20 @@ class TestRunExperiment:
         pulls = {line.split(",")[3] for line in lines[1:]}
         assert len(pulls) == 1  # uniform exploration pulls are deterministic
 
-    def test_byte_identical_across_parallelism(self, tmp_path):
-        config = parse_config(MINIMAL)
+    @pytest.mark.parametrize(
+        "text, files",
+        [
+            (MINIMAL, ("records", "summary")),
+            (LOWER_BOUND, ("records", "summary", "aggregate")),
+        ],
+        ids=["bai-simple", "lower-bound"],
+    )
+    def test_byte_identical_across_parallelism(self, tmp_path, text, files):
+        config = parse_config(text)
         blobs = []
         for name, parallelism in (("a", 1), ("b", 8)):
             result = run_experiment(config, parallelism=parallelism, out_dir=tmp_path / name)
-            blobs.append(
-                result.files["records"].read_bytes() + result.files["summary"].read_bytes()
-            )
+            blobs.append(b"".join(result.files[f].read_bytes() for f in files))
         assert blobs[0] == blobs[1]
 
     def test_estimate_median_experiment(self, tmp_path):
@@ -187,31 +216,16 @@ error_level = 0.1
         lines = result.files["records"].read_text().splitlines()
         assert lines[0].startswith("arm,median,mad,bias,effective_gap")
         assert len(lines) == 3
+        best = int(result.summary["best_arm"])
+        for line in lines[1:]:
+            cells = line.split(",")
+            if int(cells[0]) == best:
+                assert cells[4] == ""
+            else:
+                assert math.isfinite(float(cells[4]))
 
     def test_lower_bound_experiment(self, tmp_path):
-        text = """
-[experiment]
-kind = lower-bound
-replications = 3
-seed = 5
-
-[instance]
-model = oblivious
-eps = 0.05
-p = [0.6, 0.3999999999999999]
-
-[algorithm]
-alpha = 0.05
-delta = 0.1
-eps0 = 0.05
-t_bar = 0.15
-slope_bound = 5.43
-mad_bound = 0.35
-mad_ratio = 2.0
-c_eta = 1.0
-"""
-        text = text.replace("0.3999999999999999", "0.4")
-        config = parse_config(text)
+        config = parse_config(LOWER_BOUND)
         result = run_experiment(config, out_dir=tmp_path)
         assert result.exit_code == 0
         agg = result.files["aggregate"].read_text().splitlines()

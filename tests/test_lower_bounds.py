@@ -163,12 +163,12 @@ class TestHardnessProbe:
         lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
         config = rb.AlgoConfig(alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05)
         with pytest.raises(rb.ParameterOutOfRangeError):
-            rb.hardness_probe(lifted, config, 50, np.random.default_rng(0))
+            rb.hardness_probe(lifted, config, 50, seed=0)
 
     def test_single_arm_degenerates(self):
         lifted = rb.oblivious_lifting([0.5], 0.05)
         config = rb.AlgoConfig(alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05)
-        report = rb.hardness_probe(lifted, config, 100, np.random.default_rng(1))
+        report = rb.hardness_probe(lifted, config, 100, seed=1)
         assert report.mean_rounds == 0.0
         assert report.success_rate == 1.0
         assert report.lb_value == 0.0
@@ -183,7 +183,7 @@ class TestHardnessProbe:
             config = rb.AlgoConfig(
                 alpha=0.05, delta=delta, family=lifted.family_for(0.15), eps0=eps
             )
-            report = rb.hardness_probe(lifted, config, 100, np.random.default_rng(seed))
+            report = rb.hardness_probe(lifted, config, 100, seed=seed)
             reports.append(report)
             slack = 3 * math.sqrt(delta * (1 - delta) / 100)
             assert report.success_rate >= 1 - delta - slack
