@@ -222,45 +222,14 @@ def elimination_round_delta(r: int, k: int, delta: float) -> float:
     return 6.0 * delta / (math.pi**2 * k * r * r)
 
 
-class _BufferedPuller:
-    """Amortizes tiny per-round pulls into block draws.
-
-    Safe whenever successive samples of the arm are iid, which holds for every
-    strategy except the batch-aware prescient one (each of its contaminated
-    values depends on the batch it was drawn with), so that one stays
-    unbuffered.
-    """
-
-    __slots__ = ("arm", "rng", "_buffer", "_pos", "_block")
-
-    def __init__(self, arm: ContaminatedArm, rng: np.random.Generator, block: int = 256):
-        self.arm = arm
-        self.rng = rng
-        self._block = 0 if isinstance(arm.strategy, EmpiricalQuantileShift) else block
-        self._buffer = np.empty(0)
-        self._pos = 0
-
-    def pull(self, n: int) -> np.ndarray:
-        if self._block == 0:
-            return draw_batch(self.arm, n, self.rng)
-        available = self._buffer.size - self._pos
-        if available >= n:
-            out = self._buffer[self._pos : self._pos + n]
-            self._pos += n
-            return out
-        parts = [self._buffer[self._pos :]] if available else []
-        need = n - available
-        self._buffer = draw_batch(self.arm, max(self._block, need), self.rng)
-        self._pos = need
-        parts.append(self._buffer[:need])
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
 class RunningMedian:
     """Two-heap running median matching ``empirical_median`` exactly.
 
-    ``_low`` is a negated max-heap of the lower half, ``_high`` a min-heap of
-    the upper half; the lower half holds the extra element for odd counts.
+    The reference oracle for the racing kernel, which keeps sorted arrays
+    instead: its tests replay the kernel against a round-by-round loop that
+    pushes every pull into one of these. ``_low`` is a negated max-heap of the
+    lower half, ``_high`` a min-heap of the upper half; the lower half holds
+    the extra element for odd counts.
     """
 
     __slots__ = ("_low", "_high")
@@ -281,10 +250,6 @@ class RunningMedian:
         elif len(high) > len(low):
             heapq.heappush(low, -heapq.heappop(high))
 
-    def extend(self, values) -> None:
-        for v in values:
-            self.push(v)
-
     @property
     def count(self) -> int:
         return len(self._low) + len(self._high)
@@ -299,50 +264,13 @@ class RunningMedian:
         return 0.5 * (-low[0] + high[0])
 
 
-def _race(
-    k: int,
-    pull_round: Callable[[list[int], int], dict[int, float]],
-    radius_at: Callable[[int], float],
-    pulls: list[int],
-    max_rounds: int,
-    stop_radius: float | None,
-    initial_estimates: dict[int, float] | None = None,
-) -> BanditRunResult:
-    """Shared racing loop: per-round estimates, threshold eliminations, trace."""
-    survivors = list(range(k))
-    estimates: dict[int, float] = dict(initial_estimates or {})
-    trace: list[tuple[int, tuple[int, ...]]] = []
-    r = 0
-    terminated_by = "single-survivor"
-    while len(survivors) > 1:
-        r += 1
-        radius = radius_at(r)
-        if stop_radius is not None and 2.0 * radius <= stop_radius:
-            r -= 1
-            terminated_by = "early-stop"
-            break
-        if r > max_rounds:
-            r -= 1
-            terminated_by = "round-cap"
-            break
-        estimates.update(pull_round(survivors, r))
-        best_value = max(estimates[i] for i in survivors)
-        keep = [i for i in survivors if estimates[i] >= best_value - 2.0 * radius]
-        dropped = tuple(i for i in survivors if i not in keep)
-        if dropped:
-            trace.append((r, dropped))
-        survivors = keep
-    if survivors and estimates:
-        chosen = max(survivors, key=lambda i: (estimates[i], -i))
-    else:
-        chosen = survivors[0]
-    return BanditRunResult(
-        chosen_arm=int(chosen),
-        pulls_per_arm=tuple(pulls),
-        rounds=r,
-        elimination_trace=tuple(trace),
-        terminated_by=terminated_by,
-    )
+def _eliminate(
+    survivors: list[int], estimates, radius: float
+) -> tuple[list[int], tuple[int, ...]]:
+    """Split survivors into those within two radii of the front-runner and the dropped rest."""
+    best_value = max(estimates[i] for i in survivors)
+    keep = [i for i in survivors if estimates[i] >= best_value - 2.0 * radius]
+    return keep, tuple(i for i in survivors if i not in keep)
 
 
 def run_successive_elimination(
@@ -367,27 +295,178 @@ def run_successive_elimination(
         raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
     if not c > 0:
         raise ParameterOutOfRangeError(f"c must be positive, got {c}")
-    pulls = [0] * k
     if k == 1:
         return BanditRunResult(0, (0,), 0, (), "single-survivor")
-
-    def pull_round(survivors: list[int], r: int) -> dict[int, float]:
-        out = {}
+    pulls = [0] * k
+    estimates = [0.0] * k
+    survivors = list(range(k))
+    trace: list[tuple[int, tuple[int, ...]]] = []
+    r = 0
+    terminated_by = "single-survivor"
+    while len(survivors) > 1:
+        if r + 1 > max_rounds:
+            terminated_by = "round-cap"
+            break
+        r += 1
+        radius = math.sqrt(c * math.log(1.0 / elimination_round_delta(r, k, delta)) / r)
         for i in survivors:
-            out[i] = float(estimator(i, rng))
+            estimates[i] = float(estimator(i, rng))
             pulls[i] += 1
-        return out
-
-    def radius_at(r: int) -> float:
-        return math.sqrt(c * math.log(1.0 / elimination_round_delta(r, k, delta)) / r)
-
-    return _race(k, pull_round, radius_at, pulls, max_rounds, stop_radius=None)
+        survivors, dropped = _eliminate(survivors, estimates, radius)
+        if dropped:
+            trace.append((r, dropped))
+    chosen = max(survivors, key=lambda i: (estimates[i], -i))
+    return BanditRunResult(
+        chosen_arm=int(chosen),
+        pulls_per_arm=tuple(pulls),
+        rounds=r,
+        elimination_trace=tuple(trace),
+        terminated_by=terminated_by,
+    )
 
 
 def warmup_pulls(k: int, delta: float, params: EstimationParams) -> int:
     """Initial pulls per arm buying the median bound's validity floor for all rounds."""
     floor_scale = 2.0 * params.median_margin() ** -2
     return math.ceil(floor_scale * math.log(math.pi**2 * k / (2.0 * delta)))
+
+
+# Values a buffered arm draws at once when a round asks for more than it holds.
+_REFILL_BLOCK = 256
+# numpy's log may differ from math.log by a few ulps; the skip test shrinks
+# its radii by this factor, so a rounding difference can only add a check.
+_RADIUS_SHRINK = 1.0 - 1e-9
+# Rounds covered by the first envelope scan after a check; each further scan doubles.
+_SCAN_ROUNDS = 32
+
+
+class _ArmStream:
+    """One arm's pulls in draw order, refilled like a block-buffered puller.
+
+    A buffered arm draws max(block, need) values whenever a round asks for
+    more than it holds, and later rounds consume that draw in order; this is
+    safe because its values are iid. Batch-aware ``EmpiricalQuantileShift``
+    arms (block 0) draw each round's pulls as one batch, since each of their
+    contaminated values depends on the batch it was drawn with.
+    """
+
+    __slots__ = ("arm", "block", "supplied", "consumed", "held")
+
+    def __init__(self, arm: ContaminatedArm):
+        self.arm = arm
+        self.block = 0 if isinstance(arm.strategy, EmpiricalQuantileShift) else _REFILL_BLOCK
+        self.supplied = 0
+        self.consumed = 0
+        self.held: list[np.ndarray] = []  # drawn values not yet consumed, in order
+
+    def refills(self, demand: np.ndarray) -> list[tuple[int, int]]:
+        """(step, size) of the draws serving the cumulative demands ``demand``:
+        a draw falls on each step whose demand exceeds the supply so far."""
+        if self.block == 0:
+            return list(enumerate(np.diff(demand, prepend=self.consumed).tolist()))
+        out = []
+        supplied = self.supplied
+        if demand[-1] <= supplied:
+            return out
+        while (j := int(np.searchsorted(demand, supplied, side="right"))) < demand.size:
+            size = max(self.block, int(demand[j]) - supplied)
+            out.append((j, size))
+            supplied += size
+        return out
+
+    def take(self, n: int) -> np.ndarray:
+        values = self.held[0] if len(self.held) == 1 else np.concatenate(self.held)
+        self.held = [values[n:]] if values.size > n else []
+        self.consumed += n
+        return values[:n]
+
+
+def _pull_rounds(
+    streams: list[_ArmStream], survivors, sizes: np.ndarray, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """Each survivor's pulls over consecutive rounds of ``sizes`` pulls each.
+
+    Draws are issued by round, then by survivor, as a round-by-round loop
+    issues them, so the generator sees the same ``draw_batch`` calls.
+    """
+    demand = np.cumsum(sizes)
+    events = []
+    for i in survivors:
+        s = streams[i]
+        events.extend((j, i, size) for j, size in s.refills(s.consumed + demand))
+    events.sort()
+    for _, i, size in events:
+        s = streams[i]
+        s.held.append(draw_batch(s.arm, size, rng))
+        s.supplied += size
+    total = int(demand[-1])
+    return [streams[i].take(total) for i in survivors]
+
+
+def _round_pulls(rounds: np.ndarray, floor_scale: float) -> np.ndarray:
+    """Pulls per survivor in each round, 1 + ceil(2 N log((r+1)/r)).
+
+    Values within rounding of an integer are recomputed with the scalar
+    expression, so the counts never depend on numpy's log."""
+    x = 2.0 * floor_scale * np.log((rounds + 1.0) / rounds)
+    n = 1 + np.ceil(x).astype(np.int64)
+    for j in np.flatnonzero(np.abs(x - np.rint(x)) <= 1e-9 * np.maximum(x, 1.0)):
+        r = int(rounds[j])
+        n[j] = 1 + math.ceil(2.0 * floor_scale * math.log((r + 1.0) / r))
+    return n
+
+
+class _RoundSchedule:
+    """A race's per-round quantities, indexed by round and extended by doubling.
+
+    ``cum[r]`` counts the pulls per survivor of rounds 1..r. ``width[r]`` is twice the round radius, shrunk by
+    ``_RADIUS_SHRINK``. ``may_stop[r]`` marks the rounds at which the early
+    stop or the round cap may fire. Index 0 is the warm-up and holds zeros.
+    """
+
+    def __init__(self, floor_scale, radii, stop_radius, max_rounds):
+        self._floor_scale = floor_scale
+        self._radii = radii
+        self._stop_radius = stop_radius
+        self._max_rounds = max_rounds
+        self.cum = np.zeros(1, dtype=np.int64)
+        self.width = np.zeros(1)
+        self.may_stop = np.zeros(1, dtype=bool)
+
+    def cover(self, last: int) -> None:
+        """Make the arrays reach round ``last``."""
+        size = self.cum.size
+        if last < size:
+            return
+        rounds = np.arange(size, max(2 * size, last + 1))
+        pulls = _round_pulls(rounds, self._floor_scale)
+        width = 2.0 * _RADIUS_SHRINK * self._radii(rounds.astype(float))
+        may_stop = rounds > self._max_rounds
+        if self._stop_radius is not None:
+            may_stop |= width <= self._stop_radius
+        self.cum = np.concatenate((self.cum, self.cum[-1] + np.cumsum(pulls)))
+        self.width = np.concatenate((self.width, width))
+        self.may_stop = np.concatenate((self.may_stop, may_stop))
+
+
+def _merged(a: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The sorted array ``a`` with ``values`` merged in, without a full sort."""
+    values = np.sort(values)
+    at = np.searchsorted(a, values) + np.arange(values.size)
+    out = np.empty(a.size + values.size)
+    rest = np.ones(out.size, dtype=bool)
+    rest[at] = False
+    out[at] = values
+    out[rest] = a
+    return out
+
+
+def _sorted_median(a: np.ndarray) -> float:
+    """``empirical_median`` of a sorted array."""
+    mid = a.size // 2
+    if a.size % 2:
+        return float(a[mid])
+    return 0.5 * (float(a[mid - 1]) + float(a[mid]))
 
 
 def run_contaminated_successive_elimination(
@@ -400,6 +479,16 @@ def run_contaminated_successive_elimination(
     accurate to the round radius at the round's confidence share. In
     ``early_stop`` mode the loop returns the current front-runner once the
     elimination diameter drops to alpha/2.
+
+    Medians are evaluated only at rounds where an elimination or a stop is
+    possible (envelope skipping). Each survivor's pulls are kept sorted; m
+    pulls after a check at c pulls, its median lies between the check's
+    order statistics of ranks lo(c+m) - m and hi(c+m), lo and hi the ranks
+    of the middle pair. While the lowest such lower end stays within two
+    radii of the highest upper end, no arm can be dropped, so the kernel
+    draws all pulls up to the first round where that fails, in the order a
+    round-by-round loop would draw them, and checks there. Results and the
+    random stream equal those of the round-by-round loop.
     """
     k = instance.k
     params = config.estimation_params(instance.model)
@@ -410,33 +499,81 @@ def run_contaminated_successive_elimination(
         radius_scale2 = 2.0 * scale**2
     else:
         radius_scale2 = 2.0 * config.family.slope_bound * config.family.mad_bound**2
+    delta, max_rounds = config.delta, config.max_rounds
+    stop_radius = config.alpha / 2.0 if config.early_stop else None
 
-    trackers = [RunningMedian() for _ in range(k)]
-    pullers = [_BufferedPuller(arm, rng) for arm in instance.arms]
-    pulls = [0] * k
-    for i in range(k):
-        trackers[i].extend(pullers[i].pull(warmup))
-        pulls[i] += warmup
+    def radius_at(r):
+        return math.sqrt(radius_scale2 * math.log(3.0 / elimination_round_delta(r, k, delta)) / r)
 
+    def radii(r):
+        return np.sqrt(radius_scale2 * np.log(3.0 / elimination_round_delta(r, k, delta)) / r)
+
+    streams = [_ArmStream(arm) for arm in instance.arms]
+    warm = _pull_rounds(streams, range(k), np.array([warmup]), rng)
     if k == 1:
         return BanditRunResult(0, (warmup,), 0, (), "single-survivor")
+    schedule = _RoundSchedule(floor_scale, radii, stop_radius, max_rounds)
+    anchors = [np.sort(x) for x in warm]
+    estimates = [_sorted_median(a) for a in anchors]
+    count = warmup
+    pulls = [warmup] * k
 
-    def pull_round(survivors: list[int], r: int) -> dict[int, float]:
-        n_r = 1 + math.ceil(2.0 * floor_scale * math.log((r + 1.0) / r))
-        out = {}
+    def next_check(first: int, survivors: list[int]) -> int:
+        """The first round from ``first`` on at which an elimination is
+        possible or after which the race may stop; ``first - 1`` was checked."""
+        rows = [anchors[i] for i in survivors]
+        base = schedule.cum[first - 1]
+        span = _SCAN_ROUNDS
+        while True:
+            last = first + span
+            schedule.cover(last + 1)
+            m = schedule.cum[first : last + 1] - base
+            inside = m < count  # else the envelope has no order statistic to use
+            lo = np.maximum((count + m + 1) // 2 - m - 1, 0)
+            hi = np.minimum((count + m) // 2, count - 1)
+            lowest, highest = rows[0][lo], rows[0][hi]
+            for a in rows[1:]:
+                np.minimum(lowest, a[lo], out=lowest)
+                np.maximum(highest, a[hi], out=highest)
+            hit = ~(inside & (lowest >= highest - schedule.width[first : last + 1]))
+            hit |= schedule.may_stop[first + 1 : last + 2]
+            j = int(hit.argmax())
+            if hit[j]:
+                return first + j
+            first = last + 1
+            span *= 2
+
+    survivors = list(range(k))
+    trace: list[tuple[int, tuple[int, ...]]] = []
+    r = 0
+    terminated_by = "single-survivor"
+    while len(survivors) > 1:
+        radius = radius_at(r + 1)
+        if stop_radius is not None and 2.0 * radius <= stop_radius:
+            terminated_by = "early-stop"
+            break
+        if r + 1 > max_rounds:
+            terminated_by = "round-cap"
+            break
+        check = next_check(r + 1, survivors)
+        sizes = np.diff(schedule.cum[r : check + 1])
+        for i, values in zip(survivors, _pull_rounds(streams, survivors, sizes, rng)):
+            anchors[i] = _merged(anchors[i], values)
+        count += int(schedule.cum[check] - schedule.cum[r])
+        if check > r + 1:
+            radius = radius_at(check)
+        r = check
         for i in survivors:
-            trackers[i].extend(pullers[i].pull(n_r))
-            pulls[i] += n_r
-            out[i] = trackers[i].median
-        return out
-
-    def radius_at(r: int) -> float:
-        return math.sqrt(
-            radius_scale2 * math.log(3.0 / elimination_round_delta(r, k, config.delta)) / r
-        )
-
-    stop_radius = config.alpha / 2.0 if config.early_stop else None
-    warm_estimates = {i: trackers[i].median for i in range(k)}
-    return _race(
-        k, pull_round, radius_at, pulls, config.max_rounds, stop_radius, warm_estimates
+            pulls[i] = count
+            estimates[i] = _sorted_median(anchors[i])
+        survivors, dropped = _eliminate(survivors, estimates, radius)
+        if dropped:
+            trace.append((r, dropped))
+    chosen = max(survivors, key=lambda i: (estimates[i], -i))
+    return BanditRunResult(
+        chosen_arm=int(chosen),
+        pulls_per_arm=tuple(pulls),
+        rounds=r,
+        elimination_trace=tuple(trace),
+        terminated_by=terminated_by,
     )

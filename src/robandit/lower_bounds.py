@@ -60,13 +60,11 @@ def kl_quadratic_constant(eta: float, grid: int = 200) -> float:
     if not 0.0 < eta < 0.5:
         raise ParameterOutOfRangeError(f"eta must lie in (0, 1/2), got {eta}")
     ps = np.linspace(eta, 1.0 - eta, grid)
-    best = 0.0
-    for p in ps:
-        for q in ps:
-            if p == q:
-                continue
-            best = max(best, kl_smoothed_bernoulli(float(p), float(q)) / (p - q) ** 2)
-    return best
+    p, q = np.meshgrid(ps, ps, indexing="ij")
+    off_diagonal = p != q
+    p, q = p[off_diagonal], q[off_diagonal]
+    kl = 0.5 * (p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q)))
+    return float(np.max(kl / (p - q) ** 2, initial=0.0))
 
 
 def lower_bound_samples(

@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robandit as rb
+import robandit.bandit as bandit
 
 OBL = rb.AdversaryModel.OBLIVIOUS
 FAMILY = rb.FamilyParams(t_bar=0.4, slope_bound=4.0, mad_bound=0.25, mad_ratio=2.0)
@@ -284,3 +288,181 @@ class TestRunningMedian:
     def test_empty_median_rejected(self):
         with pytest.raises(rb.ParameterOutOfRangeError):
             rb.RunningMedian().median
+
+
+class _OraclePuller:
+    """The reference loop's puller: block draws for iid arms, one batch per
+    call for the batch-aware prescient strategy."""
+
+    def __init__(self, arm, rng, block=256):
+        self.arm = arm
+        self.rng = rng
+        self.block = 0 if isinstance(arm.strategy, rb.EmpiricalQuantileShift) else block
+        self.buffer = np.empty(0)
+        self.pos = 0
+
+    def pull(self, n):
+        if self.block == 0:
+            return bandit.draw_batch(self.arm, n, self.rng)
+        available = self.buffer.size - self.pos
+        if available >= n:
+            self.pos += n
+            return self.buffer[self.pos - n : self.pos]
+        head = self.buffer[self.pos :]
+        need = n - available
+        self.buffer = bandit.draw_batch(self.arm, max(self.block, need), self.rng)
+        self.pos = need
+        return np.concatenate([head, self.buffer[:need]])
+
+
+def oracle_race(instance, config, rng):
+    """Round-by-round contaminated racing: every pull pushed into a
+    RunningMedian, every round checked for eliminations."""
+    k = instance.k
+    params = config.estimation_params(instance.model)
+    floor_scale = 2.0 * params.median_margin() ** -2
+    warmup = rb.warmup_pulls(k, config.delta, params)
+    slope, mad = config.family.slope_bound, config.family.mad_bound
+    if config.threshold_variant == "squared-slope":
+        scale2 = 2.0 * (slope * mad) ** 2
+    else:
+        scale2 = 2.0 * slope * mad**2
+    trackers = [rb.RunningMedian() for _ in range(k)]
+    pullers = [_OraclePuller(arm, rng) for arm in instance.arms]
+    pulls = [warmup] * k
+    for i in range(k):
+        for v in pullers[i].pull(warmup):
+            trackers[i].push(v)
+    if k == 1:
+        return rb.BanditRunResult(0, (warmup,), 0, (), "single-survivor")
+    estimates = [t.median for t in trackers]
+    survivors = list(range(k))
+    trace = []
+    r = 0
+    terminated_by = "single-survivor"
+    while len(survivors) > 1:
+        r += 1
+        radius = math.sqrt(
+            scale2 * math.log(3.0 / rb.elimination_round_delta(r, k, config.delta)) / r
+        )
+        if config.early_stop and 2.0 * radius <= config.alpha / 2.0:
+            r -= 1
+            terminated_by = "early-stop"
+            break
+        if r > config.max_rounds:
+            r -= 1
+            terminated_by = "round-cap"
+            break
+        n_r = 1 + math.ceil(2.0 * floor_scale * math.log((r + 1.0) / r))
+        for i in survivors:
+            for v in pullers[i].pull(n_r):
+                trackers[i].push(v)
+            pulls[i] += n_r
+            estimates[i] = trackers[i].median
+        best = max(estimates[i] for i in survivors)
+        keep = [i for i in survivors if estimates[i] >= best - 2.0 * radius]
+        dropped = tuple(i for i in survivors if i not in keep)
+        if dropped:
+            trace.append((r, dropped))
+        survivors = keep
+    chosen = max(survivors, key=lambda i: (estimates[i], -i))
+    return rb.BanditRunResult(chosen, tuple(pulls), r, tuple(trace), terminated_by)
+
+
+def recorded_run(race, instance, config, seed):
+    """A race's result, its (arm, n) draw_batch calls and the generator's end state."""
+    calls = []
+    index = {id(arm): i for i, arm in enumerate(instance.arms)}
+
+    def draw(arm, n, rng, debug=False):
+        calls.append((index[id(arm)], n))
+        return rb.draw_batch(arm, n, rng, debug)
+
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(bandit, "draw_batch", draw):
+        result = race(instance, config, rng)
+    return result, calls, rng.bit_generator.state
+
+
+def assert_kernel_matches_oracle(instance, config, seed):
+    kernel = recorded_run(rb.run_contaminated_successive_elimination, instance, config, seed)
+    oracle = recorded_run(oracle_race, instance, config, seed)
+    assert kernel[0] == oracle[0]
+    assert kernel[1] == oracle[1]
+    assert kernel[2] == oracle[2]
+
+
+MODELS = {
+    "oblivious": rb.AdversaryModel.OBLIVIOUS,
+    "prescient": rb.AdversaryModel.PRESCIENT,
+    "malicious": rb.AdversaryModel.MALICIOUS,
+}
+
+
+@st.composite
+def race_cases(draw):
+    """Instances of 2 to 5 arms under one adversary model, with close, tied
+    and separated medians, and racing settings that reach every ending."""
+    model = MODELS[draw(st.sampled_from(sorted(MODELS)))]
+    eps = draw(st.sampled_from([0.05, 0.15] if model is not OBL else [0.0, 0.05, 0.15]))
+    arms = []
+    for _ in range(draw(st.integers(2, 5))):
+        start = draw(st.sampled_from([0.0, 0.0, 0.4, 1.5, 3.0]))
+        base = rb.Uniform(start, start + 1.0)
+        kinds = ["fixed-dirac", "fixed-gaussian", "up", "down", "tail"]
+        if model is not OBL:
+            kinds.append("quantile")
+        if model is rb.AdversaryModel.MALICIOUS:
+            kinds.append("attack")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "attack":
+            arms.append(rb.malicious_median_attack(base, eps))
+            continue
+        strategy = {
+            # an atom inside the support: many tied pulls and tied medians
+            "fixed-dirac": lambda: rb.FixedContamination(rb.Dirac(start + 0.5)),
+            "fixed-gaussian": lambda: rb.FixedContamination(rb.Gaussian(start, 2.0)),
+            "up": rb.ShiftMedianUp,
+            "down": rb.ShiftMedianDown,
+            "tail": lambda: rb.UniformTailShift(draw(st.sampled_from([1, -1]))),
+            "quantile": lambda: rb.EmpiricalQuantileShift(draw(st.sampled_from([0.1, 0.9]))),
+        }[kind]()
+        arms.append(rb.ContaminatedArm(base, strategy, eps, model))
+    config = rb.AlgoConfig(
+        alpha=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        delta=draw(st.sampled_from([0.05, 0.2])),
+        family=FAMILY,
+        eps0=eps,
+        max_rounds=draw(st.sampled_from([2000, 2000, 2000, 60, 1])),
+        early_stop=draw(st.booleans()),
+        threshold_variant=draw(st.sampled_from(["squared-slope", "linear-slope"])),
+    )
+    return rb.BanditInstance(arms), config, draw(st.integers(0, 2**32 - 1))
+
+
+class TestEnvelopeSkippingKernel:
+    """The racing kernel against the round-by-round reference loop: same
+    result, same draw_batch calls, same generator state afterwards."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(race_cases())
+    def test_matches_round_by_round_oracle(self, case):
+        assert_kernel_matches_oracle(*case)
+
+    def test_lb_demo_lifted_instance(self):
+        lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
+        config = rb.AlgoConfig(
+            alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05
+        )
+        assert_kernel_matches_oracle(lifted.instance(), config, 2024)
+
+    def test_checks_fewer_rounds_than_it_races(self):
+        lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
+        config = rb.AlgoConfig(
+            alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05
+        )
+        with mock.patch.object(bandit, "_sorted_median", wraps=bandit._sorted_median) as med:
+            result = rb.run_contaminated_successive_elimination(
+                lifted.instance(), config, np.random.default_rng(3)
+            )
+        assert med.call_count < result.rounds / 10

@@ -42,6 +42,17 @@ class TestKl:
                 if p != q:
                     assert rb.kl_smoothed_bernoulli(float(p), float(q)) <= c * (p - q) ** 2 + 1e-12
 
+    @pytest.mark.parametrize("eta", [0.1, 1.0 / 3.0])
+    def test_quadratic_constant_matches_scalar_grid(self, eta):
+        ps = np.linspace(eta, 1.0 - eta, 200)
+        scalar = max(
+            rb.kl_smoothed_bernoulli(float(p), float(q)) / (p - q) ** 2
+            for p in ps
+            for q in ps
+            if p != q
+        )
+        assert rb.kl_quadratic_constant(eta) == pytest.approx(scalar, rel=1e-12)
+
 
 class TestLowerBoundSamples:
     def test_reference_value(self):
