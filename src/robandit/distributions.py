@@ -256,9 +256,9 @@ class SmoothedBernoulli(Distribution):
         return out if out.ndim else float(out)
 
     def sample(self, n, rng):
-        pick_atom = rng.random(n) < 0.5
-        value = rng.random(n)
-        return np.where(pick_atom, (value < self.p).astype(float), value)
+        # one call: the first n uniforms pick the component, the next n the value
+        u = rng.random(2 * n)
+        return np.where(u[:n] < 0.5, u[n:] < self.p, u[n:])
 
     def quantile_left(self, p):
         _check_prob_open(p)

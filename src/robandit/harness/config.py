@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..bandit import BanditInstance, effective_gaps
 from ..contamination import (
     AtomTriggeredCoupling,
     BelowMedianCoupling,
@@ -63,6 +64,7 @@ from ..distributions import (
 from ..errors import (
     IncompatibleStrategyError,
     InfeasibleRegimeError,
+    NonUniqueMedianError,
     ParameterOutOfRangeError,
     RobanditError,
 )
@@ -583,3 +585,26 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
         raise FeasibilityViolationError(str(exc), key="eps0", line=algo_lines.get("eps0")) from exc
     except ParameterOutOfRangeError as exc:
         raise FeasibilityViolationError(str(exc), key="eps0", line=algo_lines.get("eps0")) from exc
+    if kind == "bai-succelim":
+        _validate_race_terminates(config, algo_lines)
+
+
+def _validate_race_terminates(config: ExperimentConfig, algo_lines) -> None:
+    """Reject a race that may only end at the round cap: without an early stop
+    at alpha > 0, an arm whose effective gap is not positive need never be
+    dropped, and the race keeps every pull up to ``max_rounds``."""
+    alg = config.algorithm
+    if alg.get("early_stop", False) and alg["alpha"] > 0:
+        return
+    try:
+        report = effective_gaps(BanditInstance(config.arms), config.family())
+    except NonUniqueMedianError:
+        return  # effective gaps are undefined; leave the race to its round cap
+    if report.infeasible_arms:
+        raise FeasibilityViolationError(
+            f"arms {list(report.infeasible_arms)} have effective gap <= 0 against arm "
+            f"{report.best_arm}, so the race may run to max_rounds; "
+            "set early_stop = true with alpha > 0",
+            key="alpha",
+            line=algo_lines.get("alpha"),
+        )

@@ -72,6 +72,60 @@ class TestDrawBatch:
         assert np.all(batch.z == target)
 
 
+class _Replay(rb.Distribution):
+    """A "distribution" that returns given values, to hand draw_batch a chosen batch."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def sample(self, n, rng):
+        assert n == self.values.size
+        return self.values.copy()
+
+
+@st.composite
+def _batch_and_level(draw):
+    n = draw(st.integers(min_value=1, max_value=64))
+    if draw(st.booleans()):
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        y = np.random.default_rng(seed).normal(0.0, 1.0, n)
+    else:
+        y = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    levels = [
+        st.sampled_from([0.1, 0.9]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    ]
+    if n > 1:
+        levels.append(st.integers(min_value=1, max_value=n - 1).map(lambda j: j / n))  # n*q = j
+    return y, draw(st.one_of(levels))
+
+
+class TestEmpiricalQuantilePick:
+    """The prescient quantile shift picks the ceil(nq)-th order statistic, which
+    must be the value np.quantile(..., method="inverted_cdf") returns, bitwise."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_batch_and_level())
+    def test_pick_is_numpys_inverted_cdf_quantile(self, case):
+        y, q = case
+        arm = make_arm(rb.EmpiricalQuantileShift(q), eps=0.3, model=PRE, dist=_Replay(y))
+        batch = rb.draw_batch(arm, y.size, np.random.default_rng(0), debug=True)
+        want = np.quantile(y, q, method="inverted_cdf")
+        assert batch.z.dtype == np.float64
+        assert batch.z.tobytes() == np.full(y.size, want).tobytes()
+        assert np.array_equal(batch.y, y)  # the pick leaves the clean batch alone
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_draws_only_the_clean_batch_and_the_flags(self, n):
+        arm = make_arm(rb.EmpiricalQuantileShift(0.9), eps=0.2, model=PRE)
+        rng = np.random.default_rng(12)
+        rb.draw_batch(arm, n, rng)
+        ref = np.random.default_rng(12)
+        arm.dist.sample(n, ref)
+        ref.random(n)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestTailShift:
     def test_contaminated_law_is_stretched_uniform(self):
         eps = 0.1

@@ -137,6 +137,20 @@ class TestSampling:
         assert rb.ks_distance(xs, dist) <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * n))
 
 
+class TestSmoothedBernoulliStream:
+    @pytest.mark.parametrize("n", [1, 3, 256])
+    @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
+    def test_one_call_equals_two_call_form(self, n, p):
+        rng, ref = RNG(17), RNG(17)
+        xs = rb.SmoothedBernoulli(p).sample(n, rng)
+        pick_atom = ref.random(n) < 0.5
+        value = ref.random(n)
+        want = np.where(pick_atom, (value < p).astype(float), value)
+        assert xs.dtype == want.dtype == np.float64
+        assert xs.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestRobustMoments:
     def test_uniform_closed_form(self):
         m = rb.robust_moments(rb.Uniform(0.0, 2.0))

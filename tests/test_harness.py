@@ -107,6 +107,29 @@ class TestParser:
         with pytest.raises(FeasibilityViolationError):
             parse_config(bad)
 
+    def test_race_without_positive_effective_gap_rejected(self):
+        twins = (
+            MINIMAL.replace("kind = bai-simple", "kind = bai-succelim")
+            .replace("lo: 0.4, hi: 1.4", "lo: 0.0, hi: 1.0")
+            .replace("alpha = 0.3", "alpha = 0.0")
+        )
+        with pytest.raises(FeasibilityViolationError) as err:
+            parse_config(twins)
+        assert err.value.key == "alpha"
+        early = twins.replace("alpha = 0.0", "alpha = 0.05\nearly_stop = true")
+        assert parse_config(early).algorithm["early_stop"] is True
+        # without unique medians there are no effective gaps to judge by
+        flat = twins.replace(
+            "{kind: uniform, lo: 0.0, hi: 1.0}, strategy: {kind: uniform_tail_shift, direction: 1}",
+            "{kind: bernoulli, p: 0.5}, strategy: {kind: shift_median_up}",
+        )
+        assert parse_config(flat).kind == "bai-succelim"
+
+    def test_bai_demo_parses(self):
+        config = parse_config((REPO_ROOT / "configs" / "bai_demo.cfg").read_text())
+        report = rb.effective_gaps(rb.BanditInstance(config.arms), config.family())
+        assert report.gaps[0] == pytest.approx(0.189, abs=1e-3)
+
     def test_nested_literals(self):
         spec = {
             "kind": "mixture",
