@@ -5,8 +5,14 @@ Every distribution exposes a right-continuous ``cdf``, left/right quantiles
 sampler, and robust moments: the median, the median absolute deviation (MAD)
 and the MAD of the absolute deviations themselves (a second-order spread).
 Quantiles and robust moments use closed forms where the variant admits them
-and bracketed bisection (driven to float adjacency, well below 1e-12 absolute
-error) otherwise.
+and a bracketed k-section search otherwise. Each step evaluates the cdf once,
+vectorized, on the 63 evenly spaced points that bisection could visit in its
+next six halvings, then follows bisection's own path through them, until the
+bracket ends are adjacent floats. It evaluates the cdf at the points bisection
+would and makes the same decisions, so it returns the float that bisection
+driven to adjacency does, even where rounding makes the cdf wobble; for a cdf
+monotone in floating point that is the smallest x with F(x) >= p (or > p).
+It takes a sixth of the Python-level steps.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import (
+    NonUniqueMADError,
     NonUniqueMedianError,
     ParameterOutOfRangeError,
     ZeroMADError,
@@ -47,9 +54,13 @@ __all__ = [
 ]
 
 # Uniqueness of a quantile is decided by comparing the left and right
-# quantiles after bisection to float adjacency; genuinely flat cdf segments
+# quantiles after the search to float adjacency; genuinely flat cdf segments
 # are orders of magnitude wider than this.
 _UNIQUE_TOL = 1e-10
+
+# Halvings per step of the quantile search: one cdf call on the 2**6 - 1 = 63
+# evenly spaced points of the bisection tree below the bracket.
+_SECTION_DEPTH = 6
 
 _GAUSSIAN_MAD = float(ndtri(0.75))  # MAD of the standard normal
 
@@ -90,11 +101,11 @@ class Distribution:
 
     def quantile_left(self, p: float) -> float:
         _check_prob_open(p)
-        return _bisect_quantile(self, p, strict=False)
+        return _search_quantile(self, p, strict=False)
 
     def quantile_right(self, p: float) -> float:
         _check_prob_open(p)
-        return _bisect_quantile(self, p, strict=True)
+        return _search_quantile(self, p, strict=True)
 
 
 def _check_prob_open(p: float) -> None:
@@ -102,31 +113,51 @@ def _check_prob_open(p: float) -> None:
         raise ParameterOutOfRangeError(f"quantile level must lie in (0, 1), got {p}")
 
 
-def _bisect_quantile(dist: Distribution, p: float, strict: bool) -> float:
-    """Smallest float x with F(x) >= p (or > p when strict), by pure bisection."""
+def _search_quantile(dist: Distribution, p: float, strict: bool) -> float:
+    """Smallest float x with F(x) >= p (or > p when strict), as bisection to
+    float adjacency finds it, _SECTION_DEPTH halvings per vectorized cdf call."""
     if strict:
         pred = lambda x: dist.cdf(x) > p
     else:
         pred = lambda x: dist.cdf(x) >= p
+    # Rounding can keep a cdf (a mixture whose weights sum to 1 - 2**-53 in
+    # floating point, say) from ever crossing a level within an ulp of 0 or 1:
+    # the bracket then grows to an infinite end.
+    unreached = f"the cdf never crosses level {p} in floating point"
     lo, hi = -1.0, 1.0
     step = 1.0
     while not pred(hi):
+        if hi == math.inf:
+            raise ParameterOutOfRangeError(unreached)
         hi += step
         step *= 2.0
     step = 1.0
     while pred(lo):
+        if lo == -math.inf:
+            raise ParameterOutOfRangeError(unreached)
         lo -= step
         step *= 2.0
-    # Invariant: pred(lo) is False, pred(hi) is True. Bisect to adjacency.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # Invariant: pred(lo) is False, pred(hi) is True. Each step evaluates, in
+    # one cdf call, every midpoint bisection could visit in its next
+    # _SECTION_DEPTH halvings, then follows bisection's own path through them.
+    while True:
+        edges = [lo, hi]
+        for _ in range(_SECTION_DEPTH):
+            split = [lo]
+            for a, b in zip(edges, edges[1:]):
+                split += (0.5 * (a + b), b)
+            edges = split
+        holds = [False, *pred(np.array(edges[1:-1])).tolist(), True]
+        i, j = 0, len(edges) - 1
+        while j - i > 1:
+            m = (i + j) // 2
+            if not (edges[i] < edges[m] < edges[j]):
+                return edges[j]
+            if holds[m]:
+                j = m
+            else:
+                i = m
+        lo, hi = edges[i], edges[j]
 
 
 @dataclass(frozen=True)

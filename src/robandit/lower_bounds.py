@@ -31,6 +31,8 @@ from .distributions import (
     Mixture,
     SmoothedBernoulli,
     Uniform,
+    _is_unique,
+    _median_pair,
     robust_moments,
 )
 from .errors import LiftingError, ParameterOutOfRangeError
@@ -147,9 +149,17 @@ def _best_first(values: list[float]) -> tuple[list[float], tuple[int, ...]]:
     return [values[i] for i in order], tuple(order)
 
 
+def _hidden_median(dist: Distribution) -> float:
+    med_lo, med_hi = _median_pair(dist)
+    if not _is_unique(med_lo, med_hi):
+        raise LiftingError(f"hidden median is not unique: [{med_lo}, {med_hi}]")
+    return med_lo
+
+
 def _assert_lifting(lifted: LiftedInstance, median_shifts: tuple[float, ...]) -> None:
     """Construction self-checks: the observable law matches on a grid and the
-    hidden medians sit exactly one bias away from the observable ones."""
+    hidden medians are unique and sit exactly one bias away from the
+    observable ones."""
     grid = np.linspace(-0.25, 1.25, 1001)
     for arm, law, shift, pi in zip(
         lifted.lifted_arms, lifted.observable_law, median_shifts, lifted.p
@@ -157,8 +167,8 @@ def _assert_lifting(lifted: LiftedInstance, median_shifts: tuple[float, ...]) ->
         gap = np.max(np.abs(np.asarray(contaminated_cdf(arm, grid)) - np.asarray(law.cdf(grid))))
         if gap > 1e-12:
             raise LiftingError(f"observable law mismatch: sup distance {gap:.3e}")
-        hidden_median = robust_moments(arm.dist).median
-        if abs(abs(hidden_median - pi) - abs(shift)) > 1e-10:
+        hidden_median = _hidden_median(arm.dist)
+        if abs((hidden_median - pi) - shift) > 1e-10:
             raise LiftingError(
                 f"hidden median {hidden_median} not shifted by {shift} from {pi}"
             )
@@ -251,7 +261,7 @@ def malicious_lifting(p, eps: float) -> LiftedInstance:
 
 def _exact_bias(dist: Distribution, eps: float, model: AdversaryModel) -> float:
     """Tight per-arm bias from the arm's own quantiles, not the family bound."""
-    median = robust_moments(dist).median
+    median = _hidden_median(dist)
     if model is AdversaryModel.MALICIOUS:
         up = dist.quantile_right(0.5 + eps) - median
         down = median - dist.quantile_left(0.5 - eps)
@@ -267,7 +277,7 @@ def lifted_effective_gaps(lifted: LiftedInstance) -> tuple[float, ...]:
     These equal the classical gaps of the observable instance: the lifting
     spends the entire bias budget moving the medians apart.
     """
-    medians = [robust_moments(arm.dist).median for arm in lifted.lifted_arms]
+    medians = [_hidden_median(arm.dist) for arm in lifted.lifted_arms]
     biases = [_exact_bias(arm.dist, lifted.eps, lifted.model) for arm in lifted.lifted_arms]
     pessimistic = medians[0] - biases[0]
     return tuple(pessimistic - (medians[i] + biases[i]) for i in range(1, lifted.k))

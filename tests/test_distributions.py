@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
-from robandit.distributions import _AbsDeviation
+from robandit.distributions import _AbsDeviation, _search_quantile
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -111,6 +111,135 @@ class TestQuantiles:
         base = rb.SmoothedBernoulli(0.6)
         flipped = rb.Affine(base, -1.0, 0.0)
         assert flipped.quantile_left(0.5) == pytest.approx(-0.6, abs=1e-12)
+
+
+def _bisection_oracle(dist, p, strict, max_steps=200):
+    """The bracketed bisection the k-section search replaced, kept as its
+    reference: the old loop with its 200-step cap as a parameter. Returns the
+    float and whether the bracket reached float adjacency within the cap."""
+    if strict:
+        pred = lambda x: dist.cdf(x) > p
+    else:
+        pred = lambda x: dist.cdf(x) >= p
+    lo, hi = -1.0, 1.0
+    step = 1.0
+    while not pred(hi):
+        hi += step
+        step *= 2.0
+    step = 1.0
+    while pred(lo):
+        lo -= step
+        step *= 2.0
+    for _ in range(max_steps):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            return hi, True
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, False
+
+
+_components = st.one_of(
+    st.floats(0.0, 1.0).map(rb.Bernoulli),
+    st.builds(lambda lo, width: rb.Uniform(lo, lo + width), st.floats(-3.0, 3.0), st.floats(0.01, 3.0)),
+    st.builds(rb.Gaussian, st.floats(-3.0, 3.0), st.floats(0.05, 3.0)),
+)
+_images = st.one_of(
+    _components,
+    st.builds(
+        rb.Affine,
+        _components,
+        st.sampled_from([-1.0, 1.0]).flatmap(lambda sign: st.floats(0.25, 4.0).map(lambda a: sign * a)),
+        st.floats(-2.0, 2.0),
+    ),
+)
+_mixtures = st.lists(st.tuples(st.floats(0.05, 1.0), _images), min_size=1, max_size=3).map(
+    lambda parts: rb.Mixture(
+        [w / math.fsum(w for w, _ in parts) for w, _ in parts], [c for _, c in parts]
+    )
+)
+
+
+@st.composite
+def _searched_dists(draw):
+    """A mixture, or the law of its absolute deviation one or two levels deep,
+    centred at an arbitrary point or at the base's median as the MAD is."""
+    dist = draw(_mixtures)
+    for _ in range(draw(st.integers(0, 2))):
+        median = _bisection_oracle(dist, 0.5, False)[0]
+        dist = _AbsDeviation(dist, draw(st.one_of(st.just(median), st.floats(-2.0, 2.0))))
+    return dist
+
+
+_levels = st.one_of(
+    st.just(0.5),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.001, 1.0 / 15.0).map(lambda eps: (1.0 - 2.0 * eps) / (2.0 * (1.0 - eps))),
+    st.floats(0.001, 1.0 / 15.0).map(lambda eps: 1.0 / (2.0 * (1.0 - eps))),
+)
+
+
+class TestQuantileSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(dist=_searched_dists(), p=_levels)
+    # ndtr dips by an ulp at 0.9231869695111343, so this cdf is not monotone in
+    # floating point there; bisection settles on 0.9231869695111344, above the
+    # first float where the level is reached, and the search must too
+    @example(
+        dist=rb.Mixture(
+            [0.46096654275092935, 0.06319702602230483, 0.4758364312267658],
+            [rb.Gaussian(0.0, 1.0), rb.Bernoulli(0.0), rb.Bernoulli(0.0)],
+        ),
+        p=0.91796875,
+    )
+    def test_matches_bisection_bitwise(self, dist, p):
+        for strict, quantile in ((False, dist.quantile_left), (True, dist.quantile_right)):
+            reached = (lambda x: dist.cdf(x) > p) if strict else (lambda x: dist.cdf(x) >= p)
+            try:
+                got = quantile(p)
+            except rb.ParameterOutOfRangeError:
+                # the level is never crossed in floating point, where
+                # bisection's bracket search would expand forever
+                assert not reached(math.inf) or reached(-math.inf)
+                continue
+            assert type(got) is float
+            want, adjacent = _bisection_oracle(dist, p, strict)
+            if adjacent:
+                assert got == want, (dist, p, strict, got, want)
+                continue
+            # Excluded from the bitwise comparison: the 200-step cap stopped
+            # bisection short of adjacency, which happens when the answer is
+            # 0 (an atom there) or within ~2**-190 of it. Check instead that
+            # the level is reached at got but not at the float below it, and
+            # that got lies in bisection's last bracket.
+            assert reached(got) and not reached(np.nextafter(got, -np.inf))
+            assert got <= want
+
+    def test_level_never_crossed_raises(self):
+        # the weights sum to 1 - 2**-53 in floating point, so F stays below
+        # that level everywhere and the bracket search used to run forever
+        weights = [0.43085688411427203, 0.22054288235364464, 0.34860023353208325]
+        dist = rb.Mixture(weights, [rb.Uniform(0.0, 1.0)] * 3)
+        p = float(np.nextafter(1.0, 0.0))
+        assert dist.cdf(math.inf) == p
+        assert dist.quantile_left(p) == 1.0
+        with pytest.raises(rb.ParameterOutOfRangeError, match="never crosses"):
+            dist.quantile_right(p)
+        with pytest.raises(rb.ParameterOutOfRangeError, match="never crosses"):
+            _search_quantile(rb.Affine(dist, -1.0), 1e-17, strict=False)
+
+    def test_lifted_arm_levels(self):
+        eps = 0.05
+        hidden = rb.oblivious_lifting([0.6, 0.4], eps).lifted_arms[0].dist
+        dev = _AbsDeviation(hidden, hidden.quantile_left(0.5))
+        for dist in (hidden, dev, _AbsDeviation(dev, dev.quantile_left(0.5))):
+            for p in (0.5, (1.0 - 2.0 * eps) / (2.0 * (1.0 - eps)), 1.0 / (2.0 * (1.0 - eps))):
+                for strict in (False, True):
+                    want, adjacent = _bisection_oracle(dist, p, strict)
+                    assert adjacent
+                    assert _search_quantile(dist, p, strict) == want
 
 
 class TestSampling:
@@ -235,6 +364,21 @@ class TestFamilyChecks:
         bad = rb.FamilyParams(0.4, slope, 1.0, math.sqrt(3.0) - 1.0)
         assert rb.in_mad_family(rb.Cauchy(0.0, 1.0), good)
         assert not rb.in_mad_family(rb.Cauchy(0.0, 1.0), bad)
+
+    def test_non_unique_second_order_mad_rejected(self):
+        # symmetric: median 0 and MAD 1 are unique, but | |X| - 1 | has no
+        # mass between 0.05 and 0.6, so its median is not
+        parts = []
+        for lo, hi in [(0.0, 0.4), (0.95, 1.0), (1.0, 1.05), (1.6, 2.0)]:
+            parts += [rb.Uniform(lo, hi), rb.Uniform(-hi, -lo)]
+        dist = rb.Mixture([1.0 / 8.0] * 8, parts)
+        moments = rb.robust_moments(dist)
+        assert moments.median_unique and moments.mad_unique and not moments.mad2_unique
+        assert moments.median == pytest.approx(0.0, abs=1e-12)
+        assert moments.mad == pytest.approx(1.0, abs=1e-12)
+        params = rb.FamilyParams(t_bar=0.3, slope_bound=4.0, mad_bound=2.0, mad_ratio=2.0)
+        with pytest.raises(rb.NonUniqueMADError):
+            rb.in_mad_family(dist, params)
 
     def test_strict_monotonicity_inside_window(self):
         dist = rb.Uniform(0.0, 1.0)

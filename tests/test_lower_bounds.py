@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import stats
 
 import robandit as rb
+from robandit.lower_bounds import _assert_lifting
 
 
 class TestKl:
@@ -167,6 +169,52 @@ class TestMaliciousLifting:
             lifted_draws = rb.draw_batch(arm, 20_000, rng)
             direct = law.sample(20_000, rng)
             assert stats.ks_2samp(lifted_draws, direct).pvalue >= 1e-3
+
+
+LIFTINGS = {
+    "oblivious": (rb.oblivious_lifting, 1.0),
+    "malicious": (rb.malicious_lifting, 2.0),
+}
+
+
+class TestLiftingSelfCheck:
+    """_assert_lifting, which every lifting runs on its own construction."""
+
+    @staticmethod
+    def _built(name):
+        lift, shift_per_eps = LIFTINGS[name]
+        eps = 0.05
+        lifted = lift([0.6, 0.4, 0.5], eps)
+        shifts = (shift_per_eps * eps,) + (-shift_per_eps * eps,) * (lifted.k - 1)
+        return lifted, shifts
+
+    @pytest.mark.parametrize("name", LIFTINGS)
+    def test_wrong_median_shifts_rejected(self, name):
+        lifted, shifts = self._built(name)
+        _assert_lifting(lifted, shifts)
+        for wrong in (tuple(-s for s in shifts), tuple(0.5 * s for s in shifts)):
+            with pytest.raises(rb.LiftingError, match="hidden median"):
+                _assert_lifting(lifted, wrong)
+
+    @pytest.mark.parametrize("name", LIFTINGS)
+    def test_swapped_contamination_rejected(self, name):
+        lifted, shifts = self._built(name)
+        best, rival = lifted.lifted_arms[:2]
+        arms = (dataclasses.replace(best, strategy=rival.strategy),) + lifted.lifted_arms[1:]
+        with pytest.raises(rb.LiftingError, match="observable law mismatch"):
+            _assert_lifting(dataclasses.replace(lifted, lifted_arms=arms), shifts)
+
+    def test_non_unique_hidden_median_rejected(self):
+        eps = 0.05
+        hidden, strategy = rb.Bernoulli(0.5), rb.FixedContamination(rb.Dirac(0.0))
+        arm = rb.ContaminatedArm(hidden, strategy, eps, rb.AdversaryModel.OBLIVIOUS)
+        law = rb.Mixture([1.0 - eps, eps], [hidden, strategy.dist])  # the observable law exactly
+        lifted = dataclasses.replace(
+            self._built("oblivious")[0],
+            p=(0.5,), lifted_arms=(arm,), observable_law=(law,), original_indices=(0,),
+        )
+        with pytest.raises(rb.LiftingError, match="not unique"):
+            _assert_lifting(lifted, (0.0,))
 
 
 class TestHardnessProbe:

@@ -1,0 +1,76 @@
+"""Static guard: every name a robandit module loads is bound in that module.
+
+A name used but never imported or defined fails only when its line runs, as a
+NameError; this finds it without running anything. The check is scope-blind:
+a name counts as bound if any binding of it appears anywhere in the module.
+"""
+
+import ast
+import builtins
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "robandit"
+MODULES = sorted(SRC.rglob("*.py"))
+MODULE_DUNDERS = {
+    "__name__", "__file__", "__doc__", "__package__", "__spec__", "__loader__",
+    "__path__", "__builtins__", "__cached__",
+}
+
+
+def _bound_names(tree: ast.AST) -> set[str]:
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            # assignment, augmented and annotated assignment, for, with,
+            # comprehension and walrus targets
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            bound.update(node.names)
+    return bound
+
+
+def _loaded_names(tree: ast.AST) -> dict[str, int]:
+    loaded = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.setdefault(node.id, node.lineno)
+    return loaded
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_every_loaded_name_is_bound(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    known = _bound_names(tree) | set(dir(builtins)) | MODULE_DUNDERS
+    unbound = {name: line for name, line in _loaded_names(tree).items() if name not in known}
+    assert not unbound, f"{path.name}: names loaded but never bound (name: first line): {unbound}"
+
+
+def test_guard_sees_every_binding_form():
+    assert SRC / "distributions.py" in MODULES
+    source = """
+import os.path as osp, sys
+from json import loads as parse
+def f(a, /, b, *args, c, **kwargs):
+    global G
+    G = [x for x in args if (y := x)]
+    for i, j in []: pass
+    with open(a) as fh: pass
+    try: pass
+    except ValueError as err: pass
+    return osp, sys, parse, G, y, i, j, fh, err, b, c, kwargs, f
+class C: pass
+C, missing
+"""
+    tree = ast.parse(source)
+    unbound = set(_loaded_names(tree)) - _bound_names(tree) - set(dir(builtins))
+    assert unbound == {"missing"}
