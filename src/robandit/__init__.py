@@ -19,7 +19,6 @@ from .bandit import (
     elimination_round_delta,
     run_contaminated_successive_elimination,
     run_simple,
-    run_successive_elimination,
     simple_exploration_estimates,
     warmup_pulls,
 )

@@ -1,13 +1,11 @@
 """Best-arm identification under partial identifiability.
 
-Three algorithms:
+Two algorithms:
 
 * ``run_simple`` pulls every arm the same precomputed number of times and
   returns the arm with the best empirical median.
-* ``run_successive_elimination`` is the generic racing loop driven by an
-  abstract estimator oracle with a known accuracy-per-round profile.
-* ``run_contaminated_successive_elimination`` specializes the racing loop to
-  contaminated arms: a warm-up phase buys the validity floor of the median
+* ``run_contaminated_successive_elimination`` races contaminated arms by
+  successive elimination: a warm-up phase buys the validity floor of the median
   concentration bound, later rounds top up samples so the running medians stay
   accurate at the shrinking per-round thresholds.
 
@@ -21,7 +19,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,7 +36,6 @@ __all__ = [
     "run_simple",
     "simple_exploration_estimates",
     "SimpleRunOutcome",
-    "run_successive_elimination",
     "run_contaminated_successive_elimination",
     "elimination_round_delta",
     "warmup_pulls",
@@ -262,67 +258,6 @@ class RunningMedian:
         if len(low) > len(high):
             return -low[0]
         return 0.5 * (-low[0] + high[0])
-
-
-def _eliminate(
-    survivors: list[int], estimates, radius: float
-) -> tuple[list[int], tuple[int, ...]]:
-    """Split survivors into those within two radii of the front-runner and the dropped rest."""
-    best_value = max(estimates[i] for i in survivors)
-    keep = [i for i in survivors if estimates[i] >= best_value - 2.0 * radius]
-    return keep, tuple(i for i in survivors if i not in keep)
-
-
-def run_successive_elimination(
-    estimator: Callable[[int, np.random.Generator], float],
-    k: int,
-    delta: float,
-    c: float,
-    rng: np.random.Generator,
-    max_rounds: int = 10**6,
-) -> BanditRunResult:
-    """Generic racing loop over an abstract estimator oracle.
-
-    ``estimator(i, rng)`` must draw one more sample for arm i and return the
-    updated estimate; after r calls the estimate must be accurate to within
-    the arm's bias plus sqrt(c log(1/delta') / r) at confidence 1 - delta'.
-    Arms falling 2 radii behind the front-runner are eliminated. Hitting the
-    round cap is reported in ``terminated_by``, never silently.
-    """
-    if k < 1:
-        raise ParameterOutOfRangeError("need at least one arm")
-    if not 0.0 < delta < 1.0:
-        raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
-    if not c > 0:
-        raise ParameterOutOfRangeError(f"c must be positive, got {c}")
-    if k == 1:
-        return BanditRunResult(0, (0,), 0, (), "single-survivor")
-    pulls = [0] * k
-    estimates = [0.0] * k
-    survivors = list(range(k))
-    trace: list[tuple[int, tuple[int, ...]]] = []
-    r = 0
-    terminated_by = "single-survivor"
-    while len(survivors) > 1:
-        if r + 1 > max_rounds:
-            terminated_by = "round-cap"
-            break
-        r += 1
-        radius = math.sqrt(c * math.log(1.0 / elimination_round_delta(r, k, delta)) / r)
-        for i in survivors:
-            estimates[i] = float(estimator(i, rng))
-            pulls[i] += 1
-        survivors, dropped = _eliminate(survivors, estimates, radius)
-        if dropped:
-            trace.append((r, dropped))
-    chosen = max(survivors, key=lambda i: (estimates[i], -i))
-    return BanditRunResult(
-        chosen_arm=int(chosen),
-        pulls_per_arm=tuple(pulls),
-        rounds=r,
-        elimination_trace=tuple(trace),
-        terminated_by=terminated_by,
-    )
 
 
 def warmup_pulls(k: int, delta: float, params: EstimationParams) -> int:
@@ -566,7 +501,10 @@ def run_contaminated_successive_elimination(
         for i in survivors:
             pulls[i] = count
             estimates[i] = _sorted_median(anchors[i])
-        survivors, dropped = _eliminate(survivors, estimates, radius)
+        best_value = max(estimates[i] for i in survivors)
+        keep = [i for i in survivors if estimates[i] >= best_value - 2.0 * radius]
+        dropped = tuple(i for i in survivors if i not in keep)
+        survivors = keep
         if dropped:
             trace.append((r, dropped))
     chosen = max(survivors, key=lambda i: (estimates[i], -i))

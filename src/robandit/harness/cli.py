@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from ..errors import RobanditError
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, check_seed, parse_config
 from .runner import run_experiment
 
 _COMMAND_KINDS = {
@@ -71,9 +71,9 @@ def main(argv: list[str] | None = None) -> int:
 
         env_seed = os.environ.get("ROBANDIT_SEED")
         if env_seed is not None:
-            config.seed = int(env_seed)
+            config.seed = check_seed(int(env_seed))
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = check_seed(args.seed)
 
         if args.parallelism < 1:
             print("error: --parallelism must be at least 1", file=sys.stderr)

@@ -77,6 +77,7 @@ __all__ = [
     "FeasibilityViolationError",
     "ExperimentConfig",
     "parse_config",
+    "check_seed",
     "distribution_from_spec",
     "strategy_from_spec",
 ]
@@ -390,6 +391,13 @@ def _coerce(value, want, key, line):
     raise AssertionError(want)
 
 
+def check_seed(seed: int, line: int | None = None) -> int:
+    """``seed`` if it is a 64-bit unsigned integer, else a ``TypeMismatchError``."""
+    if not 0 <= seed < 2**64:
+        raise TypeMismatchError("seed must be a 64-bit unsigned integer", key="seed", line=line)
+    return seed
+
+
 def _parse_sections(text: str):
     """Returns {section: [(key, value, line)]} with values decoded."""
     sections: dict[str, list[tuple[str, Any, int]]] = {}
@@ -477,9 +485,8 @@ def parse_config(text: str) -> ExperimentConfig:
             key="replications",
             line=exp_lines.get("replications"),
         )
-    seed = _coerce(exp.get("seed", 0), int, "seed", exp_lines.get("seed"))
-    if not 0 <= seed < 2**64:
-        raise TypeMismatchError("seed must be a 64-bit unsigned integer", key="seed", line=exp_lines.get("seed"))
+    seed_line = exp_lines.get("seed")
+    seed = check_seed(_coerce(exp.get("seed", 0), int, "seed", seed_line), seed_line)
 
     suites: tuple[str, ...] = ()
     if "suites" in exp:

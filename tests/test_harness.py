@@ -348,6 +348,20 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (out_env / "records.csv").read_bytes() == (out_flag / "records.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_out_of_range_seed_rejected(self, tmp_path, seed, source):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(MINIMAL)
+        args = ("bai", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        if source == "flag":
+            proc = self._run(*args, f"--seed={seed}")
+        else:
+            proc = self._run(*args, ROBANDIT_SEED=seed)
+        assert proc.returncode == 2
+        assert "seed must be a 64-bit unsigned integer" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
 
 def test_quality_suite_artifact_serialized(tmp_path):
     from robandit.harness.config import ExperimentConfig

@@ -1,12 +1,15 @@
-"""Static guard: every name a robandit module loads is bound in that module.
+"""Guards that every name a robandit module loads or exports is bound in it.
 
 A name used but never imported or defined fails only when its line runs, as a
-NameError; this finds it without running anything. The check is scope-blind:
-a name counts as bound if any binding of it appears anywhere in the module.
+NameError; the static check finds it without running anything. It is
+scope-blind: a name counts as bound if any binding of it appears anywhere in
+the module. A stale ``__all__`` entry breaks ``from module import *``; the
+export check imports each module that declares ``__all__`` and looks the names up.
 """
 
 import ast
 import builtins
+import importlib
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,21 @@ def test_every_loaded_name_is_bound(path):
     known = _bound_names(tree) | set(dir(builtins)) | MODULE_DUNDERS
     unbound = {name: line for name, line in _loaded_names(tree).items() if name not in known}
     assert not unbound, f"{path.name}: names loaded but never bound (name: first line): {unbound}"
+
+
+EXPORTING = [p for p in MODULES if "__all__" in p.read_text()]
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(("robandit",) + parts).removesuffix(".__init__")
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: str(p.relative_to(SRC)))
+def test_every_exported_name_is_bound(path):
+    module = importlib.import_module(_module_name(path))
+    stale = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not stale, f"{path.name}: names in __all__ but not bound: {stale}"
 
 
 def test_guard_sees_every_binding_form():
