@@ -72,6 +72,9 @@ class BanditInstance:
         return self.arms[0].model
 
 
+THRESHOLD_VARIANTS = ("squared-slope", "linear-slope")
+
+
 @dataclass(frozen=True)
 class AlgoConfig:
     """Run parameters shared by the bandit algorithms.
@@ -96,7 +99,7 @@ class AlgoConfig:
             raise ParameterOutOfRangeError(f"alpha must be nonnegative, got {self.alpha}")
         if self.max_rounds < 1:
             raise ParameterOutOfRangeError("max_rounds must be positive")
-        if self.threshold_variant not in ("squared-slope", "linear-slope"):
+        if self.threshold_variant not in THRESHOLD_VARIANTS:
             raise ParameterOutOfRangeError(f"unknown threshold variant {self.threshold_variant!r}")
 
     def estimation_params(self, model: AdversaryModel) -> EstimationParams:
@@ -266,8 +269,8 @@ def warmup_pulls(k: int, delta: float, params: EstimationParams) -> int:
     return math.ceil(floor_scale * math.log(math.pi**2 * k / (2.0 * delta)))
 
 
-# Values a buffered arm draws at once when a round asks for more than it holds.
-_REFILL_BLOCK = 256
+# Values an iid arm draws at once from its generator.
+_BLOCK = 4096
 # numpy's log may differ from math.log by a few ulps; the skip test shrinks
 # its radii by this factor, so a rounding difference can only add a check.
 _RADIUS_SHRINK = 1.0 - 1e-9
@@ -275,67 +278,33 @@ _RADIUS_SHRINK = 1.0 - 1e-9
 _SCAN_ROUNDS = 32
 
 
-class _ArmStream:
-    """One arm's pulls in draw order, refilled like a block-buffered puller.
+class _ArmPulls:
+    """One arm's pulls, drawn from the arm's own generator.
 
-    A buffered arm draws max(block, need) values whenever a round asks for
-    more than it holds, and later rounds consume that draw in order; this is
-    safe because its values are iid. Batch-aware ``EmpiricalQuantileShift``
-    arms (block 0) draw each round's pulls as one batch, since each of their
-    contaminated values depends on the batch it was drawn with.
+    An iid arm draws ``_BLOCK`` values at a time and hands them out in order,
+    so its j-th pull depends only on its generator and j. A batch-aware
+    ``EmpiricalQuantileShift`` arm (``held`` None) draws each round's pulls as
+    one batch, since each of its contaminated values depends on the batch it
+    was drawn with.
     """
 
-    __slots__ = ("arm", "block", "supplied", "consumed", "held")
+    __slots__ = ("arm", "rng", "held")
 
-    def __init__(self, arm: ContaminatedArm):
+    def __init__(self, arm: ContaminatedArm, rng: np.random.Generator):
         self.arm = arm
-        self.block = 0 if isinstance(arm.strategy, EmpiricalQuantileShift) else _REFILL_BLOCK
-        self.supplied = 0
-        self.consumed = 0
-        self.held: list[np.ndarray] = []  # drawn values not yet consumed, in order
+        self.rng = rng
+        self.held = None if isinstance(arm.strategy, EmpiricalQuantileShift) else np.empty(0)
 
-    def refills(self, demand: np.ndarray) -> list[tuple[int, int]]:
-        """(step, size) of the draws serving the cumulative demands ``demand``:
-        a draw falls on each step whose demand exceeds the supply so far."""
-        if self.block == 0:
-            return list(enumerate(np.diff(demand, prepend=self.consumed).tolist()))
-        out = []
-        supplied = self.supplied
-        if demand[-1] <= supplied:
-            return out
-        while (j := int(np.searchsorted(demand, supplied, side="right"))) < demand.size:
-            size = max(self.block, int(demand[j]) - supplied)
-            out.append((j, size))
-            supplied += size
-        return out
-
-    def take(self, n: int) -> np.ndarray:
-        values = self.held[0] if len(self.held) == 1 else np.concatenate(self.held)
-        self.held = [values[n:]] if values.size > n else []
-        self.consumed += n
-        return values[:n]
-
-
-def _pull_rounds(
-    streams: list[_ArmStream], survivors, sizes: np.ndarray, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Each survivor's pulls over consecutive rounds of ``sizes`` pulls each.
-
-    Draws are issued by round, then by survivor, as a round-by-round loop
-    issues them, so the generator sees the same ``draw_batch`` calls.
-    """
-    demand = np.cumsum(sizes)
-    events = []
-    for i in survivors:
-        s = streams[i]
-        events.extend((j, i, size) for j, size in s.refills(s.consumed + demand))
-    events.sort()
-    for _, i, size in events:
-        s = streams[i]
-        s.held.append(draw_batch(s.arm, size, rng))
-        s.supplied += size
-    total = int(demand[-1])
-    return [streams[i].take(total) for i in survivors]
+    def rounds(self, sizes) -> np.ndarray:
+        """The arm's pulls over consecutive rounds of ``sizes`` pulls each."""
+        if self.held is None:
+            return np.concatenate([draw_batch(self.arm, n, self.rng) for n in sizes])
+        total = sum(sizes)
+        missing = -(-(total - self.held.size) // _BLOCK)  # blocks to draw; <= 0 if none
+        blocks = [draw_batch(self.arm, _BLOCK, self.rng) for _ in range(missing)]
+        values = np.concatenate([self.held, *blocks])
+        self.held = values[total:]
+        return values[:total]
 
 
 def _round_pulls(rounds: np.ndarray, floor_scale: float) -> np.ndarray:
@@ -421,9 +390,11 @@ def run_contaminated_successive_elimination(
     order statistics of ranks lo(c+m) - m and hi(c+m), lo and hi the ranks
     of the middle pair. While the lowest such lower end stays within two
     radii of the highest upper end, no arm can be dropped, so the kernel
-    draws all pulls up to the first round where that fails, in the order a
-    round-by-round loop would draw them, and checks there. Results and the
-    random stream equal those of the round-by-round loop.
+    draws all pulls up to the first round where that fails and checks there.
+    Results equal those of a round-by-round loop.
+
+    Arm i pulls from its own generator ``rng.spawn(k)[i]`` (see ``_ArmPulls``),
+    so its pulls do not depend on when the kernel checks or on its rivals.
     """
     k = instance.k
     params = config.estimation_params(instance.model)
@@ -443,12 +414,11 @@ def run_contaminated_successive_elimination(
     def radii(r):
         return np.sqrt(radius_scale2 * np.log(3.0 / elimination_round_delta(r, k, delta)) / r)
 
-    streams = [_ArmStream(arm) for arm in instance.arms]
-    warm = _pull_rounds(streams, range(k), np.array([warmup]), rng)
+    streams = [_ArmPulls(arm, child) for arm, child in zip(instance.arms, rng.spawn(k))]
+    anchors = [np.sort(s.rounds([warmup])) for s in streams]
     if k == 1:
         return BanditRunResult(0, (warmup,), 0, (), "single-survivor")
     schedule = _RoundSchedule(floor_scale, radii, stop_radius, max_rounds)
-    anchors = [np.sort(x) for x in warm]
     estimates = [_sorted_median(a) for a in anchors]
     count = warmup
     pulls = [warmup] * k
@@ -491,10 +461,10 @@ def run_contaminated_successive_elimination(
             terminated_by = "round-cap"
             break
         check = next_check(r + 1, survivors)
-        sizes = np.diff(schedule.cum[r : check + 1])
-        for i, values in zip(survivors, _pull_rounds(streams, survivors, sizes, rng)):
-            anchors[i] = _merged(anchors[i], values)
-        count += int(schedule.cum[check] - schedule.cum[r])
+        sizes = np.diff(schedule.cum[r : check + 1]).tolist()
+        for i in survivors:
+            anchors[i] = _merged(anchors[i], streams[i].rounds(sizes))
+        count += sum(sizes)
         if check > r + 1:
             radius = radius_at(check)
         r = check

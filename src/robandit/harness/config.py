@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..bandit import BanditInstance, effective_gaps
+from ..bandit import THRESHOLD_VARIANTS, BanditInstance, effective_gaps
 from ..contamination import (
     AtomTriggeredCoupling,
     BelowMedianCoupling,
@@ -456,6 +456,20 @@ _ALGO_TYPES = {
     "c_eta": float,
 }
 
+# The values each [algorithm] key accepts beyond its type: (test, requirement).
+_ALGO_RANGES = {
+    "alpha": (lambda v: v >= 0.0, "must be nonnegative"),
+    "delta": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "error_level": (lambda v: v > 0.0, "must be positive"),
+    "max_rounds": (lambda v: v >= 1, "must be at least 1"),
+    "c_eta": (lambda v: v > 0.0, "must be positive"),
+    "threshold_variant": (
+        lambda v: v in THRESHOLD_VARIANTS,
+        "must be one of " + ", ".join(THRESHOLD_VARIANTS),
+    ),
+    "mad_source": (lambda v: v in ("true", "bound"), "must be true or bound"),
+}
+
 _REQUIRED_ALGO = {
     "estimate-median": {"delta", "eps0", "t_bar", "slope_bound", "mad_bound", "error_level"},
     "estimate-mad": {"delta", "eps0", "t_bar", "slope_bound", "mad_bound", "mad_ratio", "error_level"},
@@ -505,6 +519,11 @@ def parse_config(text: str) -> ExperimentConfig:
     algorithm: dict[str, Any] = {}
     for key, value in algo.items():
         algorithm[key] = _coerce(value, _ALGO_TYPES[key], key, algo_lines.get(key))
+        in_range, requirement = _ALGO_RANGES.get(key, (None, None))
+        if in_range is not None and not in_range(algorithm[key]):
+            raise FeasibilityViolationError(
+                f"{key} {requirement}, got {value!r}", key=key, line=algo_lines.get(key)
+            )
     missing = _REQUIRED_ALGO[kind] - set(algorithm)
     if missing:
         raise ConfigError(
@@ -580,6 +599,25 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
             raise ConfigError("[instance] must list at least two p values", key="p")
         if config.model is None:
             raise ConfigError("[instance] must set a model", key="model")
+        # the validity ranges of lower_bound_samples and of the liftings
+        if not config.algorithm["delta"] < 3.0 / 20.0:
+            raise FeasibilityViolationError(
+                f"the lower bound needs delta < 0.15, got {config.algorithm['delta']}",
+                key="delta",
+                line=algo_lines.get("delta"),
+            )
+        if not 0.0 < config.eps < 1.0 / 15.0:
+            raise FeasibilityViolationError(
+                f"a lifted instance needs eps in (0, 1/15), got {config.eps}",
+                key="eps",
+                line=inst_lines.get("eps"),
+            )
+        if not all(1.0 / 3.0 <= v <= 2.0 / 3.0 for v in config.p):
+            raise FeasibilityViolationError(
+                f"a lifted instance needs every p in [1/3, 2/3], got {list(config.p)}",
+                key="p",
+                line=inst_lines.get("p"),
+            )
     if kind == "gaps":
         return
     try:

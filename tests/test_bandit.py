@@ -238,28 +238,26 @@ class TestRunningMedian:
 
 
 class _OraclePuller:
-    """The reference loop's puller: block draws for iid arms, one batch per
-    call for the batch-aware prescient strategy."""
+    """The reference loop's puller on one arm's own generator: whole blocks of
+    ``bandit._BLOCK`` values for iid arms, one batch per call for the
+    batch-aware prescient strategy."""
 
-    def __init__(self, arm, rng, block=256):
+    def __init__(self, arm, rng):
         self.arm = arm
         self.rng = rng
-        self.block = 0 if isinstance(arm.strategy, rb.EmpiricalQuantileShift) else block
+        self.batched = isinstance(arm.strategy, rb.EmpiricalQuantileShift)
         self.buffer = np.empty(0)
         self.pos = 0
 
     def pull(self, n):
-        if self.block == 0:
+        if self.batched:
             return bandit.draw_batch(self.arm, n, self.rng)
-        available = self.buffer.size - self.pos
-        if available >= n:
-            self.pos += n
-            return self.buffer[self.pos - n : self.pos]
-        head = self.buffer[self.pos :]
-        need = n - available
-        self.buffer = bandit.draw_batch(self.arm, max(self.block, need), self.rng)
-        self.pos = need
-        return np.concatenate([head, self.buffer[:need]])
+        while self.buffer.size - self.pos < n:
+            block = bandit.draw_batch(self.arm, bandit._BLOCK, self.rng)
+            self.buffer = np.concatenate([self.buffer[self.pos :], block])
+            self.pos = 0
+        self.pos += n
+        return self.buffer[self.pos - n : self.pos]
 
 
 def oracle_race(instance, config, rng):
@@ -275,7 +273,7 @@ def oracle_race(instance, config, rng):
     else:
         scale2 = 2.0 * slope * mad**2
     trackers = [rb.RunningMedian() for _ in range(k)]
-    pullers = [_OraclePuller(arm, rng) for arm in instance.arms]
+    pullers = [_OraclePuller(arm, child) for arm, child in zip(instance.arms, rng.spawn(k))]
     pulls = [warmup] * k
     for i in range(k):
         for v in pullers[i].pull(warmup):
@@ -317,18 +315,22 @@ def oracle_race(instance, config, rng):
 
 
 def recorded_run(race, instance, config, seed):
-    """A race's result, its (arm, n) draw_batch calls and the generator's end state."""
-    calls = []
+    """A race's result, each arm's draw_batch sizes in call order, and the end
+    state of the generator each arm drew from."""
     index = {id(arm): i for i, arm in enumerate(instance.arms)}
+    calls = [[] for _ in instance.arms]
+    rngs = [None] * instance.k
 
     def draw(arm, n, rng, debug=False):
-        calls.append((index[id(arm)], n))
+        i = index[id(arm)]
+        assert rngs[i] is None or rngs[i] is rng, "an arm drew from two generators"
+        rngs[i] = rng
+        calls[i].append(n)
         return rb.draw_batch(arm, n, rng, debug)
 
-    rng = np.random.default_rng(seed)
     with mock.patch.object(bandit, "draw_batch", draw):
-        result = race(instance, config, rng)
-    return result, calls, rng.bit_generator.state
+        result = race(instance, config, np.random.default_rng(seed))
+    return result, calls, [g.bit_generator.state for g in rngs]
 
 
 def assert_kernel_matches_oracle(instance, config, seed):
@@ -389,7 +391,8 @@ def race_cases(draw):
 
 class TestEnvelopeSkippingKernel:
     """The racing kernel against the round-by-round reference loop: same
-    result, same draw_batch calls, same generator state afterwards."""
+    result, and for each arm the same draw_batch calls and the same state of
+    its generator afterwards."""
 
     @settings(deadline=None, max_examples=30)
     @given(race_cases())
@@ -413,3 +416,73 @@ class TestEnvelopeSkippingKernel:
                 lifted.instance(), config, np.random.default_rng(3)
             )
         assert med.call_count < result.rounds / 10
+
+
+def iid_arms():
+    """Arms whose pulls are iid, one per kind of contamination draw."""
+    base = rb.Uniform(0.0, 1.0)
+    mal = rb.AdversaryModel.MALICIOUS
+    return [
+        rb.ContaminatedArm(base, rb.FixedContamination(rb.Gaussian(0.0, 2.0)), 0.1, OBL),
+        rb.ContaminatedArm(base, rb.UniformTailShift(-1), 0.1, OBL),
+        rb.ContaminatedArm(base, rb.ShiftMedianUp(), 0.1, mal),
+        rb.malicious_median_attack(base, 0.1),
+    ]
+
+
+def drawn_by(arm, draws):
+    """A draw_batch stand-in that appends each call's n and values, for
+    ``arm`` only, to ``draws``."""
+
+    def draw(a, n, rng, debug=False):
+        x = rb.draw_batch(a, n, rng, debug)
+        if a is arm:
+            draws.append((n, x))
+        return x
+
+    return draw
+
+
+class TestArmPulls:
+    """An arm's pulls are a function of its generator and their index only."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.sampled_from(iid_arms()),
+        st.lists(st.lists(st.integers(1, 3000), min_size=1, max_size=4), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_iid_pulls_do_not_depend_on_the_rounds(self, arm, partition, seed):
+        """Any split of N pulls into calls and rounds gives the same values
+        and the same draw_batch calls as one round of N."""
+
+        def pulled(calls):
+            draws = []
+            stream = bandit._ArmPulls(arm, np.random.default_rng(seed))
+            with mock.patch.object(bandit, "draw_batch", drawn_by(arm, draws)):
+                values = np.concatenate([stream.rounds(sizes) for sizes in calls])
+            return values, [n for n, _ in draws]
+
+        total = sum(map(sum, partition))
+        split, whole = pulled(partition), pulled([[total]])
+        assert split[0].size == total
+        assert np.array_equal(split[0], whole[0])
+        assert split[1] == whole[1]
+
+    def test_warmup_pulls_do_not_depend_on_rivals(self):
+        """Arm 0's warm-up pulls are the same in a 2-arm and a 5-arm race."""
+        config = rb.AlgoConfig(alpha=0.0, delta=0.1, family=FAMILY, eps0=0.1)
+
+        def first_pulls(k):
+            instance = clean_instance([3.0] + [0.0] * (k - 1), eps=0.1)
+            draws = []
+            with mock.patch.object(bandit, "draw_batch", drawn_by(instance.arms[0], draws)):
+                rb.run_contaminated_successive_elimination(
+                    instance, config, np.random.default_rng(14)
+                )
+            return np.concatenate([x for _, x in draws])
+
+        two, five = first_pulls(2), first_pulls(5)
+        warmup = rb.warmup_pulls(5, config.delta, config.estimation_params(OBL))
+        assert warmup > rb.warmup_pulls(2, config.delta, config.estimation_params(OBL))
+        assert np.array_equal(two[:warmup], five[:warmup])

@@ -125,6 +125,37 @@ class TestParser:
         )
         assert parse_config(flat).kind == "bai-succelim"
 
+    @pytest.mark.parametrize(
+        "base, old, new, key",
+        [
+            ("minimal", "delta = 0.2", "delta = 0.0", "delta"),
+            ("estimate", "delta = 0.1", "delta = 1.5", "delta"),
+            ("minimal", "alpha = 0.3", "alpha = -1.0", "alpha"),
+            ("estimate", "error_level = 0.05", "error_level = -0.1", "error_level"),
+            ("minimal", "delta = 0.2", "delta = 0.2\nmax_rounds = 0", "max_rounds"),
+            ("minimal", "delta = 0.2", "delta = 0.2\nthreshold_variant = cubic", "threshold_variant"),
+            ("estimate", "delta = 0.1", "delta = 0.1\nmad_source = bogus", "mad_source"),
+            ("lower-bound", "c_eta = 1.0", "c_eta = 0.0", "c_eta"),
+            ("lower-bound", "eps = 0.05", "eps = 0.1", "eps"),
+            ("lower-bound", "delta = 0.1", "delta = 0.2", "delta"),
+            ("lower-bound", "p = [0.6, 0.4]", "p = [0.7, 0.4]", "p"),
+            ("lower-bound", "p = [0.6, 0.4]", "p = [0.6, 0.3]", "p"),
+        ],
+    )
+    def test_out_of_range_algorithm_value_rejected(self, base, old, new, key):
+        text = {
+            "minimal": MINIMAL,
+            "estimate": (REPO_ROOT / "configs" / "estimate_demo.cfg").read_text(),
+            "lower-bound": LOWER_BOUND,
+        }[base]
+        assert old in text
+        parse_config(text)
+        bad = text.replace(old, new)
+        with pytest.raises(FeasibilityViolationError) as err:
+            parse_config(bad)
+        assert err.value.key == key
+        assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
+
     def test_bai_demo_parses(self):
         config = parse_config((REPO_ROOT / "configs" / "bai_demo.cfg").read_text())
         report = rb.effective_gaps(rb.BanditInstance(config.arms), config.family())
@@ -324,6 +355,14 @@ class TestCli:
         proc = self._run("bai", "--config", str(cfg))
         assert proc.returncode == 2
         assert "alpa" in proc.stderr
+
+    def test_out_of_range_value_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MINIMAL.replace("delta = 0.2", "delta = 0.0"))
+        proc = self._run("bai", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "delta must lie in (0, 1)" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_command_kind_mismatch(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
