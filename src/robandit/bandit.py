@@ -22,8 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contamination import ContaminatedArm, EmpiricalQuantileShift, draw_batch
-from .distributions import AdversaryModel, FamilyParams, contamination_bias, robust_moments
+from .contamination import (
+    ContaminatedArm,
+    EmpiricalQuantileShift,
+    draw_batch,
+    draw_clean,
+    segment_quantiles,
+)
+from .distributions import AdversaryModel, FamilyParams, _median_mad, contamination_bias
 from .errors import NonUniqueMedianError, ParameterOutOfRangeError
 from .estimators import EstimationParams, empirical_median, sample_size_median
 
@@ -146,11 +152,11 @@ def effective_gaps(instance: BanditInstance, family: FamilyParams) -> EffectiveG
     medians = []
     mads = []
     for arm in instance.arms:
-        moments = robust_moments(arm.dist)
-        if not moments.median_unique:
+        median, mad, median_unique, _ = _median_mad(arm.dist)
+        if not median_unique:
             raise NonUniqueMedianError("effective gaps need unique medians for every arm")
-        medians.append(moments.median)
-        mads.append(moments.mad)
+        medians.append(median)
+        mads.append(mad)
     biases = [
         contamination_bias(instance.eps, family.slope_bound, mad, instance.model)
         for mad in mads
@@ -269,7 +275,7 @@ def warmup_pulls(k: int, delta: float, params: EstimationParams) -> int:
     return math.ceil(floor_scale * math.log(math.pi**2 * k / (2.0 * delta)))
 
 
-# Values an iid arm draws at once from its generator.
+# Pulls an arm draws at once from its generator.
 _BLOCK = 4096
 # numpy's log may differ from math.log by a few ulps; the skip test shrinks
 # its radii by this factor, so a rounding difference can only add a check.
@@ -279,32 +285,43 @@ _SCAN_ROUNDS = 32
 
 
 class _ArmPulls:
-    """One arm's pulls, drawn from the arm's own generator.
+    """One arm's pulls, drawn from the arm's own generator in blocks of
+    ``_BLOCK`` and handed out in order.
 
-    An iid arm draws ``_BLOCK`` values at a time and hands them out in order,
-    so its j-th pull depends only on its generator and j. A batch-aware
-    ``EmpiricalQuantileShift`` arm (``held`` None) draws each round's pulls as
-    one batch, since each of its contaminated values depends on the batch it
-    was drawn with.
+    An iid arm's blocks are ``draw_batch`` outputs, so its j-th pull depends
+    only on its generator and j. A batch-aware ``EmpiricalQuantileShift`` arm
+    (``quantile`` set) draws blocks of clean values and contamination flags
+    with ``draw_clean``, so these too depend only on its generator and j. Its
+    adversary sees each round's pulls as one batch: ``rounds`` places every
+    contaminated value of a round at that round's ceil(nq)-th clean order
+    statistic.
     """
 
-    __slots__ = ("arm", "rng", "held")
+    __slots__ = ("arm", "rng", "quantile", "held")
 
     def __init__(self, arm: ContaminatedArm, rng: np.random.Generator):
         self.arm = arm
         self.rng = rng
-        self.held = None if isinstance(arm.strategy, EmpiricalQuantileShift) else np.empty(0)
+        strat = arm.strategy
+        self.quantile = strat.target_quantile if isinstance(strat, EmpiricalQuantileShift) else None
+        self.held = (np.empty(0),) if self.quantile is None else (np.empty(0), np.empty(0, bool))
+
+    def _block(self) -> tuple[np.ndarray, ...]:
+        if self.quantile is None:
+            return (draw_batch(self.arm, _BLOCK, self.rng),)
+        return draw_clean(self.arm, _BLOCK, self.rng)
 
     def rounds(self, sizes) -> np.ndarray:
         """The arm's pulls over consecutive rounds of ``sizes`` pulls each."""
-        if self.held is None:
-            return np.concatenate([draw_batch(self.arm, n, self.rng) for n in sizes])
         total = sum(sizes)
-        missing = -(-(total - self.held.size) // _BLOCK)  # blocks to draw; <= 0 if none
-        blocks = [draw_batch(self.arm, _BLOCK, self.rng) for _ in range(missing)]
-        values = np.concatenate([self.held, *blocks])
-        self.held = values[total:]
-        return values[:total]
+        missing = -(-(total - self.held[0].size) // _BLOCK)  # blocks to draw; <= 0 if none
+        blocks = [self._block() for _ in range(missing)]
+        columns = [np.concatenate(parts) for parts in zip(self.held, *blocks)]
+        self.held = tuple(c[total:] for c in columns)
+        if self.quantile is None:
+            return columns[0][:total]
+        y, d = (c[:total] for c in columns)
+        return np.where(d, segment_quantiles(y, sizes, self.quantile), y)
 
 
 def _round_pulls(rounds: np.ndarray, floor_scale: float) -> np.ndarray:
@@ -393,8 +410,10 @@ def run_contaminated_successive_elimination(
     draws all pulls up to the first round where that fails and checks there.
     Results equal those of a round-by-round loop.
 
-    Arm i pulls from its own generator ``rng.spawn(k)[i]`` (see ``_ArmPulls``),
-    so its pulls do not depend on when the kernel checks or on its rivals.
+    Arm i pulls from its own generator ``rng.spawn(k)[i]`` in fixed blocks (see
+    ``_ArmPulls``), so its pulls do not depend on when the kernel checks or on
+    its rivals. An ``EmpiricalQuantileShift`` arm's contaminated values depend
+    on their round's clean values only; its blocks hold those and the flags.
     """
     k = instance.k
     params = config.estimation_params(instance.model)

@@ -35,6 +35,8 @@ __all__ = [
     "ContaminatedArm",
     "BatchDraw",
     "draw_batch",
+    "draw_clean",
+    "segment_quantiles",
     "contaminated_cdf",
     "malicious_median_attack",
     "median_sandwich_bounds",
@@ -200,6 +202,35 @@ def median_sandwich_bounds(clean: np.ndarray, corrupted: int) -> tuple[float, fl
     return float(y[lo_rank - 1]), float(y[hi_rank - 1])
 
 
+def draw_clean(arm: ContaminatedArm, n: int, rng: np.random.Generator):
+    """The clean values y and contamination flags d of n draws, as ``draw_batch``
+    draws them: y first, then one uniform per flag."""
+    strat = arm.strategy
+    y = arm.dist.sample(n, rng)
+    u = rng.random(n)
+    if isinstance(strat, BelowMedianCoupling):
+        return y, (y <= strat.threshold) & (u < strat.flip_prob)
+    if isinstance(strat, AtomTriggeredCoupling):
+        return y, (y == strat.trigger) & (u < strat.flip_prob)
+    return y, u < arm.eps
+
+
+def segment_quantiles(y: np.ndarray, sizes, q: float) -> np.ndarray:
+    """``EmpiricalQuantileShift`` values for consecutive batches of ``sizes``
+    clean values ``y``: each batch's ceil(nq)-th order statistic, repeated n
+    times.
+
+    That order statistic is numpy's ``inverted_cdf`` quantile bitwise. One
+    sort by (batch, value) picks it for every batch at once, so a race's
+    rounds up to a check cost one call instead of one per round.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    rank = np.minimum(np.maximum(np.ceil(sizes * q).astype(np.int64) - 1, 0), sizes - 1)
+    order = np.lexsort((y, np.repeat(np.arange(sizes.size), sizes)))
+    return np.repeat(y[order[start + rank]], sizes)
+
+
 def draw_batch(
     arm: ContaminatedArm, n: int, rng: np.random.Generator, debug: bool = False
 ):
@@ -212,23 +243,11 @@ def draw_batch(
     if n < 1:
         raise ParameterOutOfRangeError(f"batch size must be at least 1, got {n}")
     strat = arm.strategy
-    y = arm.dist.sample(n, rng)
-    u = rng.random(n)
-    if isinstance(strat, BelowMedianCoupling):
-        d = (y <= strat.threshold) & (u < strat.flip_prob)
-    elif isinstance(strat, AtomTriggeredCoupling):
-        d = (y == strat.trigger) & (u < strat.flip_prob)
-    else:
-        d = u < arm.eps
-
+    y, d = draw_clean(arm, n, rng)
     if isinstance(strat, _COUPLED):
         z = np.full(n, strat.point)
     elif isinstance(strat, EmpiricalQuantileShift):
-        # the ceil(nq)-th order statistic, which is numpy's inverted_cdf quantile
-        # bitwise; picked directly because per-round batches hold a few values and
-        # the general quantile routine's dispatch would cost more than the pick
-        k = min(max(math.ceil(n * strat.target_quantile) - 1, 0), n - 1)
-        z = np.full(n, float(np.partition(y, k)[k]))
+        z = segment_quantiles(y, [n], strat.target_quantile)
     elif isinstance(strat, UniformTailShift) and arm.eps == 0.0:
         z = np.full(n, np.nan)  # never selected; the stretched law is undefined at eps=0
     else:

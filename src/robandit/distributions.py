@@ -470,43 +470,49 @@ def _is_unique(lo: float, hi: float) -> bool:
     return abs(hi - lo) <= _UNIQUE_TOL * max(1.0, abs(lo), abs(hi))
 
 
-def robust_moments(dist: Distribution, force_numeric: bool = False) -> RobustMoments:
-    """Compute robust moments, preferring closed forms unless ``force_numeric``."""
+def _median_mad(dist: Distribution, force_numeric: bool = False):
+    """``(median, mad, median_unique, mad_unique)``: the first two steps of
+    ``robust_moments``, for callers that need no second-order MAD."""
     if not force_numeric:
         if isinstance(dist, Uniform):
             width = dist.hi - dist.lo
-            return RobustMoments(dist.lo + width / 2, width / 4, width / 8, True, True, True)
+            return dist.lo + width / 2, width / 4, True, True
         if isinstance(dist, Cauchy):
-            return RobustMoments(
-                dist.x0, dist.scale, dist.scale * (math.sqrt(3.0) - 1.0), True, True, True
-            )
+            return dist.x0, dist.scale, True, True
         if isinstance(dist, Dirac):
-            return RobustMoments(float(dist.x), 0.0, 0.0, True, True, True)
+            return float(dist.x), 0.0, True, True
         if isinstance(dist, Gaussian):
-            mad = dist.sigma * _GAUSSIAN_MAD
-            numeric = robust_moments(dist, force_numeric=True)
-            return RobustMoments(dist.mu, mad, numeric.mad2, True, True, True)
+            return dist.mu, dist.sigma * _GAUSSIAN_MAD, True, True
 
     med_lo, med_hi = _median_pair(dist)
-    median_unique = _is_unique(med_lo, med_hi)
-    if not median_unique:
-        return RobustMoments(
-            0.5 * (med_lo + med_hi), math.nan, math.nan, False, False, False
-        )
-    median = med_lo
+    if not _is_unique(med_lo, med_hi):
+        return 0.5 * (med_lo + med_hi), math.nan, False, False
+    mad_lo, mad_hi = _median_pair(_AbsDeviation(dist, med_lo))
+    if not _is_unique(mad_lo, mad_hi):
+        return med_lo, 0.5 * (mad_lo + mad_hi), True, False
+    return med_lo, mad_lo, True, True
 
-    dev = _AbsDeviation(dist, median)
-    mad_lo, mad_hi = _median_pair(dev)
-    mad_unique = _is_unique(mad_lo, mad_hi)
+
+def robust_moments(dist: Distribution, force_numeric: bool = False) -> RobustMoments:
+    """Compute robust moments, preferring closed forms unless ``force_numeric``."""
+    median, mad, median_unique, mad_unique = _median_mad(dist, force_numeric)
+    if not force_numeric:
+        if isinstance(dist, Uniform):
+            return RobustMoments(median, mad, (dist.hi - dist.lo) / 8, True, True, True)
+        if isinstance(dist, Cauchy):
+            return RobustMoments(median, mad, dist.scale * (math.sqrt(3.0) - 1.0), True, True, True)
+        if isinstance(dist, Dirac):
+            return RobustMoments(median, mad, 0.0, True, True, True)
+        if isinstance(dist, Gaussian):
+            numeric = robust_moments(dist, force_numeric=True)
+            return RobustMoments(median, mad, numeric.mad2, True, True, True)
     if not mad_unique:
-        return RobustMoments(median, 0.5 * (mad_lo + mad_hi), math.nan, True, False, False)
-    mad = mad_lo
+        return RobustMoments(median, mad, math.nan, median_unique, False, False)
 
-    dev2 = _AbsDeviation(dev, mad)
+    dev2 = _AbsDeviation(_AbsDeviation(dist, median), mad)
     mad2_lo, mad2_hi = _median_pair(dev2)
     mad2_unique = _is_unique(mad2_lo, mad2_hi)
-    mad2 = mad2_lo if mad2_unique else 0.5 * (mad2_lo + mad2_hi)
-    return RobustMoments(median, mad, mad2 if mad2_unique else math.nan, True, True, mad2_unique)
+    return RobustMoments(median, mad, mad2_lo if mad2_unique else math.nan, True, True, mad2_unique)
 
 
 @dataclass(frozen=True)

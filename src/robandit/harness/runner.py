@@ -24,7 +24,7 @@ from ..bandit import (
     run_simple,
 )
 from ..contamination import draw_batch
-from ..distributions import robust_moments
+from ..distributions import _median_mad
 from ..errors import ParameterOutOfRangeError, RobanditError
 from ..estimators import (
     estimate_mad_ci,
@@ -217,12 +217,12 @@ def _run_estimate(config: ExperimentConfig, parallelism: int):
         n = sample_size_mad(error_level, delta, params)
     else:
         n = sample_size_median(error_level, delta, params)
-    moments = robust_moments(arm.dist)
-    truth = moments.mad if want_mad else moments.median
+    median, mad, _, _ = _median_mad(arm.dist)
+    truth = mad if want_mad else median
     if config.algorithm.get("mad_source", "true") == "bound":
         mad_used = config.family().mad_bound
     else:
-        mad_used = moments.mad
+        mad_used = mad
 
     def worker(_i: int, rng: np.random.Generator) -> dict[str, Any]:
         xs = draw_batch(arm, n, rng)

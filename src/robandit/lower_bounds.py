@@ -32,8 +32,8 @@ from .distributions import (
     SmoothedBernoulli,
     Uniform,
     _is_unique,
+    _median_mad,
     _median_pair,
-    robust_moments,
 )
 from .errors import LiftingError, ParameterOutOfRangeError
 
@@ -123,7 +123,7 @@ class LiftedInstance:
         from .distributions import FamilyParams
 
         product = 2.0 if self.model is AdversaryModel.MALICIOUS else 2.0 * (1.0 - self.eps)
-        mads = [robust_moments(arm.dist).mad for arm in self.lifted_arms]
+        mads = [_median_mad(arm.dist)[1] for arm in self.lifted_arms]
         return FamilyParams(
             t_bar=t_bar,
             slope_bound=max(product / m for m in mads),

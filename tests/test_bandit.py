@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -238,26 +239,35 @@ class TestRunningMedian:
 
 
 class _OraclePuller:
-    """The reference loop's puller on one arm's own generator: whole blocks of
-    ``bandit._BLOCK`` values for iid arms, one batch per call for the
-    batch-aware prescient strategy."""
+    """The reference loop's puller on one arm's own generator, in whole blocks
+    of ``bandit._BLOCK`` draws: iid arms hand out a block's values in order;
+    the batch-aware prescient strategy hands out its clean values and flags,
+    and contaminates each call's batch at that batch's ceil(nq)-th order
+    statistic, picked with a plain partition."""
 
     def __init__(self, arm, rng):
         self.arm = arm
         self.rng = rng
         self.batched = isinstance(arm.strategy, rb.EmpiricalQuantileShift)
-        self.buffer = np.empty(0)
-        self.pos = 0
+        self.y = np.empty(0)
+        self.d = np.empty(0, dtype=bool)
 
     def pull(self, n):
-        if self.batched:
-            return bandit.draw_batch(self.arm, n, self.rng)
-        while self.buffer.size - self.pos < n:
-            block = bandit.draw_batch(self.arm, bandit._BLOCK, self.rng)
-            self.buffer = np.concatenate([self.buffer[self.pos :], block])
-            self.pos = 0
-        self.pos += n
-        return self.buffer[self.pos - n : self.pos]
+        while self.y.size < n:
+            if self.batched:
+                batch = bandit.draw_batch(self.arm, bandit._BLOCK, self.rng, debug=True)
+                y, d = batch.y, batch.d
+            else:
+                y = bandit.draw_batch(self.arm, bandit._BLOCK, self.rng)
+                d = np.zeros(y.size, dtype=bool)
+            self.y = np.concatenate([self.y, y])
+            self.d = np.concatenate([self.d, d])
+        y, self.y = self.y[:n], self.y[n:]
+        d, self.d = self.d[:n], self.d[n:]
+        if not self.batched:
+            return y
+        rank = min(max(math.ceil(n * self.arm.strategy.target_quantile) - 1, 0), n - 1)
+        return np.where(d, np.partition(y, rank)[rank], y)
 
 
 def oracle_race(instance, config, rng):
@@ -315,20 +325,27 @@ def oracle_race(instance, config, rng):
 
 
 def recorded_run(race, instance, config, seed):
-    """A race's result, each arm's draw_batch sizes in call order, and the end
-    state of the generator each arm drew from."""
+    """A race's result, each arm's draw sizes (``draw_batch`` and
+    ``draw_clean`` calls) in call order, and the end state of the generator
+    each arm drew from."""
     index = {id(arm): i for i, arm in enumerate(instance.arms)}
     calls = [[] for _ in instance.arms]
     rngs = [None] * instance.k
 
-    def draw(arm, n, rng, debug=False):
-        i = index[id(arm)]
-        assert rngs[i] is None or rngs[i] is rng, "an arm drew from two generators"
-        rngs[i] = rng
-        calls[i].append(n)
-        return rb.draw_batch(arm, n, rng, debug)
+    def recording(fn):
+        def draw(arm, n, rng, **debug):
+            i = index[id(arm)]
+            assert rngs[i] is None or rngs[i] is rng, "an arm drew from two generators"
+            rngs[i] = rng
+            calls[i].append(n)
+            return fn(arm, n, rng, **debug)
 
-    with mock.patch.object(bandit, "draw_batch", draw):
+        return draw
+
+    with (
+        mock.patch.object(bandit, "draw_batch", recording(bandit.draw_batch)),
+        mock.patch.object(bandit, "draw_clean", recording(bandit.draw_clean)),
+    ):
         result = race(instance, config, np.random.default_rng(seed))
     return result, calls, [g.bit_generator.state for g in rngs]
 
@@ -430,6 +447,26 @@ def iid_arms():
     ]
 
 
+# Clean laws for the prescient quantile shift: continuous, and ties from {0, 1, 2, 3}.
+QUANTILE_BASES = [
+    rb.Uniform(0.0, 1.0),
+    rb.Mixture([0.25] * 4, [rb.Dirac(float(v)) for v in range(4)]),
+]
+QUANTILE_LEVELS = st.one_of(
+    st.sampled_from([0.1, 0.9]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+# Round sizes as a race makes them (many small rounds), with single pulls and
+# rounds that cross a block.
+ROUND_SIZES = st.lists(
+    st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 5000)), min_size=1, max_size=12
+)
+
+
+def quantile_arm(base, q):
+    return rb.ContaminatedArm(base, rb.EmpiricalQuantileShift(q), 0.3, rb.AdversaryModel.PRESCIENT)
+
+
 def drawn_by(arm, draws):
     """A draw_batch stand-in that appends each call's n and values, for
     ``arm`` only, to ``draws``."""
@@ -486,3 +523,69 @@ class TestArmPulls:
         warmup = rb.warmup_pulls(5, config.delta, config.estimation_params(OBL))
         assert warmup > rb.warmup_pulls(2, config.delta, config.estimation_params(OBL))
         assert np.array_equal(two[:warmup], five[:warmup])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from(QUANTILE_BASES),
+        QUANTILE_LEVELS,
+        ROUND_SIZES,
+        st.lists(st.integers(0, 12), max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_quantile_shift_pulls_do_not_depend_on_the_calls(self, base, q, sizes, cuts, seed):
+        """Any split of a prescient arm's rounds into consecutive ``rounds``
+        calls gives the values and generator end state of one call."""
+        arm = quantile_arm(base, q)
+        bounds = [0, *sorted(c for c in cuts if c < len(sizes)), len(sizes)]
+
+        def pulled(calls):
+            rng = np.random.default_rng(seed)
+            stream = bandit._ArmPulls(arm, rng)
+            return np.concatenate([stream.rounds(c) for c in calls if c]), rng.bit_generator.state
+
+        split = pulled([sizes[a:b] for a, b in zip(bounds, bounds[1:])])
+        whole = pulled([sizes])
+        assert split[0].tobytes() == whole[0].tobytes()
+        assert split[1] == whole[1]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(QUANTILE_BASES), QUANTILE_LEVELS, ROUND_SIZES, st.integers(0, 2**32 - 1))
+    def test_each_round_is_contaminated_at_its_own_quantile(self, base, q, sizes, seed):
+        """A prescient arm's contaminated pulls in a round sit at the ceil(nq)-th
+        order statistic of that round's clean values, numpy's inverted_cdf
+        quantile; the clean values and flags are those of whole debug batches
+        of ``_BLOCK`` draws on the same generator."""
+        arm = quantile_arm(base, q)
+        pulls = bandit._ArmPulls(arm, np.random.default_rng(seed)).rounds(sizes)
+        twin = np.random.default_rng(seed)
+        batches = [
+            rb.draw_batch(arm, bandit._BLOCK, twin, debug=True)
+            for _ in range(-(-sum(sizes) // bandit._BLOCK))
+        ]
+        y = np.concatenate([b.y for b in batches])
+        d = np.concatenate([b.d for b in batches])
+        start = 0
+        for n in sizes:
+            clean, flags = y[start : start + n], d[start : start + n]
+            want = np.where(flags, np.quantile(clean, q, method="inverted_cdf"), clean)
+            assert pulls[start : start + n].tobytes() == want.tobytes()
+            start += n
+        assert pulls.size == start
+
+    def test_draw_batch_quantile_shift_is_pinned(self):
+        """``draw_batch`` on prescient quantile-shift arms keeps its values and
+        the generator state it leaves, as recorded before the racing kernel
+        drew these arms in blocks."""
+        arms = [quantile_arm(base, q) for base, q in zip(QUANTILE_BASES, (0.9, 0.1))]
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for n in (1, 2, 3, 7, 64, 4096):
+            for arm in arms:
+                digest.update(rb.draw_batch(arm, n, rng).tobytes())
+        assert digest.hexdigest() == (
+            "ec879328daa638a219db61e2b0aaea14fc100fd187a5dbd1ac9837412709409d"
+        )
+        assert rng.bit_generator.state["state"] == {
+            "state": 159736319684887560578269457462038855050,
+            "inc": 263843294879837360010514471918415607657,
+        }

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
-from robandit.distributions import _AbsDeviation, _search_quantile
+from robandit.distributions import _AbsDeviation, _median_mad, _search_quantile
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -319,6 +319,26 @@ class TestRobustMoments:
         m = rb.robust_moments(dist)
         if m.mad_unique and m.mad2_unique:
             assert m.mad2 <= 2.0 * m.mad + 1e-9
+
+    @pytest.mark.parametrize("force_numeric", [False, True])
+    @pytest.mark.parametrize(
+        "dist",
+        ALL_DISTS
+        + [
+            rb.Bernoulli(0.5),  # no unique median
+            rb.Mixture([0.25, 0.5, 0.25], [rb.Dirac(0.0), rb.Dirac(1.0), rb.Dirac(2.0)]),  # no unique MAD
+            rb.oblivious_lifting([0.6, 0.4], 0.05).lifted_arms[1].dist,
+        ],
+        ids=lambda d: type(d).__name__,
+    )
+    def test_median_mad_is_robust_moments_bitwise(self, dist, force_numeric):
+        """The median-and-MAD helper returns robust_moments' first two values and
+        flags, bit for bit, on the closed-form and the numeric paths."""
+        m = rb.robust_moments(dist, force_numeric)
+        want = (m.median, m.mad, m.median_unique, m.mad_unique)
+        assert np.array(_median_mad(dist, force_numeric), dtype=float).tobytes() == (
+            np.array(want, dtype=float).tobytes()
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(

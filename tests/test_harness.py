@@ -209,6 +209,32 @@ class TestWilson:
         assert lo < 0.8 < hi
         assert 0.0 <= lo <= hi <= 1.0
 
+# Four prescient arms, three contaminated at an empirical quantile of each
+# round's clean values, raced with an early stop.
+PRESCIENT_RACE = """
+[experiment]
+kind = bai-succelim
+replications = 50
+seed = 31
+
+[instance]
+model = prescient
+eps = 0.05
+arm = {dist: {kind: uniform, lo: 0.0, hi: 1.0}, strategy: {kind: empirical_quantile, target_quantile: 0.9}}
+arm = {dist: {kind: uniform, lo: 0.1, hi: 1.1}, strategy: {kind: empirical_quantile, target_quantile: 0.9}}
+arm = {dist: {kind: uniform, lo: 0.2, hi: 1.2}, strategy: {kind: shift_median_up}}
+arm = {dist: {kind: uniform, lo: 0.4, hi: 1.4}, strategy: {kind: empirical_quantile, target_quantile: 0.1}}
+
+[algorithm]
+alpha = 0.05
+early_stop = true
+delta = 0.1
+eps0 = 0.05
+t_bar = 0.4
+slope_bound = 4.0
+mad_bound = 0.25
+"""
+
 
 class TestRunExperiment:
     def test_bai_simple_records(self, tmp_path):
@@ -220,6 +246,20 @@ class TestRunExperiment:
         assert len(lines) == 1 + 4
         pulls = {line.split(",")[3] for line in lines[1:]}
         assert len(pulls) == 1  # uniform exploration pulls are deterministic
+
+    def test_prescient_race_is_pac(self, tmp_path):
+        """A race against prescient quantile-shift adversaries stops by itself
+        and picks an alpha-good arm at rate 1 - delta, up to three binomial
+        standard deviations."""
+        config = parse_config(PRESCIENT_RACE)
+        result = run_experiment(config, out_dir=tmp_path)
+        lines = result.files["records"].read_text().splitlines()
+        column = lines[0].split(",").index("terminated_by")
+        reps, delta = config.replications, config.algorithm["delta"]
+        assert reps >= 40 and len(lines) == 1 + reps
+        assert all(line.split(",")[column] != "round-cap" for line in lines[1:])
+        floor = 1.0 - delta - 3.0 * math.sqrt(delta * (1.0 - delta) / reps)
+        assert result.summary["success_rate"] >= floor
 
     @pytest.mark.parametrize(
         "text, files",
