@@ -503,9 +503,6 @@ def robust_moments(dist: Distribution, force_numeric: bool = False) -> RobustMom
             return RobustMoments(median, mad, dist.scale * (math.sqrt(3.0) - 1.0), True, True, True)
         if isinstance(dist, Dirac):
             return RobustMoments(median, mad, 0.0, True, True, True)
-        if isinstance(dist, Gaussian):
-            numeric = robust_moments(dist, force_numeric=True)
-            return RobustMoments(median, mad, numeric.mad2, True, True, True)
     if not mad_unique:
         return RobustMoments(median, mad, math.nan, median_unique, False, False)
 

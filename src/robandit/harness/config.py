@@ -239,104 +239,111 @@ class _ValueParser:
 
 # -- distribution / strategy literals -----------------------------------------
 
+# kind -> (constructor, fields). A field is (name, type) or (name, type,
+# default); a type is float, int, Distribution (a nested literal) or [type],
+# a list of that type. Fields are passed to the constructor in this order.
+_DISTRIBUTIONS = {
+    "uniform": (Uniform, (("lo", float), ("hi", float))),
+    "gaussian": (Gaussian, (("mu", float), ("sigma", float))),
+    "cauchy": (Cauchy, (("x0", float), ("scale", float))),
+    "bernoulli": (Bernoulli, (("p", float),)),
+    "smoothed_bernoulli": (SmoothedBernoulli, (("p", float),)),
+    "dirac": (Dirac, (("x", float),)),
+    "mixture": (Mixture, (("weights", [float]), ("components", [Distribution]))),
+    "affine": (Affine, (("base", Distribution), ("scale", float), ("shift", float, 0.0))),
+}
+
+_STRATEGIES = {
+    "fixed": (FixedContamination, (("dist", Distribution),)),
+    "shift_median_up": (ShiftMedianUp, (("magnitude", float, 1e6),)),
+    "shift_median_down": (ShiftMedianDown, (("magnitude", float, 1e6),)),
+    "uniform_tail_shift": (UniformTailShift, (("direction", int, 1),)),
+    "below_median_coupling": (
+        BelowMedianCoupling,
+        (("threshold", float), ("flip_prob", float), ("point", float)),
+    ),
+    "atom_coupling": (
+        AtomTriggeredCoupling,
+        (("trigger", float), ("flip_prob", float), ("point", float)),
+    ),
+    "empirical_quantile": (EmpiricalQuantileShift, (("target_quantile", float, 0.9),)),
+}
+
+
+def _literal(table: dict, what: str, spec: Any, key: str, line: int | None):
+    """Build the ``what`` literal ``spec``, a map with a ``kind`` from ``table``."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise TypeMismatchError(f"{what} literal must be a map with a 'kind'", key, line)
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise TypeMismatchError(f"unknown {what} kind {kind!r}", key, line)
+    constructor, fields = table[kind]
+    unknown = set(spec) - {"kind"} - {name for name, *_ in fields}
+    if unknown:
+        raise TypeMismatchError(
+            f"{what} kind {kind!r} has unknown field(s) {', '.join(sorted(unknown))}", key, line
+        )
+    args = []
+    for name, want, *default in fields:
+        if name in spec:
+            args.append(_coerce(spec[name], want, key, line))
+        elif default:
+            args.append(default[0])
+        else:
+            raise TypeMismatchError(f"{what} kind {kind!r} is missing field {name!r}", key, line)
+    try:
+        return constructor(*args)
+    except (TypeError, ValueError, ParameterOutOfRangeError) as exc:
+        raise TypeMismatchError(f"bad {what} literal: {exc}", key, line) from exc
+
 
 def distribution_from_spec(spec: Any, key: str = "dist", line: int | None = None) -> Distribution:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise TypeMismatchError("distribution literal must be a map with a 'kind'", key, line)
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    try:
-        if kind == "uniform":
-            return Uniform(float(spec.pop("lo")), float(spec.pop("hi")))
-        if kind == "gaussian":
-            return Gaussian(float(spec.pop("mu")), float(spec.pop("sigma")))
-        if kind == "cauchy":
-            return Cauchy(float(spec.pop("x0")), float(spec.pop("scale")))
-        if kind == "bernoulli":
-            return Bernoulli(float(spec.pop("p")))
-        if kind == "smoothed_bernoulli":
-            return SmoothedBernoulli(float(spec.pop("p")))
-        if kind == "dirac":
-            return Dirac(float(spec.pop("x")))
-        if kind == "mixture":
-            weights = [float(w) for w in spec.pop("weights")]
-            components = [
-                distribution_from_spec(c, key, line) for c in spec.pop("components")
-            ]
-            return Mixture(weights, components)
-        if kind == "affine":
-            base = distribution_from_spec(spec.pop("base"), key, line)
-            return Affine(base, float(spec.pop("scale")), float(spec.pop("shift", 0.0)))
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise TypeMismatchError(
-            f"distribution kind {kind!r} is missing field {exc.args[0]!r}", key, line
-        ) from exc
-    except (TypeError, ValueError, ParameterOutOfRangeError) as exc:
-        raise TypeMismatchError(f"bad distribution literal: {exc}", key, line) from exc
-    raise TypeMismatchError(f"unknown distribution kind {kind!r}", key, line)
+    return _literal(_DISTRIBUTIONS, "distribution", spec, key, line)
 
 
 def strategy_from_spec(spec: Any, key: str = "strategy", line: int | None = None):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise TypeMismatchError("strategy literal must be a map with a 'kind'", key, line)
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    try:
-        if kind == "fixed":
-            return FixedContamination(distribution_from_spec(spec.pop("dist"), key, line))
-        if kind == "shift_median_up":
-            return ShiftMedianUp(float(spec.pop("magnitude", 1e6)))
-        if kind == "shift_median_down":
-            return ShiftMedianDown(float(spec.pop("magnitude", 1e6)))
-        if kind == "uniform_tail_shift":
-            return UniformTailShift(int(spec.pop("direction", 1)))
-        if kind == "below_median_coupling":
-            return BelowMedianCoupling(
-                float(spec.pop("threshold")),
-                float(spec.pop("flip_prob")),
-                float(spec.pop("point")),
-            )
-        if kind == "atom_coupling":
-            return AtomTriggeredCoupling(
-                float(spec.pop("trigger")),
-                float(spec.pop("flip_prob")),
-                float(spec.pop("point")),
-            )
-        if kind == "empirical_quantile":
-            return EmpiricalQuantileShift(float(spec.pop("target_quantile", 0.9)))
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise TypeMismatchError(
-            f"strategy kind {kind!r} is missing field {exc.args[0]!r}", key, line
-        ) from exc
-    except (TypeError, ValueError, ParameterOutOfRangeError) as exc:
-        raise TypeMismatchError(f"bad strategy literal: {exc}", key, line) from exc
-    raise TypeMismatchError(f"unknown strategy kind {kind!r}", key, line)
+    return _literal(_STRATEGIES, "strategy", spec, key, line)
 
 
 # -- config assembly -----------------------------------------------------------
 
+# [algorithm] key -> (type, default or None, range test or None, requirement).
+# parse_config fills in each default the config leaves out.
+_ALGORITHM = {
+    "alpha": (float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
+    "delta": (float, None, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "eps0": (float, None, None, None),
+    "t_bar": (float, None, None, None),
+    "slope_bound": (float, None, None, None),
+    "mad_bound": (float, None, None, None),
+    "mad_ratio": (float, 0.0, None, None),
+    "error_level": (float, None, lambda v: v > 0.0, "must be positive"),
+    "mad_source": (str, "true", lambda v: v in ("true", "bound"), "must be true or bound"),
+    "early_stop": (bool, False, None, None),
+    "max_rounds": (int, 10**6, lambda v: v >= 1, "must be at least 1"),
+    "threshold_variant": (
+        str,
+        "squared-slope",
+        lambda v: v in THRESHOLD_VARIANTS,
+        "must be one of " + ", ".join(THRESHOLD_VARIANTS),
+    ),
+    "c_eta": (float, 1.0, lambda v: v > 0.0, "must be positive"),
+}
+
+_REQUIRED_ALGO = {
+    "estimate-median": {"delta", "eps0", "t_bar", "slope_bound", "mad_bound", "error_level"},
+    "estimate-mad": {"delta", "eps0", "t_bar", "slope_bound", "mad_bound", "mad_ratio", "error_level"},
+    "bai-simple": {"alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound"},
+    "bai-succelim": {"alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound"},
+    "gaps": {"slope_bound", "mad_bound", "t_bar"},
+    "lower-bound": {"alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound"},
+    "verify": set(),
+}
+
 _KNOWN_KEYS = {
     "experiment": {"kind", "replications", "seed", "suites"},
     "instance": {"model", "eps", "arm", "p"},
-    "algorithm": {
-        "alpha",
-        "delta",
-        "eps0",
-        "t_bar",
-        "slope_bound",
-        "mad_bound",
-        "mad_ratio",
-        "error_level",
-        "mad_source",
-        "early_stop",
-        "max_rounds",
-        "threshold_variant",
-        "c_eta",
-    },
+    "algorithm": set(_ALGORITHM),
     "output": {"dir"},
 }
 
@@ -362,7 +369,7 @@ class ExperimentConfig:
             t_bar=alg["t_bar"],
             slope_bound=alg["slope_bound"],
             mad_bound=alg["mad_bound"],
-            mad_ratio=alg.get("mad_ratio", 0.0),
+            mad_ratio=alg["mad_ratio"],
         )
 
     def estimation_params(self) -> EstimationParams:
@@ -372,6 +379,12 @@ class ExperimentConfig:
 
 
 def _coerce(value, want, key, line):
+    if isinstance(want, list):
+        if not isinstance(value, list):
+            raise TypeMismatchError(f"expected a list, got {value!r}", key, line)
+        return [_coerce(v, want[0], key, line) for v in value]
+    if want is Distribution:
+        return distribution_from_spec(value, key, line)
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeMismatchError(f"expected a number, got {value!r}", key, line)
@@ -440,47 +453,6 @@ def _section_map(entries: list[tuple[str, Any, int]], repeatable: set[str] = fro
     return out, lines
 
 
-_ALGO_TYPES = {
-    "alpha": float,
-    "delta": float,
-    "eps0": float,
-    "t_bar": float,
-    "slope_bound": float,
-    "mad_bound": float,
-    "mad_ratio": float,
-    "error_level": float,
-    "mad_source": str,
-    "early_stop": bool,
-    "max_rounds": int,
-    "threshold_variant": str,
-    "c_eta": float,
-}
-
-# The values each [algorithm] key accepts beyond its type: (test, requirement).
-_ALGO_RANGES = {
-    "alpha": (lambda v: v >= 0.0, "must be nonnegative"),
-    "delta": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "error_level": (lambda v: v > 0.0, "must be positive"),
-    "max_rounds": (lambda v: v >= 1, "must be at least 1"),
-    "c_eta": (lambda v: v > 0.0, "must be positive"),
-    "threshold_variant": (
-        lambda v: v in THRESHOLD_VARIANTS,
-        "must be one of " + ", ".join(THRESHOLD_VARIANTS),
-    ),
-    "mad_source": (lambda v: v in ("true", "bound"), "must be true or bound"),
-}
-
-_REQUIRED_ALGO = {
-    "estimate-median": {"delta", "eps0", "t_bar", "slope_bound", "mad_bound", "error_level"},
-    "estimate-mad": {"delta", "eps0", "t_bar", "slope_bound", "mad_bound", "mad_ratio", "error_level"},
-    "bai-simple": {"alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound"},
-    "bai-succelim": {"alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound"},
-    "gaps": {"slope_bound", "mad_bound", "t_bar"},
-    "lower-bound": {"alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound"},
-    "verify": set(),
-}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     sections = _parse_sections(text)
 
@@ -514,24 +486,22 @@ def parse_config(text: str) -> ExperimentConfig:
     out, out_lines = _section_map(sections.get("output", []))
     out_dir = _coerce(out["dir"], str, "dir", out_lines.get("dir")) if "dir" in out else None
 
-    algo_entries = sections.get("algorithm", [])
-    algo, algo_lines = _section_map(algo_entries)
-    algorithm: dict[str, Any] = {}
+    algo, algo_lines = _section_map(sections.get("algorithm", []))
+    algorithm = {key: spec[1] for key, spec in _ALGORITHM.items() if spec[1] is not None}
     for key, value in algo.items():
-        algorithm[key] = _coerce(value, _ALGO_TYPES[key], key, algo_lines.get(key))
-        in_range, requirement = _ALGO_RANGES.get(key, (None, None))
+        want, _, in_range, requirement = _ALGORITHM[key]
+        algorithm[key] = _coerce(value, want, key, algo_lines[key])
         if in_range is not None and not in_range(algorithm[key]):
             raise FeasibilityViolationError(
-                f"{key} {requirement}, got {value!r}", key=key, line=algo_lines.get(key)
+                f"{key} {requirement}, got {value!r}", key=key, line=algo_lines[key]
             )
-    missing = _REQUIRED_ALGO[kind] - set(algorithm)
+    missing = _REQUIRED_ALGO[kind] - set(algo)
     if missing:
         raise ConfigError(
             f"[algorithm] is missing required keys for {kind}: {', '.join(sorted(missing))}"
         )
 
-    inst_entries = sections.get("instance", [])
-    inst, inst_lines = _section_map(inst_entries, repeatable={"arm"})
+    inst, inst_lines = _section_map(sections.get("instance", []), repeatable={"arm"})
 
     model = None
     if "model" in inst:
@@ -545,17 +515,14 @@ def parse_config(text: str) -> ExperimentConfig:
         model = _MODELS[name]
     eps = _coerce(inst.get("eps", 0.0), float, "eps", inst_lines.get("eps"))
 
-    p: tuple[float, ...] = ()
-    if "p" in inst:
-        raw = inst["p"]
-        if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
-            raise TypeMismatchError("p must be a list of numbers", key="p", line=inst_lines.get("p"))
-        p = tuple(float(v) for v in raw)
+    p = tuple(_coerce(inst["p"], [float], "p", inst_lines["p"])) if "p" in inst else ()
 
     arms: list[ContaminatedArm] = []
     for value, lineno in inst.get("arm", []):
-        if not isinstance(value, dict):
-            raise TypeMismatchError("arm must be a map with dist and strategy", "arm", lineno)
+        if not isinstance(value, dict) or not value.keys() <= {"dist", "strategy"}:
+            raise TypeMismatchError(
+                f"arm must be a map with dist and strategy, got {value!r}", "arm", lineno
+            )
         dist = distribution_from_spec(value.get("dist"), "arm", lineno)
         strategy = strategy_from_spec(
             value.get("strategy", {"kind": "shift_median_up"}), "arm", lineno
@@ -639,7 +606,7 @@ def _validate_race_terminates(config: ExperimentConfig, algo_lines) -> None:
     at alpha > 0, an arm whose effective gap is not positive need never be
     dropped, and the race keeps every pull up to ``max_rounds``."""
     alg = config.algorithm
-    if alg.get("early_stop", False) and alg["alpha"] > 0:
+    if alg["early_stop"] and alg["alpha"] > 0:
         return
     try:
         report = effective_gaps(BanditInstance(config.arms), config.family())

@@ -173,38 +173,19 @@ def _success_stats(rows: list[dict[str, Any]], key: str = "success") -> list[tup
 def run_experiment(
     config: ExperimentConfig, parallelism: int = 1, out_dir: str | Path | None = None
 ) -> ExperimentResult:
-    """Execute one experiment; writes records.csv and summary.txt (plus
-    aggregate.csv for lower-bound runs) into the output directory."""
+    """Execute one experiment; writes each of its tables to ``<name>.csv``
+    (``records.csv`` always, ``aggregate.csv`` for lower-bound runs, one per
+    verify artifact) and then ``summary.txt`` into the output directory."""
     target = Path(out_dir if out_dir is not None else (config.out_dir or "out"))
     target.mkdir(parents=True, exist_ok=True)
-    kind = config.kind
-
-    if kind == "verify":
-        return _run_verify(config, target)
-
-    if kind == "gaps":
-        return _run_gaps(config, target)
-
-    if kind in ("estimate-median", "estimate-mad"):
-        columns, rows, summary = _run_estimate(config, parallelism)
-    elif kind == "bai-simple":
-        columns, rows, summary = _run_bai(config, parallelism, simple=True)
-    elif kind == "bai-succelim":
-        columns, rows, summary = _run_bai(config, parallelism, simple=False)
-    elif kind == "lower-bound":
-        return _run_lower_bound(config, parallelism, target)
-    else:
-        raise RobanditError(f"unhandled experiment kind {kind}")
-
-    records = target / "records.csv"
-    summary_path = target / "summary.txt"
-    write_csv(records, columns, rows)
-    write_summary(summary_path, summary)
-    return ExperimentResult(
-        exit_code=0,
-        files={"records": records, "summary": summary_path},
-        summary=dict(summary),
-    )
+    tables, summary, exit_code = _RUNS[config.kind](config, parallelism)
+    files = {}
+    for name, (columns, rows) in tables.items():
+        files[name] = target / f"{name}.csv"
+        write_csv(files[name], columns, rows)
+    files["summary"] = target / "summary.txt"
+    write_summary(files["summary"], summary)
+    return ExperimentResult(exit_code, files, dict(summary))
 
 
 def _run_estimate(config: ExperimentConfig, parallelism: int):
@@ -219,7 +200,7 @@ def _run_estimate(config: ExperimentConfig, parallelism: int):
         n = sample_size_median(error_level, delta, params)
     median, mad, _, _ = _median_mad(arm.dist)
     truth = mad if want_mad else median
-    if config.algorithm.get("mad_source", "true") == "bound":
+    if config.algorithm["mad_source"] == "bound":
         mad_used = config.family().mad_bound
     else:
         mad_used = mad
@@ -259,32 +240,32 @@ def _run_estimate(config: ExperimentConfig, parallelism: int):
         ("median_total_pulls", float(n)),
         ("true_value", truth),
     ]
-    return columns, rows, summary
+    return {"records": (columns, rows)}, summary, 0
 
 
 def _algo_config(config: ExperimentConfig) -> AlgoConfig:
     alg = config.algorithm
     return AlgoConfig(
-        alpha=alg.get("alpha", 0.0),
+        alpha=alg["alpha"],
         delta=alg["delta"],
         family=config.family(),
         eps0=alg["eps0"],
-        max_rounds=alg.get("max_rounds", 10**6),
-        early_stop=alg.get("early_stop", False),
-        threshold_variant=alg.get("threshold_variant", "squared-slope"),
+        max_rounds=alg["max_rounds"],
+        early_stop=alg["early_stop"],
+        threshold_variant=alg["threshold_variant"],
     )
 
 
-def _run_bai(config: ExperimentConfig, parallelism: int, simple: bool):
+def _run_bai(config: ExperimentConfig, parallelism: int):
+    simple = config.kind == "bai-simple"
     instance = BanditInstance(config.arms)
     algo = _algo_config(config)
     report = effective_gaps(instance, algo.family)
-    alpha = config.algorithm.get("alpha", 0.0)
 
     def is_success(chosen: int) -> bool:
         if simple or algo.early_stop:
             gap = report.gaps[chosen]
-            return gap is None or gap <= alpha
+            return gap is None or gap <= algo.alpha
         return chosen == report.best_arm
 
     run = run_simple if simple else run_contaminated_successive_elimination
@@ -297,12 +278,11 @@ def _run_bai(config: ExperimentConfig, parallelism: int, simple: bool):
     )
     summary = _success_stats(rows) + _pull_stats(rows)
     summary.append(("best_arm", report.best_arm))
-    return _RACE_COLUMNS, rows, summary
+    return {"records": (_RACE_COLUMNS, rows)}, summary, 0
 
 
-def _run_gaps(config: ExperimentConfig, target: Path) -> ExperimentResult:
-    instance = BanditInstance(config.arms)
-    report = effective_gaps(instance, config.family())
+def _run_gaps(config: ExperimentConfig, _parallelism: int):
+    report = effective_gaps(BanditInstance(config.arms), config.family())
     rows = [
         {
             "arm": i,
@@ -314,28 +294,14 @@ def _run_gaps(config: ExperimentConfig, target: Path) -> ExperimentResult:
             "is_best": i == report.best_arm,
             "feasible": report.gaps[i] is None or report.gaps[i] > 0.0,
         }
-        for i in range(instance.k)
+        for i in range(len(config.arms))
     ]
-    records = target / "records.csv"
-    write_csv(
-        records,
-        ["arm", "median", "mad", "bias", "effective_gap", "is_best", "feasible"],
-        rows,
-    )
-    summary_path = target / "summary.txt"
-    infeasible = report.infeasible_arms
-    write_summary(
-        summary_path,
-        [
-            ("best_arm", report.best_arm),
-            ("infeasible_arms", ";".join(map(str, infeasible)) or "none"),
-        ],
-    )
-    return ExperimentResult(
-        exit_code=0,
-        files={"records": records, "summary": summary_path},
-        summary={"best_arm": report.best_arm},
-    )
+    columns = ["arm", "median", "mad", "bias", "effective_gap", "is_best", "feasible"]
+    summary = [
+        ("best_arm", report.best_arm),
+        ("infeasible_arms", ";".join(map(str, report.infeasible_arms)) or "none"),
+    ]
+    return {"records": (columns, rows)}, summary, 0
 
 
 @dataclass(frozen=True)
@@ -414,7 +380,7 @@ def hardness_probe(
     return _race_lifted(lifted, config, replications, seed, c_eta, parallelism)[1]
 
 
-def _run_lower_bound(config: ExperimentConfig, parallelism: int, target: Path) -> ExperimentResult:
+def _run_lower_bound(config: ExperimentConfig, parallelism: int):
     if config.model.value == "malicious":
         lifted = malicious_lifting(config.p, config.eps)
     else:
@@ -424,55 +390,34 @@ def _run_lower_bound(config: ExperimentConfig, parallelism: int, target: Path) -
         _algo_config(config),
         config.replications,
         config.seed,
-        config.algorithm.get("c_eta", 1.0),
+        config.algorithm["c_eta"],
         parallelism,
     )
-    records = target / "records.csv"
-    write_csv(records, _RACE_COLUMNS, rows)
-    aggregate = target / "aggregate.csv"
     row = report.as_row()
-    write_csv(aggregate, list(row), [row])
-    summary_path = target / "summary.txt"
     summary = _success_stats(rows) + _pull_stats(rows)
     summary += [("lb_value", report.lb_value), ("ratio", report.ratio)]
-    write_summary(summary_path, summary)
-    return ExperimentResult(
-        exit_code=0,
-        files={"records": records, "aggregate": aggregate, "summary": summary_path},
-        summary=dict(summary),
-    )
+    return {"records": (_RACE_COLUMNS, rows), "aggregate": (list(row), [row])}, summary, 0
 
 
-def _run_verify(config: ExperimentConfig, target: Path) -> ExperimentResult:
+def _run_verify(config: ExperimentConfig, _parallelism: int):
     from .verify import run_suites
 
     results = run_suites(config.suites or None, seed=config.seed)
-    rows = [
-        {
-            "suite": res.name,
-            "passed": res.passed,
-            "detail": res.detail(),
-        }
-        for res in results
-    ]
-    records = target / "records.csv"
-    write_csv(records, ["suite", "passed", "detail"], rows)
-    extra_files = {}
-    for res in results:
-        if res.artifact is not None:
-            columns, artifact_rows = res.artifact
-            path = target / f"{res.name}.csv"
-            write_csv(path, columns, artifact_rows)
-            extra_files[res.name] = path
+    rows = [{"suite": res.name, "passed": res.passed, "detail": res.detail()} for res in results]
+    tables = {"records": (["suite", "passed", "detail"], rows)}
+    tables.update((res.name, res.artifact) for res in results if res.artifact is not None)
     all_passed = all(res.passed for res in results)
-    summary_path = target / "summary.txt"
-    write_summary(
-        summary_path,
-        [("suites_run", len(results)), ("all_passed", all_passed)]
-        + [(res.name, "pass" if res.passed else "FAIL") for res in results],
-    )
-    return ExperimentResult(
-        exit_code=0 if all_passed else 1,
-        files={"records": records, "summary": summary_path, **extra_files},
-        summary={"all_passed": all_passed},
-    )
+    summary = [("suites_run", len(results)), ("all_passed", all_passed)]
+    summary += [(res.name, "pass" if res.passed else "FAIL") for res in results]
+    return tables, summary, 0 if all_passed else 1
+
+
+_RUNS: dict[str, Callable[[ExperimentConfig, int], tuple[dict, list, int]]] = {
+    "estimate-median": _run_estimate,
+    "estimate-mad": _run_estimate,
+    "bai-simple": _run_bai,
+    "bai-succelim": _run_bai,
+    "gaps": _run_gaps,
+    "lower-bound": _run_lower_bound,
+    "verify": _run_verify,
+}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -16,8 +17,22 @@ from robandit.harness import (
     run_experiment,
     wilson_interval,
 )
-from robandit.harness.config import distribution_from_spec, strategy_from_spec
+from robandit.harness.config import (
+    _ALGORITHM,
+    EXPERIMENT_KINDS,
+    _DISTRIBUTIONS,
+    _STRATEGIES,
+    distribution_from_spec,
+    strategy_from_spec,
+)
 from robandit.harness.verify import SUITES, SuiteResult, run_suites
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _demo(name: str) -> str:
+    return (REPO_ROOT / "configs" / f"{name}_demo.cfg").read_text()
+
 
 MINIMAL = """
 [experiment]
@@ -185,6 +200,64 @@ class TestParser:
         with pytest.raises(TypeMismatchError):
             distribution_from_spec({"kind": "triangular", "lo": 0, "hi": 1})
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("strategy: {kind: uniform_tail_shift, direction: -1}", "stratgy: {kind: shift_median_down}"),
+            ("direction: -1", "direcion: -1"),
+            ("lo: 0.4, hi: 1.4}", "lo: 0.4, hi: 1.4, sigma: 9}"),
+            ("direction: -1", "direction: 1.7"),
+            ("direction: -1", "direction: true"),
+            ("hi: 1.4", 'hi: "1.4"'),
+        ],
+        ids=["arm-field", "strategy-field", "dist-field", "float-direction", "bool", "quoted-number"],
+    )
+    def test_bad_literal_field_rejected(self, old, new):
+        assert MINIMAL.count(old) == 1
+        bad = MINIMAL.replace(old, new)
+        with pytest.raises(TypeMismatchError) as err:
+            parse_config(bad)
+        assert err.value.key == "arm"
+        assert bad.splitlines()[err.value.line - 1].startswith("arm =")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "triangular"}, "unknown distribution kind 'triangular'"),
+            ({"kind": "uniform", "lo": 0.0}, "distribution kind 'uniform' is missing field 'hi'"),
+            ({"kind": "uniform", "lo": 1.0, "hi": 0.0}, "bad distribution literal: uniform needs lo < hi, got [1.0, 0.0]"),
+            (
+                {"kind": "affine", "base": {"kind": "dirac", "x": 0.0, "y": 1.0}, "scale": 2.0},
+                "distribution kind 'dirac' has unknown field(s) y",
+            ),
+            ({"kind": "mixture", "weights": 1.0, "components": []}, "expected a list, got 1.0"),
+        ],
+    )
+    def test_literal_error_messages(self, spec, message):
+        with pytest.raises(TypeMismatchError) as err:
+            distribution_from_spec(spec, "arm", 3)
+        assert str(err.value) == f"{message} (key 'arm', line 3)"
+
+    @pytest.mark.parametrize("table", [_DISTRIBUTIONS, _STRATEGIES], ids=["distributions", "strategies"])
+    def test_literal_fields_are_the_constructor_fields(self, table):
+        """Fields are passed by position, and each default is the constructor's."""
+        for constructor, fields in table.values():
+            params = [f for f in dataclasses.fields(constructor) if f.init]
+            assert [name for name, *_ in fields] == [f.name for f in params]
+            for (_, _, *default), param in zip(fields, params):
+                assert default == ([] if param.default is dataclasses.MISSING else [param.default])
+
+    def test_algorithm_defaults_filled_in(self):
+        algorithm = parse_config(MINIMAL).algorithm
+        assert algorithm["max_rounds"] == 10**6
+        assert algorithm["early_stop"] is False
+        assert algorithm["threshold_variant"] == "squared-slope"
+        assert algorithm["c_eta"] == 1.0
+        assert algorithm["mad_source"] == "true"
+        assert "error_level" not in algorithm
+        estimate = (REPO_ROOT / "configs" / "estimate_demo.cfg").read_text()
+        assert parse_config(estimate).algorithm["alpha"] == 0.0
+
 
 class TestSeedMixing:
     def test_pinned_values(self):
@@ -234,6 +307,21 @@ t_bar = 0.4
 slope_bound = 4.0
 mad_bound = 0.25
 """
+
+# One small config per experiment kind; verify runs the suite with an artifact.
+OUTPUT_CASES = {
+    "estimate-median": _demo("estimate").replace("replications = 200", "replications = 2"),
+    "estimate-mad": _demo("estimate")
+    .replace("replications = 200", "replications = 2")
+    .replace("kind = estimate-median", "kind = estimate-mad")
+    .replace("error_level = 0.05", "error_level = 0.05\nmad_ratio = 2.0"),
+    "bai-simple": MINIMAL,
+    "bai-succelim": _demo("bai").replace("replications = 50", "replications = 2"),
+    "gaps": _demo("gaps"),
+    "lower-bound": LOWER_BOUND,
+    "verify": "[experiment]\nkind = verify\nsuites = [quality]\n",
+}
+assert set(OUTPUT_CASES) == set(EXPERIMENT_KINDS)
 
 
 class TestRunExperiment:
@@ -340,12 +428,22 @@ error_level = 0.1
         finally:
             del SUITES["always-fails"]
 
+    @pytest.mark.parametrize("kind", list(OUTPUT_CASES))
+    def test_result_describes_what_was_written(self, tmp_path, kind):
+        """``result.files`` names exactly the files written, ``summary.txt``
+        last, and ``result.summary`` holds the lines of ``summary.txt``."""
+        config = parse_config(OUTPUT_CASES[kind])
+        assert config.kind == kind
+        result = run_experiment(config, out_dir=tmp_path)
+        assert {path.parent for path in result.files.values()} == {tmp_path}
+        assert sorted(path.name for path in result.files.values()) == sorted(os.listdir(tmp_path))
+        assert list(result.files)[-1] == "summary"
+        lines = result.files["summary"].read_text().splitlines()
+        assert [line.split(" = ")[0] for line in lines] == list(result.summary)
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(rb.RobanditError):
             run_suites(["no-such-suite"], seed=0)
-
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _cli_env(**overrides):
@@ -451,3 +549,10 @@ def test_quality_suite_artifact_serialized(tmp_path):
     table = result.files["quality"].read_text().splitlines()
     assert table[0] == "t,threshold,probability_floor"
     assert len(table) == 4
+
+
+def test_readme_config_format_names_every_key_and_kind():
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    names = list(_ALGORITHM) + list(_DISTRIBUTIONS) + list(_STRATEGIES)
+    assert [name for name in names if f"`{name}" not in section and f"{name} =" not in section] == []
