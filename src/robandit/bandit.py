@@ -31,7 +31,7 @@ from .contamination import (
 )
 from .distributions import AdversaryModel, FamilyParams, _median_mad, contamination_bias
 from .errors import NonUniqueMedianError, ParameterOutOfRangeError
-from .estimators import EstimationParams, empirical_median, sample_size_median
+from .estimators import EstimationParams, _BOUNDS, empirical_median, sample_size_median
 
 __all__ = [
     "BanditInstance",
@@ -271,7 +271,7 @@ class RunningMedian:
 
 def warmup_pulls(k: int, delta: float, params: EstimationParams) -> int:
     """Initial pulls per arm buying the median bound's validity floor for all rounds."""
-    floor_scale = 2.0 * params.median_margin() ** -2
+    floor_scale = _BOUNDS["median"].floor_scale(params)
     return math.ceil(floor_scale * math.log(math.pi**2 * k / (2.0 * delta)))
 
 
@@ -417,7 +417,7 @@ def run_contaminated_successive_elimination(
     """
     k = instance.k
     params = config.estimation_params(instance.model)
-    floor_scale = 2.0 * params.median_margin() ** -2
+    floor_scale = _BOUNDS["median"].floor_scale(params)
     warmup = warmup_pulls(k, config.delta, params)
     scale = config.family.slope_bound * config.family.mad_bound
     if config.threshold_variant == "squared-slope":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -95,34 +96,6 @@ class EstimationParams:
         return margin
 
 
-def _check_level_args(error_level: float, delta: float) -> None:
-    if not error_level > 0:
-        raise ParameterOutOfRangeError(f"error level must be positive, got {error_level}")
-    if not 0.0 < delta < 1.0:
-        raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
-
-
-def sample_size_median(error_level: float, delta: float, params: EstimationParams) -> int:
-    """Samples sufficient to estimate a median to bias + error_level at level delta."""
-    _check_level_args(error_level, delta)
-    margin = params.median_margin()
-    scale = params.family.slope_bound * params.family.mad_bound
-    numerator = 3.0 if params.model is AdversaryModel.MALICIOUS else 2.0
-    n = 2.0 * max((scale / error_level) ** 2, margin**-2) * math.log(numerator / delta)
-    return math.ceil(n)
-
-
-def sample_size_mad(error_level: float, delta: float, params: EstimationParams) -> int:
-    """Samples sufficient to estimate a MAD to its bias + error_level at level delta."""
-    _check_level_args(error_level, delta)
-    margin = params.mad_margin()
-    ratio = params.family.mad_ratio
-    scale = 4.0 * ratio * params.family.slope_bound * params.family.mad_bound
-    numerator = 6.0 if params.model is AdversaryModel.MALICIOUS else 4.0
-    n = 2.0 * max((scale / error_level) ** 2, margin**-2) * math.log(numerator / delta)
-    return math.ceil(n)
-
-
 @dataclass(frozen=True)
 class RobustEstimateReport:
     """Point estimate with its unavoidable bias and confidence half-width."""
@@ -139,6 +112,83 @@ class RobustEstimateReport:
         return self.estimate - radius, self.estimate + radius
 
 
+@dataclass(frozen=True)
+class _Bound:
+    """One statistic's concentration bound; the median and MAD differ only here.
+
+    With log_term = log(numerator / delta), from floor_scale * log_term samples
+    on the estimate lies within bias * contamination_bias + width * slope_bound
+    * mad * sqrt(2 log_term / n) of the truth."""
+
+    statistic: str
+    margin: Callable[[EstimationParams], float]
+    numerators: tuple[float, float]  # oblivious or prescient, malicious
+    width: Callable[[float], float]  # of mad_ratio
+    bias: Callable[[float], float]  # of mad_ratio
+    estimator: Callable[[np.ndarray], float]
+
+    def floor_scale(self, params: EstimationParams) -> float:
+        return 2.0 * self.margin(params) ** -2
+
+    def log_term(self, delta: float, params: EstimationParams) -> float:
+        return math.log(self.numerators[params.model is AdversaryModel.MALICIOUS] / delta)
+
+    def sample_size(self, error_level: float, delta: float, params: EstimationParams) -> int:
+        if not error_level > 0:
+            raise ParameterOutOfRangeError(f"error level must be positive, got {error_level}")
+        if not 0.0 < delta < 1.0:
+            raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
+        floor_scale = self.floor_scale(params)
+        family = params.family
+        scale = self.width(family.mad_ratio) * family.slope_bound * family.mad_bound
+        return math.ceil(
+            max(2.0 * (scale / error_level) ** 2, floor_scale) * self.log_term(delta, params)
+        )
+
+    def estimate_ci(
+        self, xs, delta: float, params: EstimationParams, mad_used: float
+    ) -> RobustEstimateReport:
+        if not 0.0 < delta < 1.0:
+            raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
+        a = np.asarray(xs, dtype=float)
+        n = a.size
+        log_term = self.log_term(delta, params)
+        floor = self.floor_scale(params) * log_term
+        if n < floor:
+            raise TooFewSamplesError(f"need at least {math.ceil(floor)} samples, got {n}")
+        family = params.family
+        bias = self.bias(family.mad_ratio) * contamination_bias(
+            params.eps0, family.slope_bound, mad_used, params.model
+        )
+        width = self.width(family.mad_ratio) * family.slope_bound
+        half_width = width * mad_used * math.sqrt(2.0 * log_term / n)
+        return RobustEstimateReport(
+            self.statistic, self.estimator(a), bias, half_width, int(n), params.model
+        )
+
+
+_BOUNDS = {
+    "median": _Bound(
+        "median", EstimationParams.median_margin, (2.0, 3.0), lambda r: 1.0, lambda r: 1.0,
+        empirical_median,
+    ),
+    "mad": _Bound(
+        "mad", EstimationParams.mad_margin, (4.0, 6.0), lambda r: 4.0 * r,
+        lambda r: 1.0 + 2.0 * r, empirical_mad,
+    ),
+}
+
+
+def sample_size_median(error_level: float, delta: float, params: EstimationParams) -> int:
+    """Samples sufficient to estimate a median to bias + error_level at level delta."""
+    return _BOUNDS["median"].sample_size(error_level, delta, params)
+
+
+def sample_size_mad(error_level: float, delta: float, params: EstimationParams) -> int:
+    """Samples sufficient to estimate a MAD to its bias + error_level at level delta."""
+    return _BOUNDS["mad"].sample_size(error_level, delta, params)
+
+
 def estimate_median_ci(
     xs, delta: float, params: EstimationParams, mad_used: float
 ) -> RobustEstimateReport:
@@ -147,54 +197,11 @@ def estimate_median_ci(
     ``mad_used`` is the MAD value the caller wants the widths expressed with:
     the true MAD in simulations, the uniform bound inside algorithms.
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
-    a = np.asarray(xs, dtype=float)
-    n = a.size
-    margin = params.median_margin()
-    numerator = 3.0 if params.model is AdversaryModel.MALICIOUS else 2.0
-    log_term = math.log(numerator / delta)
-    floor = 2.0 * margin**-2 * log_term
-    if n < floor:
-        raise TooFewSamplesError(f"need at least {math.ceil(floor)} samples, got {n}")
-    bias = contamination_bias(params.eps0, params.family.slope_bound, mad_used, params.model)
-    half_width = params.family.slope_bound * mad_used * math.sqrt(2.0 * log_term / n)
-    return RobustEstimateReport(
-        statistic="median",
-        estimate=empirical_median(a),
-        bias=bias,
-        half_width=half_width,
-        n=int(n),
-        model=params.model,
-    )
+    return _BOUNDS["median"].estimate_ci(xs, delta, params, mad_used)
 
 
 def estimate_mad_ci(
     xs, delta: float, params: EstimationParams, mad_used: float
 ) -> RobustEstimateReport:
     """Empirical MAD; the bias is inflated by one plus twice the MAD ratio."""
-    if not 0.0 < delta < 1.0:
-        raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
-    a = np.asarray(xs, dtype=float)
-    n = a.size
-    margin = params.mad_margin()
-    ratio = params.family.mad_ratio
-    numerator = 6.0 if params.model is AdversaryModel.MALICIOUS else 4.0
-    log_term = math.log(numerator / delta)
-    floor = 2.0 * margin**-2 * log_term
-    if n < floor:
-        raise TooFewSamplesError(f"need at least {math.ceil(floor)} samples, got {n}")
-    bias = (1.0 + 2.0 * ratio) * contamination_bias(
-        params.eps0, params.family.slope_bound, mad_used, params.model
-    )
-    half_width = (
-        4.0 * ratio * params.family.slope_bound * mad_used * math.sqrt(2.0 * log_term / n)
-    )
-    return RobustEstimateReport(
-        statistic="mad",
-        estimate=empirical_mad(a),
-        bias=bias,
-        half_width=half_width,
-        n=int(n),
-        model=params.model,
-    )
+    return _BOUNDS["mad"].estimate_ci(xs, delta, params, mad_used)

@@ -68,7 +68,7 @@ from ..errors import (
     ParameterOutOfRangeError,
     RobanditError,
 )
-from ..estimators import EstimationParams
+from ..estimators import EstimationParams, _BOUNDS
 
 __all__ = [
     "ConfigError",
@@ -312,11 +312,11 @@ def strategy_from_spec(spec: Any, key: str = "strategy", line: int | None = None
 _ALGORITHM = {
     "alpha": (float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
     "delta": (float, None, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "eps0": (float, None, None, None),
-    "t_bar": (float, None, None, None),
-    "slope_bound": (float, None, None, None),
-    "mad_bound": (float, None, None, None),
-    "mad_ratio": (float, 0.0, None, None),
+    "eps0": (float, None, lambda v: 0.0 <= v < 0.5, "must lie in [0, 1/2)"),
+    "t_bar": (float, None, lambda v: 0.0 < v < 0.5, "must lie in (0, 1/2)"),
+    "slope_bound": (float, None, lambda v: v > 0.0, "must be positive"),
+    "mad_bound": (float, None, lambda v: v > 0.0, "must be positive"),
+    "mad_ratio": (float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
     "error_level": (float, None, lambda v: v > 0.0, "must be positive"),
     "mad_source": (str, "true", lambda v: v in ("true", "bound"), "must be true or bound"),
     "early_stop": (bool, False, None, None),
@@ -490,6 +490,8 @@ def parse_config(text: str) -> ExperimentConfig:
     algorithm = {key: spec[1] for key, spec in _ALGORITHM.items() if spec[1] is not None}
     for key, value in algo.items():
         want, _, in_range, requirement = _ALGORITHM[key]
+        if key == "mad_source" and value is True:
+            value = "true"  # the value parser reads a bare true as a bool
         algorithm[key] = _coerce(value, want, key, algo_lines[key])
         if in_range is not None and not in_range(algorithm[key]):
             raise FeasibilityViolationError(
@@ -588,14 +590,8 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
     if kind == "gaps":
         return
     try:
-        params = config.estimation_params()
-        if kind == "estimate-mad":
-            params.mad_margin()
-        else:
-            params.median_margin()
+        _BOUNDS["mad" if kind == "estimate-mad" else "median"].margin(config.estimation_params())
     except InfeasibleRegimeError as exc:
-        raise FeasibilityViolationError(str(exc), key="eps0", line=algo_lines.get("eps0")) from exc
-    except ParameterOutOfRangeError as exc:
         raise FeasibilityViolationError(str(exc), key="eps0", line=algo_lines.get("eps0")) from exc
     if kind == "bai-succelim":
         _validate_race_terminates(config, algo_lines)

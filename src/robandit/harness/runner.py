@@ -193,13 +193,12 @@ def _run_estimate(config: ExperimentConfig, parallelism: int):
     params = config.estimation_params()
     delta = config.algorithm["delta"]
     error_level = config.algorithm["error_level"]
-    want_mad = config.kind == "estimate-mad"
-    if want_mad:
-        n = sample_size_mad(error_level, delta, params)
-    else:
-        n = sample_size_median(error_level, delta, params)
     median, mad, _, _ = _median_mad(arm.dist)
-    truth = mad if want_mad else median
+    sample_size, estimate_ci, truth = {
+        "estimate-median": (sample_size_median, estimate_median_ci, median),
+        "estimate-mad": (sample_size_mad, estimate_mad_ci, mad),
+    }[config.kind]
+    n = sample_size(error_level, delta, params)
     if config.algorithm["mad_source"] == "bound":
         mad_used = config.family().mad_bound
     else:
@@ -207,10 +206,7 @@ def _run_estimate(config: ExperimentConfig, parallelism: int):
 
     def worker(_i: int, rng: np.random.Generator) -> dict[str, Any]:
         xs = draw_batch(arm, n, rng)
-        if want_mad:
-            report = estimate_mad_ci(xs, delta, params, mad_used)
-        else:
-            report = estimate_median_ci(xs, delta, params, mad_used)
+        report = estimate_ci(xs, delta, params, mad_used)
         covered = abs(report.estimate - truth) <= report.bias + report.half_width
         return {
             "statistic": report.statistic,

@@ -51,9 +51,9 @@ from ..distributions import (
 from ..errors import RobanditError
 from ..estimators import (
     EstimationParams,
+    _BOUNDS,
     empirical_mad,
     empirical_median,
-    sample_size_mad,
     sample_size_median,
 )
 from ..lower_bounds import (
@@ -373,60 +373,40 @@ def _coverage_family() -> FamilyParams:
     return FamilyParams(t_bar=0.4, slope_bound=4.0, mad_bound=0.25, mad_ratio=2.0)
 
 
-def suite_coverage_median(rng: np.random.Generator) -> SuiteResult:
-    """Median coverage at the advertised sample size against every fixed-law
-    oblivious strategy on a uniform arm."""
+def _coverage(
+    rng: np.random.Generator, statistic: str, error_level: float, reps: int, truth: float
+) -> SuiteResult:
+    """Coverage of a uniform arm's median or MAD at the advertised sample size
+    against every fixed-law oblivious strategy, within bias + error_level."""
     eps = 0.1
     delta = 0.1
-    error_level = 0.05
-    params = EstimationParams(eps0=eps, family=_coverage_family(), model=AdversaryModel.OBLIVIOUS)
-    n = sample_size_median(error_level, delta, params)
-    bias = contamination_bias(eps, 4.0, 0.25, AdversaryModel.OBLIVIOUS)
+    bound = _BOUNDS[statistic]
+    family = _coverage_family()
+    params = EstimationParams(eps0=eps, family=family, model=AdversaryModel.OBLIVIOUS)
+    n = bound.sample_size(error_level, delta, params)
+    bias = bound.bias(family.mad_ratio) * contamination_bias(
+        eps, family.slope_bound, family.mad_bound, AdversaryModel.OBLIVIOUS
+    )
     radius = bias + error_level
-    reps = 1000
     allowed = delta + binomial_slack(delta, reps)
     stats: dict[str, Any] = {"n": n, "allowed": allowed}
     passed = True
     for name, strategy in _oblivious_strategies():
         arm = ContaminatedArm(Uniform(0.0, 1.0), strategy, eps, AdversaryModel.OBLIVIOUS)
-        failures = 0
-        for _ in range(reps):
-            med = empirical_median(draw_batch(arm, n, rng))
-            if abs(med - 0.5) > radius:
-                failures += 1
-        rate = failures / reps
+        estimates = (bound.estimator(draw_batch(arm, n, rng)) for _ in range(reps))
+        rate = sum(abs(est - truth) > radius for est in estimates) / reps
         stats[name] = rate
         if rate > allowed:
             passed = False
-    return SuiteResult("coverage-median", passed, stats)
+    return SuiteResult(f"coverage-{statistic}", passed, stats)
+
+
+def suite_coverage_median(rng: np.random.Generator) -> SuiteResult:
+    return _coverage(rng, "median", error_level=0.05, reps=1000, truth=0.5)
 
 
 def suite_coverage_mad(rng: np.random.Generator) -> SuiteResult:
-    """MAD coverage at the advertised sample size, bias inflated by 1 + 2 mad_ratio."""
-    eps = 0.1
-    delta = 0.1
-    error_level = 0.2
-    mad_ratio = 2.0
-    params = EstimationParams(eps0=eps, family=_coverage_family(), model=AdversaryModel.OBLIVIOUS)
-    n = sample_size_mad(error_level, delta, params)
-    bias = (1.0 + 2.0 * mad_ratio) * contamination_bias(eps, 4.0, 0.25, AdversaryModel.OBLIVIOUS)
-    radius = bias + error_level
-    reps = 500
-    allowed = delta + binomial_slack(delta, reps)
-    stats: dict[str, Any] = {"n": n, "allowed": allowed}
-    passed = True
-    for name, strategy in _oblivious_strategies():
-        arm = ContaminatedArm(Uniform(0.0, 1.0), strategy, eps, AdversaryModel.OBLIVIOUS)
-        failures = 0
-        for _ in range(reps):
-            mad = empirical_mad(draw_batch(arm, n, rng))
-            if abs(mad - 0.25) > radius:
-                failures += 1
-        rate = failures / reps
-        stats[name] = rate
-        if rate > allowed:
-            passed = False
-    return SuiteResult("coverage-mad", passed, stats)
+    return _coverage(rng, "mad", error_level=0.2, reps=500, truth=0.25)
 
 
 def suite_malicious_tightness(rng: np.random.Generator) -> SuiteResult:

@@ -174,6 +174,29 @@ def _assert_lifting(lifted: LiftedInstance, median_shifts: tuple[float, ...]) ->
             )
 
 
+def _lift(p, eps: float, model: AdversaryModel, hidden_arm) -> LiftedInstance:
+    """Lifted instance of ``p``, best arm first: ``hidden_arm(pi, best)`` gives
+    each arm's hidden law, strategy and hidden median shift, and the arm is
+    observed as SmoothedBernoulli(pi). Self-checked before it is returned."""
+    values, order = _best_first(_check_lift_params(p, eps))
+    arms = []
+    shifts = []
+    for rank, pi in enumerate(values):
+        hidden, strategy, shift = hidden_arm(pi, rank == 0)
+        arms.append(ContaminatedArm(dist=hidden, strategy=strategy, eps=eps, model=model))
+        shifts.append(shift)
+    lifted = LiftedInstance(
+        p=tuple(values),
+        eps=eps,
+        model=model,
+        lifted_arms=tuple(arms),
+        observable_law=tuple(SmoothedBernoulli(pi) for pi in values),
+        original_indices=order,
+    )
+    _assert_lifting(lifted, tuple(shifts))
+    return lifted
+
+
 def oblivious_lifting(p, eps: float) -> LiftedInstance:
     """Hidden instance for the oblivious adversary.
 
@@ -182,40 +205,16 @@ def oblivious_lifting(p, eps: float) -> LiftedInstance:
     hidden median sits eps above the observable one; rivals symmetrically sit
     eps below with their point mass at 1.
     """
-    values, order = _best_first(_check_lift_params(p, eps))
-    w_atom = (1.0 - 2.0 * eps) / (2.0 * (1.0 - eps))
-    w_unif = 1.0 / (2.0 * (1.0 - eps))
-    arms = []
-    laws = []
-    shifts = []
-    for rank, pi in enumerate(values):
-        if rank == 0:
-            hidden = Mixture(
-                [w_atom, w_unif], [Bernoulli(pi / (1.0 - 2.0 * eps)), Uniform(0.0, 1.0)]
-            )
-            strategy = FixedContamination(Dirac(0.0))
-            shifts.append(eps)
-        else:
-            hidden = Mixture(
-                [w_atom, w_unif],
-                [Bernoulli((pi - 2.0 * eps) / (1.0 - 2.0 * eps)), Uniform(0.0, 1.0)],
-            )
-            strategy = FixedContamination(Dirac(1.0))
-            shifts.append(-eps)
-        arms.append(
-            ContaminatedArm(dist=hidden, strategy=strategy, eps=eps, model=AdversaryModel.OBLIVIOUS)
-        )
-        laws.append(SmoothedBernoulli(pi))
-    lifted = LiftedInstance(
-        p=tuple(values),
-        eps=eps,
-        model=AdversaryModel.OBLIVIOUS,
-        lifted_arms=tuple(arms),
-        observable_law=tuple(laws),
-        original_indices=order,
-    )
-    _assert_lifting(lifted, tuple(shifts))
-    return lifted
+
+    def hidden_arm(pi, best):
+        weights = [(1.0 - 2.0 * eps) / (2.0 * (1.0 - eps)), 1.0 / (2.0 * (1.0 - eps))]
+        if best:
+            atom = Bernoulli(pi / (1.0 - 2.0 * eps))
+            return Mixture(weights, [atom, Uniform(0.0, 1.0)]), FixedContamination(Dirac(0.0)), eps
+        atom = Bernoulli((pi - 2.0 * eps) / (1.0 - 2.0 * eps))
+        return Mixture(weights, [atom, Uniform(0.0, 1.0)]), FixedContamination(Dirac(1.0)), -eps
+
+    return _lift(p, eps, AdversaryModel.OBLIVIOUS, hidden_arm)
 
 
 def malicious_lifting(p, eps: float) -> LiftedInstance:
@@ -226,37 +225,17 @@ def malicious_lifting(p, eps: float) -> LiftedInstance:
     Bernoulli(eps); the hidden medians sit a full 2 eps away from the
     observable ones, the widest displacement this model allows.
     """
-    values, order = _best_first(_check_lift_params(p, eps))
-    arms = []
-    laws = []
-    shifts = []
-    for rank, pi in enumerate(values):
-        if rank == 0:
+
+    def hidden_arm(pi, best):
+        if best:
             hidden = Mixture([0.5, 0.5], [Bernoulli(pi + 2.0 * eps), Uniform(0.0, 1.0)])
-            strategy = AtomTriggeredCoupling(
-                trigger=1.0, flip_prob=eps / (pi / 2.0 + eps), point=0.0
-            )
-            shifts.append(2.0 * eps)
-        else:
-            hidden = Mixture([0.5, 0.5], [Bernoulli(pi - 2.0 * eps), Uniform(0.0, 1.0)])
-            strategy = AtomTriggeredCoupling(
-                trigger=0.0, flip_prob=eps / ((1.0 - pi) / 2.0 + eps), point=1.0
-            )
-            shifts.append(-2.0 * eps)
-        arms.append(
-            ContaminatedArm(dist=hidden, strategy=strategy, eps=eps, model=AdversaryModel.MALICIOUS)
-        )
-        laws.append(SmoothedBernoulli(pi))
-    lifted = LiftedInstance(
-        p=tuple(values),
-        eps=eps,
-        model=AdversaryModel.MALICIOUS,
-        lifted_arms=tuple(arms),
-        observable_law=tuple(laws),
-        original_indices=order,
-    )
-    _assert_lifting(lifted, tuple(shifts))
-    return lifted
+            flip = eps / (pi / 2.0 + eps)
+            return hidden, AtomTriggeredCoupling(trigger=1.0, flip_prob=flip, point=0.0), 2.0 * eps
+        hidden = Mixture([0.5, 0.5], [Bernoulli(pi - 2.0 * eps), Uniform(0.0, 1.0)])
+        flip = eps / ((1.0 - pi) / 2.0 + eps)
+        return hidden, AtomTriggeredCoupling(trigger=0.0, flip_prob=flip, point=1.0), -2.0 * eps
+
+    return _lift(p, eps, AdversaryModel.MALICIOUS, hidden_arm)
 
 
 def _exact_bias(dist: Distribution, eps: float, model: AdversaryModel) -> float:

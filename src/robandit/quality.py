@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterOutOfRangeError
+from .estimators import _BOUNDS
 
 __all__ = ["QualityGuarantee", "lower_tail_bound", "quantile_guarantee"]
 
@@ -75,7 +76,7 @@ def quantile_guarantee(
         raise ParameterOutOfRangeError("alpha and bias_bound must be nonnegative")
     clean = median_hat - t * slope_bound * mad_hat
     discount = (0.5 + 2.0 * mad_ratio * t * slope_bound) * alpha
-    discount += (1.0 + (1.0 + 2.0 * mad_ratio) * slope_bound * t) * bias_bound
+    discount += (1.0 + _BOUNDS["mad"].bias(mad_ratio) * slope_bound * t) * bias_bound
     floor = 0.5 + t - 3.0 * delta / k
     clamped = min(max(floor, 0.0), 1.0)
     return QualityGuarantee(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
@@ -254,3 +254,153 @@ class TestReportShape:
         assert report.statistic == "median"
         assert report.n == 1000
         assert report.model is OBL
+
+
+# Reference: the closed-form median and MAD bounds as each was written out on
+# its own before the shared per-statistic bound. The public functions must
+# match these bitwise.
+AdversaryModel = rb.AdversaryModel
+ParameterOutOfRangeError = rb.ParameterOutOfRangeError
+TooFewSamplesError = rb.TooFewSamplesError
+contamination_bias = rb.contamination_bias
+empirical_median = rb.empirical_median
+empirical_mad = rb.empirical_mad
+
+
+def _check_level_args(error_level: float, delta: float) -> None:
+    if not error_level > 0:
+        raise ParameterOutOfRangeError(f"error level must be positive, got {error_level}")
+    if not 0.0 < delta < 1.0:
+        raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
+
+
+def reference_sample_size_median(error_level, delta, params):
+    _check_level_args(error_level, delta)
+    margin = params.median_margin()
+    scale = params.family.slope_bound * params.family.mad_bound
+    numerator = 3.0 if params.model is AdversaryModel.MALICIOUS else 2.0
+    n = 2.0 * max((scale / error_level) ** 2, margin**-2) * math.log(numerator / delta)
+    return math.ceil(n)
+
+
+def reference_sample_size_mad(error_level, delta, params):
+    _check_level_args(error_level, delta)
+    margin = params.mad_margin()
+    ratio = params.family.mad_ratio
+    scale = 4.0 * ratio * params.family.slope_bound * params.family.mad_bound
+    numerator = 6.0 if params.model is AdversaryModel.MALICIOUS else 4.0
+    n = 2.0 * max((scale / error_level) ** 2, margin**-2) * math.log(numerator / delta)
+    return math.ceil(n)
+
+
+def reference_estimate_median_ci(xs, delta, params, mad_used):
+    if not 0.0 < delta < 1.0:
+        raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
+    a = np.asarray(xs, dtype=float)
+    n = a.size
+    margin = params.median_margin()
+    numerator = 3.0 if params.model is AdversaryModel.MALICIOUS else 2.0
+    log_term = math.log(numerator / delta)
+    floor = 2.0 * margin**-2 * log_term
+    if n < floor:
+        raise TooFewSamplesError(f"need at least {math.ceil(floor)} samples, got {n}")
+    bias = contamination_bias(params.eps0, params.family.slope_bound, mad_used, params.model)
+    half_width = params.family.slope_bound * mad_used * math.sqrt(2.0 * log_term / n)
+    return rb.RobustEstimateReport(
+        statistic="median",
+        estimate=empirical_median(a),
+        bias=bias,
+        half_width=half_width,
+        n=int(n),
+        model=params.model,
+    )
+
+
+def reference_estimate_mad_ci(xs, delta, params, mad_used):
+    if not 0.0 < delta < 1.0:
+        raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
+    a = np.asarray(xs, dtype=float)
+    n = a.size
+    margin = params.mad_margin()
+    ratio = params.family.mad_ratio
+    numerator = 6.0 if params.model is AdversaryModel.MALICIOUS else 4.0
+    log_term = math.log(numerator / delta)
+    floor = 2.0 * margin**-2 * log_term
+    if n < floor:
+        raise TooFewSamplesError(f"need at least {math.ceil(floor)} samples, got {n}")
+    bias = (1.0 + 2.0 * ratio) * contamination_bias(
+        params.eps0, params.family.slope_bound, mad_used, params.model
+    )
+    half_width = (
+        4.0 * ratio * params.family.slope_bound * mad_used * math.sqrt(2.0 * log_term / n)
+    )
+    return rb.RobustEstimateReport(
+        statistic="mad",
+        estimate=empirical_mad(a),
+        bias=bias,
+        half_width=half_width,
+        n=int(n),
+        model=params.model,
+    )
+
+
+def _outcome(fn, *args):
+    """A call's result, with floats as hex so equality is bitwise, or its error."""
+    try:
+        result = fn(*args)
+    except rb.RobanditError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, rb.RobustEstimateReport):
+        floats = (result.estimate, result.bias, result.half_width)
+        return result.statistic, tuple(x.hex() for x in floats), result.n, result.model
+    return result
+
+
+positive = st.floats(min_value=1e-3, max_value=1e3)
+bound_params = st.builds(
+    rb.EstimationParams,
+    eps0=st.floats(min_value=0.0, max_value=0.49),
+    family=st.builds(
+        rb.FamilyParams,
+        t_bar=st.floats(min_value=1e-3, max_value=0.499),
+        slope_bound=positive,
+        mad_bound=positive,
+        mad_ratio=st.floats(min_value=0.0, max_value=1e3),
+    ),
+    model=st.sampled_from(list(rb.AdversaryModel)),
+)
+deltas = st.floats(min_value=1e-6, max_value=1.0, exclude_max=True, exclude_min=True)
+
+
+class TestSharedBoundMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(params=bound_params, error_level=positive, delta=deltas)
+    @example(params=params(eps0=0.26, model=MAL), error_level=0.2, delta=0.05)  # MAD infeasible
+    def test_sample_sizes(self, params, error_level, delta):
+        for public, reference in [
+            (rb.sample_size_median, reference_sample_size_median),
+            (rb.sample_size_mad, reference_sample_size_mad),
+        ]:
+            want = _outcome(reference, error_level, delta, params)
+            assert _outcome(public, error_level, delta, params) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        params=bound_params,
+        delta=deltas,
+        n=st.integers(min_value=1, max_value=3000),
+        mad_used=positive,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # a report from each statistic; below the sample floor; the MAD margin infeasible
+    @example(params=params(), delta=0.05, n=3000, mad_used=0.25, seed=1)
+    @example(params=params(), delta=0.05, n=50, mad_used=0.25, seed=1)
+    @example(params=params(eps0=0.26, model=MAL), delta=0.05, n=3000, mad_used=0.25, seed=1)
+    def test_confidence_intervals(self, params, delta, n, mad_used, seed):
+        xs = np.random.default_rng(seed).standard_cauchy(n)
+        for public, reference in [
+            (rb.estimate_median_ci, reference_estimate_median_ci),
+            (rb.estimate_mad_ci, reference_estimate_mad_ci),
+        ]:
+            want = _outcome(reference, xs, delta, params, mad_used)
+            assert _outcome(public, xs, delta, params, mad_used) == want

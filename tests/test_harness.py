@@ -151,6 +151,15 @@ class TestParser:
             ("minimal", "delta = 0.2", "delta = 0.2\nthreshold_variant = cubic", "threshold_variant"),
             ("estimate", "delta = 0.1", "delta = 0.1\nmad_source = bogus", "mad_source"),
             ("lower-bound", "c_eta = 1.0", "c_eta = 0.0", "c_eta"),
+            ("minimal", "eps0 = 0.1", "eps0 = 0.5", "eps0"),
+            ("minimal", "eps0 = 0.1", "eps0 = -0.1", "eps0"),
+            ("minimal", "t_bar = 0.4", "t_bar = 0.7", "t_bar"),
+            ("minimal", "t_bar = 0.4", "t_bar = 0.0", "t_bar"),
+            ("minimal", "slope_bound = 4.0", "slope_bound = -4.0", "slope_bound"),
+            ("minimal", "mad_bound = 0.25", "mad_bound = 0.0", "mad_bound"),
+            ("minimal", "mad_ratio = 2.0", "mad_ratio = -1.0", "mad_ratio"),
+            ("minimal", "mad_ratio = 2.0", "mad_ratio = nan", "mad_ratio"),
+            ("gaps", "t_bar = 0.4", "t_bar = 0.7", "t_bar"),
             ("lower-bound", "eps = 0.05", "eps = 0.1", "eps"),
             ("lower-bound", "delta = 0.1", "delta = 0.2", "delta"),
             ("lower-bound", "p = [0.6, 0.4]", "p = [0.7, 0.4]", "p"),
@@ -162,6 +171,7 @@ class TestParser:
             "minimal": MINIMAL,
             "estimate": (REPO_ROOT / "configs" / "estimate_demo.cfg").read_text(),
             "lower-bound": LOWER_BOUND,
+            "gaps": _demo("gaps"),
         }[base]
         assert old in text
         parse_config(text)
@@ -170,6 +180,23 @@ class TestParser:
             parse_config(bad)
         assert err.value.key == key
         assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
+
+    @pytest.mark.parametrize("value", ["true", '"true"'])
+    def test_mad_source_true_bare_or_quoted(self, value):
+        text = _demo("estimate").replace("delta = 0.1", f"delta = 0.1\nmad_source = {value}")
+        assert parse_config(text).algorithm["mad_source"] == "true"
+
+    def test_mad_source_bound(self):
+        text = _demo("estimate").replace("delta = 0.1", "delta = 0.1\nmad_source = bound")
+        assert parse_config(text).algorithm["mad_source"] == "bound"
+
+    @pytest.mark.parametrize("value", ["false", "1"])
+    def test_mad_source_other_type_rejected(self, value):
+        bad = _demo("estimate").replace("delta = 0.1", f"delta = 0.1\nmad_source = {value}")
+        with pytest.raises(TypeMismatchError) as err:
+            parse_config(bad)
+        assert err.value.key == "mad_source"
+        assert bad.splitlines()[err.value.line - 1].startswith("mad_source =")
 
     def test_bai_demo_parses(self):
         config = parse_config((REPO_ROOT / "configs" / "bai_demo.cfg").read_text())
@@ -500,6 +527,15 @@ class TestCli:
         proc = self._run("bai", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "delta must lie in (0, 1)" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_range_family_key_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "gaps.cfg"
+        cfg.write_text(_demo("gaps").replace("t_bar = 0.4", "t_bar = 0.7"))
+        proc = self._run("gaps", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "t_bar must lie in (0, 1/2)" in proc.stderr
+        assert "key 't_bar'" in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_command_kind_mismatch(self, tmp_path):
