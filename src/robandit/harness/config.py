@@ -34,6 +34,7 @@ at parse time with the offending key and line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -493,6 +494,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if key == "mad_source" and value is True:
             value = "true"  # the value parser reads a bare true as a bool
         algorithm[key] = _coerce(value, want, key, algo_lines[key])
+        if want is float and not math.isfinite(algorithm[key]):
+            raise FeasibilityViolationError(
+                f"{key} must be finite, got {value!r}", key=key, line=algo_lines[key]
+            )
         if in_range is not None and not in_range(algorithm[key]):
             raise FeasibilityViolationError(
                 f"{key} {requirement}, got {value!r}", key=key, line=algo_lines[key]

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
-from robandit.distributions import _AbsDeviation, _median_mad, _search_quantile
+from robandit.distributions import _GAUSSIAN_MAD, _AbsDeviation, _median_mad, _search_quantile
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -67,6 +68,23 @@ class TestCdf:
             rb.Gaussian(0.0, 0.0)
         with pytest.raises(rb.ParameterOutOfRangeError):
             rb.Affine(rb.Uniform(0, 1), 0.0)
+
+
+class TestGaussianIsScipys:
+    def test_mad_constant(self):
+        assert _GAUSSIAN_MAD == float(scipy.special.ndtri(0.75))
+
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.5, 1.5), (-2.0, 0.3)])
+    def test_cdf_and_quantile_bitwise(self, mu, sigma):
+        dist = rb.Gaussian(mu, sigma)
+        xs = np.linspace(-8.0, 8.0, 1601)
+        want = scipy.special.ndtr((xs - mu) / sigma)
+        assert np.array_equal(dist.cdf(xs), want)
+        assert [dist.cdf(float(x)) for x in xs] == [float(w) for w in want]
+        assert type(dist.cdf(0.25)) is float
+        for p in np.linspace(0.001, 0.999, 999):
+            assert dist.quantile_left(p) == mu + sigma * float(scipy.special.ndtri(p))
+            assert dist.quantile_right(p) == dist.quantile_left(p)
 
 
 class TestQuantiles:
@@ -298,6 +316,12 @@ class TestRobustMoments:
         m = rb.robust_moments(rb.Gaussian(0.0, 2.0))
         assert m.mad == pytest.approx(2.0 * 0.6744897501960817, rel=1e-9)
 
+    def test_gaussian_values_pinned(self):
+        # bitwise values from when scipy was imported with the module
+        m = rb.robust_moments(rb.Gaussian(0.0, 1.0))
+        assert (m.median, m.mad, m.mad2) == (0.0, 0.6744897501960817, 0.3990915958297282)
+        assert m.median_unique and m.mad_unique and m.mad2_unique
+
     def test_closed_forms_match_numeric_path(self):
         for dist in [rb.Uniform(0.0, 2.0), rb.Cauchy(1.0, 2.0), rb.Gaussian(0.5, 1.5)]:
             closed = rb.robust_moments(dist)
@@ -417,6 +441,15 @@ class TestFamilyChecks:
             dev = rb.abs_deviation_of(dist, med)
             t_dev = min(0.5 - 1e-9, 2.0 / slope)
             assert rb.in_quantile_family(dev, t_dev, kappa * slope, grid=2000)
+
+
+    @pytest.mark.parametrize("key", ["slope_bound", "mad_bound", "mad_ratio"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_family_params_reject_non_finite(self, key, value):
+        kwargs = dict(t_bar=0.4, slope_bound=4.0, mad_bound=0.25, mad_ratio=2.0)
+        rb.FamilyParams(**kwargs)
+        with pytest.raises(rb.ParameterOutOfRangeError, match=f"{key} must be finite"):
+            rb.FamilyParams(**{**kwargs, key: value})
 
 
 class TestBiasBounds:

@@ -159,6 +159,13 @@ class TestParser:
             ("minimal", "mad_bound = 0.25", "mad_bound = 0.0", "mad_bound"),
             ("minimal", "mad_ratio = 2.0", "mad_ratio = -1.0", "mad_ratio"),
             ("minimal", "mad_ratio = 2.0", "mad_ratio = nan", "mad_ratio"),
+            ("minimal", "mad_ratio = 2.0", "mad_ratio = inf", "mad_ratio"),
+            ("minimal", "slope_bound = 4.0", "slope_bound = inf", "slope_bound"),
+            ("minimal", "mad_bound = 0.25", "mad_bound = inf", "mad_bound"),
+            ("minimal", "alpha = 0.3", "alpha = inf", "alpha"),
+            ("estimate", "error_level = 0.05", "error_level = inf", "error_level"),
+            ("lower-bound", "c_eta = 1.0", "c_eta = inf", "c_eta"),
+            ("lower-bound", "c_eta = 1.0", "c_eta = nan", "c_eta"),
             ("gaps", "t_bar = 0.4", "t_bar = 0.7", "t_bar"),
             ("lower-bound", "eps = 0.05", "eps = 0.1", "eps"),
             ("lower-bound", "delta = 0.1", "delta = 0.2", "delta"),
@@ -560,6 +567,33 @@ class TestCli:
         proc = self._run("bai", "--config", str(cfg), "--out", str(out_flag), "--seed", "424242")
         assert proc.returncode == 0, proc.stderr
         assert (out_env / "records.csv").read_bytes() == (out_flag / "records.csv").read_bytes()
+
+    def test_start_up_without_scipy(self, tmp_path):
+        # a race or lower bound on non-Gaussian arms never loads scipy
+        blocked = tmp_path / "blocked"
+        (blocked / "scipy").mkdir(parents=True)
+        (blocked / "scipy" / "__init__.py").write_text('raise ImportError("scipy blocked")\n')
+        path = os.pathsep.join([str(blocked), _cli_env()["PYTHONPATH"]])
+        probe = [sys.executable, "-c", "import scipy.special"]
+        proc = subprocess.run(probe, capture_output=True, text=True, env=_cli_env(PYTHONPATH=path))
+        assert proc.returncode != 0 and "scipy blocked" in proc.stderr
+        runs = [
+            ("lb", "lb", "replications = 100", "replications = 2"),
+            ("bai", "prescient", "replications = 20", "replications = 1"),
+        ]
+        for command, demo, old, new in runs:
+            text = _demo(demo)
+            assert old in text
+            cfg = tmp_path / f"{demo}.cfg"
+            cfg.write_text(text.replace(old, new))
+            out = tmp_path / demo
+            proc = self._run(command, "--config", str(cfg), "--out", str(out), PYTHONPATH=path)
+            assert proc.returncode == 0, proc.stderr
+            assert (out / "records.csv").exists()
+        probe = [sys.executable, "-c", "import sys, robandit.harness; print('scipy' in sys.modules)"]
+        proc = subprocess.run(probe, capture_output=True, text=True, env=_cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("source", ["flag", "env"])
