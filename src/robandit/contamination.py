@@ -20,6 +20,9 @@ from .distributions import (
     Dirac,
     Distribution,
     Uniform,
+    _is_unique,
+    _median_levels,
+    _median_pair,
 )
 from .errors import IncompatibleStrategyError, ParameterOutOfRangeError
 
@@ -298,16 +301,14 @@ def malicious_median_attack(dist: Distribution, eps: float) -> ContaminatedArm:
     """
     if not 0.0 < eps < 0.5:
         raise ParameterOutOfRangeError(f"eps must lie in (0, 1/2), got {eps}")
-    med_lo = dist.quantile_left(0.5)
-    med_hi = dist.quantile_right(0.5)
-    if abs(med_hi - med_lo) > 1e-10 * max(1.0, abs(med_lo)):
+    median, med_hi = _median_pair(dist)
+    if not _is_unique(median, med_hi):
         raise ParameterOutOfRangeError("attack needs a unique median")
-    median = med_lo
     if abs(float(dist.cdf(median)) - 0.5) > 1e-9:
         raise ParameterOutOfRangeError(
             "attack needs P(Y <= median) = 1/2 exactly; cdf jumps across the median"
         )
-    point = dist.quantile_right(0.5 + eps)
+    point = dist.quantile_right(_median_levels(eps, AdversaryModel.MALICIOUS)[1])
     strategy = BelowMedianCoupling(threshold=median, flip_prob=2.0 * eps, point=point)
     return ContaminatedArm(dist=dist, strategy=strategy, eps=eps, model=AdversaryModel.MALICIOUS)
 

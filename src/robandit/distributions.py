@@ -90,44 +90,63 @@ class AdversaryModel(enum.Enum):
     MALICIOUS = "malicious"
 
 
-def _as_float_or_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr if arr.ndim else float(arr)
-
-
 class Distribution:
-    """Base class; subclasses are frozen dataclasses and safe to share."""
+    """Base class; subclasses are frozen dataclasses and safe to share.
 
-    # -- generic machinery -------------------------------------------------
+    A law states only its math on float arrays: ``_cdf``, ``_atom_mass`` if it
+    has atoms, and ``_quantile_left``/``_quantile_right`` if it has closed
+    forms (the k-section search otherwise). The public methods take a scalar
+    or an array, return a float for a scalar and reject a quantile level
+    outside (0, 1), once for every law.
+    """
 
     def cdf(self, x):
-        raise NotImplementedError
+        return _on_floats(self._cdf, x)
 
     def atom_mass(self, x):
         """Probability mass at exactly ``x`` (zero for continuous variants)."""
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(arr)
-        return out if arr.ndim else 0.0
+        return _on_floats(self._atom_mass, x)
 
     def cdf_left(self, x):
         """P(X < x), the left limit of the cdf."""
-        return _as_float_or_array(np.asarray(self.cdf(x)) - np.asarray(self.atom_mass(x)))
+        return _on_floats(self._cdf_left, x)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def quantile_left(self, p: float) -> float:
-        _check_prob_open(p)
-        return _search_quantile(self, p, strict=False)
+        return _at_open_level(self._quantile_left, p)
 
     def quantile_right(self, p: float) -> float:
-        _check_prob_open(p)
+        return _at_open_level(self._quantile_right, p)
+
+    def _cdf(self, x):
+        raise NotImplementedError
+
+    def _atom_mass(self, x):
+        return np.zeros_like(x)
+
+    def _cdf_left(self, x):
+        return self._cdf(x) - self._atom_mass(x)
+
+    def _quantile_left(self, p):
+        return _search_quantile(self, p, strict=False)
+
+    def _quantile_right(self, p):
         return _search_quantile(self, p, strict=True)
 
 
-def _check_prob_open(p: float) -> None:
+def _on_floats(law_math, x):
+    """``law_math`` on ``x`` as a float array: a float for a scalar."""
+    out = law_math(np.asarray(x, dtype=float))
+    return out if out.ndim else float(out)
+
+
+def _at_open_level(quantile, p: float) -> float:
+    """``quantile(p)`` for a level p in (0, 1); any other level is rejected."""
     if not 0.0 < p < 1.0:
         raise ParameterOutOfRangeError(f"quantile level must lie in (0, 1), got {p}")
+    return quantile(p)
 
 
 def _search_quantile(dist: Distribution, p: float, strict: bool) -> float:
@@ -186,19 +205,16 @@ class Uniform(Distribution):
         if not self.lo < self.hi:
             raise ParameterOutOfRangeError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def sample(self, n, rng):
         return rng.uniform(self.lo, self.hi, size=n)
 
-    def quantile_left(self, p):
-        _check_prob_open(p)
+    def _quantile_left(self, p):
         return self.lo + p * (self.hi - self.lo)
 
-    quantile_right = quantile_left
+    _quantile_right = _quantile_left
 
 
 @dataclass(frozen=True)
@@ -210,19 +226,16 @@ class Gaussian(Distribution):
         if not self.sigma > 0:
             raise ParameterOutOfRangeError(f"gaussian needs sigma > 0, got {self.sigma}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = _special().ndtr((x - self.mu) / self.sigma)
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return _special().ndtr((x - self.mu) / self.sigma)
 
     def sample(self, n, rng):
         return rng.normal(self.mu, self.sigma, size=n)
 
-    def quantile_left(self, p):
-        _check_prob_open(p)
+    def _quantile_left(self, p):
         return self.mu + self.sigma * float(_special().ndtri(p))
 
-    quantile_right = quantile_left
+    _quantile_right = _quantile_left
 
 
 @dataclass(frozen=True)
@@ -234,19 +247,16 @@ class Cauchy(Distribution):
         if not self.scale > 0:
             raise ParameterOutOfRangeError(f"cauchy needs scale > 0, got {self.scale}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 0.5 + np.arctan((x - self.x0) / self.scale) / math.pi
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return 0.5 + np.arctan((x - self.x0) / self.scale) / math.pi
 
     def sample(self, n, rng):
         return self.x0 + self.scale * rng.standard_cauchy(size=n)
 
-    def quantile_left(self, p):
-        _check_prob_open(p)
+    def _quantile_left(self, p):
         return self.x0 + self.scale * math.tan(math.pi * (p - 0.5))
 
-    quantile_right = quantile_left
+    _quantile_right = _quantile_left
 
 
 @dataclass(frozen=True)
@@ -257,25 +267,19 @@ class Bernoulli(Distribution):
         if not 0.0 <= self.p <= 1.0:
             raise ParameterOutOfRangeError(f"bernoulli needs p in [0, 1], got {self.p}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < 0.0, 0.0, np.where(x < 1.0, 1.0 - self.p, 1.0))
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return np.where(x < 0.0, 0.0, np.where(x < 1.0, 1.0 - self.p, 1.0))
 
-    def atom_mass(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x == 0.0, 1.0 - self.p, np.where(x == 1.0, self.p, 0.0))
-        return out if out.ndim else float(out)
+    def _atom_mass(self, x):
+        return np.where(x == 0.0, 1.0 - self.p, np.where(x == 1.0, self.p, 0.0))
 
     def sample(self, n, rng):
         return (rng.random(n) < self.p).astype(float)
 
-    def quantile_left(self, p):
-        _check_prob_open(p)
+    def _quantile_left(self, p):
         return 0.0 if p <= 1.0 - self.p else 1.0
 
-    def quantile_right(self, p):
-        _check_prob_open(p)
+    def _quantile_right(self, p):
         return 0.0 if p < 1.0 - self.p else 1.0
 
 
@@ -293,31 +297,25 @@ class SmoothedBernoulli(Distribution):
         if not 0.0 <= self.p <= 1.0:
             raise ParameterOutOfRangeError(f"smoothed bernoulli needs p in [0, 1], got {self.p}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < 0.0, 0.0, np.where(x < 1.0, 0.5 * (1.0 - self.p) + 0.5 * x, 1.0))
-        return out if out.ndim else float(out)
+    def _cdf(self, x):
+        return np.where(x < 0.0, 0.0, np.where(x < 1.0, 0.5 * (1.0 - self.p) + 0.5 * x, 1.0))
 
-    def atom_mass(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x == 0.0, 0.5 * (1.0 - self.p), np.where(x == 1.0, 0.5 * self.p, 0.0))
-        return out if out.ndim else float(out)
+    def _atom_mass(self, x):
+        return np.where(x == 0.0, 0.5 * (1.0 - self.p), np.where(x == 1.0, 0.5 * self.p, 0.0))
 
     def sample(self, n, rng):
         # one call: the first n uniforms pick the component, the next n the value
         u = rng.random(2 * n)
         return np.where(u[:n] < 0.5, u[n:] < self.p, u[n:])
 
-    def quantile_left(self, p):
-        _check_prob_open(p)
+    def _quantile_left(self, p):
         if p <= 0.5 * (1.0 - self.p):
             return 0.0
         if p <= 1.0 - 0.5 * self.p:
             return 2.0 * p - (1.0 - self.p)
         return 1.0
 
-    def quantile_right(self, p):
-        _check_prob_open(p)
+    def _quantile_right(self, p):
         if p < 0.5 * (1.0 - self.p):
             return 0.0
         if p < 1.0 - 0.5 * self.p:
@@ -329,24 +327,19 @@ class SmoothedBernoulli(Distribution):
 class Dirac(Distribution):
     x: float
 
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t >= self.x, 1.0, 0.0)
-        return out if out.ndim else float(out)
+    def _cdf(self, t):
+        return np.where(t >= self.x, 1.0, 0.0)
 
-    def atom_mass(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t == self.x, 1.0, 0.0)
-        return out if out.ndim else float(out)
+    def _atom_mass(self, t):
+        return np.where(t == self.x, 1.0, 0.0)
 
     def sample(self, n, rng):
         return np.full(n, float(self.x))
 
-    def quantile_left(self, p):
-        _check_prob_open(p)
+    def _quantile_left(self, p):
         return float(self.x)
 
-    quantile_right = quantile_left
+    _quantile_right = _quantile_left
 
 
 @dataclass(frozen=True)
@@ -366,15 +359,11 @@ class Mixture(Distribution):
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(w * np.asarray(c.cdf(x)) for w, c in zip(self.weights, self.components))
-        return out if np.ndim(out) else float(out)
+    def _cdf(self, x):
+        return sum(w * c._cdf(x) for w, c in zip(self.weights, self.components))
 
-    def atom_mass(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(w * np.asarray(c.atom_mass(x)) for w, c in zip(self.weights, self.components))
-        return out if np.ndim(out) else float(out)
+    def _atom_mass(self, x):
+        return sum(w * c._atom_mass(x) for w, c in zip(self.weights, self.components))
 
     def sample(self, n, rng):
         cum = np.cumsum(self.weights)
@@ -401,32 +390,24 @@ class Affine(Distribution):
         if self.scale == 0:
             raise ParameterOutOfRangeError("affine transform needs scale != 0")
 
-    def _pullback(self, x):
-        return (np.asarray(x, dtype=float) - self.shift) / self.scale
-
-    def cdf(self, x):
-        t = self._pullback(x)
+    def _cdf(self, x):
+        t = (x - self.shift) / self.scale
         if self.scale > 0:
-            out = np.asarray(self.base.cdf(t))
-        else:
-            out = 1.0 - np.asarray(self.base.cdf_left(t))
-        return out if out.ndim else float(out)
+            return self.base._cdf(t)
+        return 1.0 - self.base._cdf_left(t)
 
-    def atom_mass(self, x):
-        out = np.asarray(self.base.atom_mass(self._pullback(x)))
-        return out if out.ndim else float(out)
+    def _atom_mass(self, x):
+        return self.base._atom_mass((x - self.shift) / self.scale)
 
     def sample(self, n, rng):
         return self.scale * self.base.sample(n, rng) + self.shift
 
-    def quantile_left(self, p):
-        _check_prob_open(p)
+    def _quantile_left(self, p):
         if self.scale > 0:
             return self.scale * self.base.quantile_left(p) + self.shift
         return self.scale * self.base.quantile_right(1.0 - p) + self.shift
 
-    def quantile_right(self, p):
-        _check_prob_open(p)
+    def _quantile_right(self, p):
         if self.scale > 0:
             return self.scale * self.base.quantile_right(p) + self.shift
         return self.scale * self.base.quantile_left(1.0 - p) + self.shift
@@ -439,19 +420,15 @@ class _AbsDeviation(Distribution):
     base: Distribution
     center: float
 
-    def cdf(self, r):
-        r = np.asarray(r, dtype=float)
-        up = np.asarray(self.base.cdf(self.center + r))
-        down = np.asarray(self.base.cdf_left(self.center - r))
-        out = np.where(r < 0.0, 0.0, up - down)
-        return out if out.ndim else float(out)
+    def _cdf(self, r):
+        up = self.base._cdf(self.center + r)
+        down = self.base._cdf_left(self.center - r)
+        return np.where(r < 0.0, 0.0, up - down)
 
-    def atom_mass(self, r):
-        r = np.asarray(r, dtype=float)
-        above = np.asarray(self.base.atom_mass(self.center + r))
-        below = np.asarray(self.base.atom_mass(self.center - r))
-        out = np.where(r < 0.0, 0.0, np.where(r == 0.0, above, above + below))
-        return out if out.ndim else float(out)
+    def _atom_mass(self, r):
+        above = self.base._atom_mass(self.center + r)
+        below = self.base._atom_mass(self.center - r)
+        return np.where(r < 0.0, 0.0, np.where(r == 0.0, above, above + below))
 
     def sample(self, n, rng):
         return np.abs(self.base.sample(n, rng) - self.center)
@@ -617,13 +594,20 @@ def in_mad_family(dist: Distribution, params: FamilyParams, grid: int = 10_000) 
     return moments.mad <= params.mad_ratio * moments.mad2 * (1.0 + tol)
 
 
+def _median_levels(eps: float, model: AdversaryModel) -> tuple[float, float]:
+    """Levels (lo, hi) of the clean quantiles that bound where an eps adversary can put the
+    median: 1/2 -+ eps if malicious, else (1 - 2 eps) / (2 (1 - eps)) and 1 / (2 (1 - eps))."""
+    if model is AdversaryModel.MALICIOUS:
+        return 0.5 - eps, 0.5 + eps
+    return (1.0 - 2.0 * eps) / (2.0 * (1.0 - eps)), 1.0 / (2.0 * (1.0 - eps))
+
+
 def median_shift_bound(dist: Distribution, eps: float) -> float:
     """Widest median displacement achievable by mixing in an eps fraction of
     arbitrary mass, maximized over the median set when it is not a point."""
     if not 0.0 < eps < 0.5:
         raise ParameterOutOfRangeError(f"contamination level must lie in (0, 1/2), got {eps}")
-    hi_level = 1.0 / (2.0 * (1.0 - eps))
-    lo_level = (1.0 - 2.0 * eps) / (2.0 * (1.0 - eps))
+    lo_level, hi_level = _median_levels(eps, AdversaryModel.OBLIVIOUS)
     med_lo, med_hi = _median_pair(dist)
     up = dist.quantile_right(hi_level) - med_lo
     down = med_hi - dist.quantile_left(lo_level)

@@ -140,13 +140,13 @@ class _ValueParser:
         self.skip_ws()
         value = self.parse_value()
         self.skip_ws()
-        if self.pos != len(self.text):
+        if self.pos != len(self.text) and self.text[self.pos] != "#":
             self.fail(f"trailing characters after value: {self.text[self.pos:]!r}")
         return value
 
     def parse_value(self):
         self.skip_ws()
-        if self.pos >= len(self.text):
+        if self.pos >= len(self.text) or self.text[self.pos] == "#":
             self.fail("missing value")
         ch = self.text[self.pos]
         if ch == "{":
@@ -432,10 +432,9 @@ def _parse_sections(text: str):
             raise ConfigError(f"expected 'key = value', got {stripped!r}", line=lineno)
         key, _, rest = stripped.partition("=")
         key = key.strip()
-        rest = rest.split("#", 1)[0].strip() if not rest.strip().startswith('"') else rest.strip()
         if key not in _KNOWN_KEYS[current]:
             raise UnknownKeyError(f"unknown key in [{current}]", key=key, line=lineno)
-        value = _ValueParser(rest, lineno, key).parse()
+        value = _ValueParser(rest.strip(), lineno, key).parse()
         sections[current].append((key, value, lineno))
     return sections
 

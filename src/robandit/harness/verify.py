@@ -16,6 +16,7 @@ from ..bandit import (
     AlgoConfig,
     BanditInstance,
     effective_gaps,
+    elimination_round_delta,
     run_contaminated_successive_elimination,
     run_simple,
     simple_exploration_estimates,
@@ -295,11 +296,12 @@ def suite_kl(rng: np.random.Generator) -> SuiteResult:
 
 
 def suite_delta_budget(rng: np.random.Generator) -> SuiteResult:
-    """Per-round confidence shares sum back to delta over the round schedule."""
+    """The kernel's per-round confidence shares, over k arms and all rounds, sum to delta."""
     delta = 0.1
+    k = 3
     terms = 1_000_000
     r = np.arange(1, terms + 1, dtype=float)
-    partial = math.fsum((6.0 * delta / math.pi**2) / (r * r))
+    partial = k * math.fsum(elimination_round_delta(r, k, delta))
     tail_bound = (6.0 * delta / math.pi**2) / terms
     defect = abs(partial - delta)
     allowed = 1e-6 * delta + tail_bound
@@ -617,15 +619,12 @@ SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {
 
 
 def run_suites(names=None, seed: int = 0) -> list[SuiteResult]:
-    """Run the named suites (all when None), each on its own derived stream."""
+    """Run the named suites (all when None), each on the stream of its place in SUITES."""
     from .runner import replication_rng
 
-    selected = list(SUITES) if names is None else list(names)
+    order = list(SUITES)
+    selected = order if names is None else list(names)
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise RobanditError(f"unknown verify suites: {', '.join(unknown)}")
-    results = []
-    for offset, name in enumerate(selected):
-        rng = replication_rng(seed, offset)
-        results.append(SUITES[name](rng))
-    return results
+    return [SUITES[name](replication_rng(seed, order.index(name))) for name in selected]

@@ -32,6 +32,7 @@ from .distributions import (
     SmoothedBernoulli,
     Uniform,
     _is_unique,
+    _median_levels,
     _median_mad,
     _median_pair,
 )
@@ -241,12 +242,7 @@ def malicious_lifting(p, eps: float) -> LiftedInstance:
 def _exact_bias(dist: Distribution, eps: float, model: AdversaryModel) -> float:
     """Tight per-arm bias from the arm's own quantiles, not the family bound."""
     median = _hidden_median(dist)
-    if model is AdversaryModel.MALICIOUS:
-        up = dist.quantile_right(0.5 + eps) - median
-        down = median - dist.quantile_left(0.5 - eps)
-        return max(up, down)
-    hi = 1.0 / (2.0 * (1.0 - eps))
-    lo = (1.0 - 2.0 * eps) / (2.0 * (1.0 - eps))
+    lo, hi = _median_levels(eps, model)
     return max(dist.quantile_right(hi) - median, median - dist.quantile_left(lo))
 
 

@@ -25,6 +25,32 @@ ALL_DISTS = [
     rb.Affine(rb.Gaussian(0.0, 1.0), -2.0, 1.0),
 ]
 
+# Every law the Distribution protocol serves, the internal |X - c| law included.
+PROTOCOL_DISTS = ALL_DISTS + [_AbsDeviation(rb.SmoothedBernoulli(0.6), 0.6)]
+
+
+class TestProtocol:
+    """The base class's calling convention holds for every law."""
+
+    @pytest.mark.parametrize("method", ["cdf", "atom_mass", "cdf_left"])
+    @pytest.mark.parametrize("dist", PROTOCOL_DISTS, ids=lambda d: type(d).__name__)
+    def test_float_for_scalar_array_for_array(self, dist, method):
+        f = getattr(dist, method)
+        for scalar in (0.5, 1, np.float64(0.5), np.array(0.5)):
+            assert type(f(scalar)) is float
+        for shape in [(0,), (4,), (2, 3)]:
+            xs = np.linspace(-1.0, 2.0, math.prod(shape)).reshape(shape)
+            out = f(xs)
+            assert isinstance(out, np.ndarray) and out.shape == shape
+            for x, value in zip(xs.ravel(), out.ravel()):
+                assert value == pytest.approx(f(float(x)), abs=1e-15)
+        assert f([0.0, 1.0]).shape == (2,)
+
+    def test_law_without_cdf(self):
+        with pytest.raises(NotImplementedError):
+            rb.Distribution().cdf(0.0)
+        assert rb.Distribution().atom_mass(0.0) == 0.0
+
 
 class TestCdf:
     def test_uniform_value(self):
@@ -104,11 +130,12 @@ class TestQuantiles:
         assert s.quantile_right(0.5) == pytest.approx(0.6, abs=1e-15)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
-    def test_rejects_levels_outside_open_interval(self, p):
-        with pytest.raises(rb.ParameterOutOfRangeError):
-            rb.Uniform(0, 1).quantile_left(p)
-        with pytest.raises(rb.ParameterOutOfRangeError):
-            rb.Cauchy(0, 1).quantile_right(p)
+    @pytest.mark.parametrize("dist", PROTOCOL_DISTS, ids=lambda d: type(d).__name__)
+    def test_rejects_levels_outside_open_interval(self, dist, p):
+        with pytest.raises(rb.ParameterOutOfRangeError, match=r"quantile level must lie in \(0, 1\)"):
+            dist.quantile_left(p)
+        with pytest.raises(rb.ParameterOutOfRangeError, match=r"quantile level must lie in \(0, 1\)"):
+            dist.quantile_right(p)
 
     @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
     def test_galois_connection(self, dist):

@@ -22,6 +22,7 @@ from robandit.harness.config import (
     EXPERIMENT_KINDS,
     _DISTRIBUTIONS,
     _STRATEGIES,
+    _parse_sections,
     distribution_from_spec,
     strategy_from_spec,
 )
@@ -204,6 +205,20 @@ class TestParser:
             parse_config(bad)
         assert err.value.key == "mad_source"
         assert bad.splitlines()[err.value.line - 1].startswith("mad_source =")
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [
+            ('dir = "out/x"  # note', "out/x"),
+            ('dir = "a#b"', "a#b"),
+            ('dir = {note: "a # b", n: 2}  # c', {"note": "a # b", "n": 2}),
+            ("dir = out/x  # note", "out/x"),
+        ],
+        ids=["quoted-then-comment", "quoted-hash", "hash-in-map", "bare-then-comment"],
+    )
+    def test_comment_after_value(self, line, value):
+        """A `#` after a value starts a comment; a quoted `#` is kept."""
+        assert _parse_sections(f"[output]\n{line}\n") == {"output": [("dir", value, 2)]}
 
     def test_bai_demo_parses(self):
         config = parse_config((REPO_ROOT / "configs" / "bai_demo.cfg").read_text())
@@ -478,6 +493,12 @@ error_level = 0.1
     def test_unknown_suite_rejected(self):
         with pytest.raises(rb.RobanditError):
             run_suites(["no-such-suite"], seed=0)
+
+    def test_suite_stream_does_not_depend_on_selection(self):
+        full = {result.name: result.detail() for result in run_suites(seed=1)}
+        alone = run_suites(["tail-shift"], seed=1)[0].detail()
+        after_kl = run_suites(["kl", "tail-shift"], seed=1)[1].detail()
+        assert alone == after_kl == full["tail-shift"]
 
 
 def _cli_env(**overrides):
