@@ -23,6 +23,7 @@ from .distributions import (
     _is_unique,
     _median_levels,
     _median_pair,
+    _on_floats,
 )
 from .errors import IncompatibleStrategyError, ParameterOutOfRangeError
 
@@ -156,15 +157,8 @@ class ContaminatedArm:
             raise IncompatibleStrategyError("uniform tail shift needs a uniform base distribution")
 
 
-def _tail_shift_dist(base: Uniform, eps: float, direction: int) -> Uniform:
-    width = base.hi - base.lo
-    stretched = width / (1.0 - eps)
-    if direction > 0:
-        return Uniform(base.hi, base.lo + stretched)
-    return Uniform(base.hi - stretched, base.lo)
-
-
 def _fixed_component(arm: ContaminatedArm) -> Distribution:
+    """The law a contaminated pull is drawn from, for a strategy that fixes one."""
     strat = arm.strategy
     if isinstance(strat, FixedContamination):
         return strat.dist
@@ -172,8 +166,14 @@ def _fixed_component(arm: ContaminatedArm) -> Distribution:
         return Dirac(strat.magnitude)
     if isinstance(strat, ShiftMedianDown):
         return Dirac(-strat.magnitude)
+    if isinstance(strat, _COUPLED):
+        return Dirac(strat.point)
     if isinstance(strat, UniformTailShift):
-        return _tail_shift_dist(arm.dist, arm.eps, strat.direction)
+        base = arm.dist
+        stretched = (base.hi - base.lo) / (1.0 - arm.eps)
+        if strat.direction > 0:
+            return Uniform(base.hi, base.lo + stretched)
+        return Uniform(base.hi - stretched, base.lo)
     raise IncompatibleStrategyError(f"{type(strat).__name__} has no fixed contamination law")
 
 
@@ -241,24 +241,23 @@ def draw_batch(
 
     The clean values are drawn first, so with eps = 0 the output is bitwise
     equal to a plain sample of the arm's distribution under a shared seed.
+    A fixed law is drawn only at flagged pulls, in order; ``z`` is NaN elsewhere.
     Debug mode also asserts the order-statistic sandwich on the realized batch.
     """
     if n < 1:
         raise ParameterOutOfRangeError(f"batch size must be at least 1, got {n}")
     strat = arm.strategy
     y, d = draw_clean(arm, n, rng)
-    if isinstance(strat, _COUPLED):
-        z = np.full(n, strat.point)
-    elif isinstance(strat, EmpiricalQuantileShift):
+    s = int(np.count_nonzero(d))
+    if isinstance(strat, EmpiricalQuantileShift):
         z = segment_quantiles(y, [n], strat.target_quantile)
-    elif isinstance(strat, UniformTailShift) and arm.eps == 0.0:
-        z = np.full(n, np.nan)  # never selected; the stretched law is undefined at eps=0
     else:
-        z = _fixed_component(arm).sample(n, rng)
+        z = np.full(n, np.nan)
+        if s:  # no law is built without a flag: the tail shift has none at eps = 0
+            z[d] = _fixed_component(arm).sample(s, rng)
 
     x = np.where(d, z, y)
     if debug:
-        s = int(d.sum())
         if 2 * s < n:
             lo, hi = median_sandwich_bounds(y, s)
             med = float(np.median(x))
@@ -272,24 +271,22 @@ def draw_batch(
 
 def contaminated_cdf(arm: ContaminatedArm, x):
     """Exact cdf of the observable (contaminated) law, where one exists."""
+    return _on_floats(lambda xs: _observable_cdf(arm, xs), x)
+
+
+def _observable_cdf(arm: ContaminatedArm, xs: np.ndarray) -> np.ndarray:
     strat = arm.strategy
-    xs = np.asarray(x, dtype=float)
-    base = np.asarray(arm.dist.cdf(xs))
+    base = arm.dist._cdf(xs)
     if arm.eps == 0.0:
-        return base if base.ndim else float(base)
+        return base
     if isinstance(strat, BelowMedianCoupling):
-        moved = strat.flip_prob * np.asarray(arm.dist.cdf(np.minimum(xs, strat.threshold)))
-        total = strat.flip_prob * float(arm.dist.cdf(strat.threshold))
-        out = base - moved + total * (xs >= strat.point)
-    elif isinstance(strat, AtomTriggeredCoupling):
-        mass = strat.flip_prob * float(arm.dist.atom_mass(strat.trigger))
-        out = base - mass * (xs >= strat.trigger) + mass * (xs >= strat.point)
-    elif isinstance(strat, EmpiricalQuantileShift):
-        raise IncompatibleStrategyError("batch-aware contamination has no fixed observable law")
-    else:
-        g = np.asarray(_fixed_component(arm).cdf(xs))
-        out = (1.0 - arm.eps) * base + arm.eps * g
-    return out if out.ndim else float(out)
+        moved = strat.flip_prob * arm.dist._cdf(np.minimum(xs, strat.threshold))
+        total = strat.flip_prob * arm.dist.cdf(strat.threshold)
+        return base - moved + total * (xs >= strat.point)
+    if isinstance(strat, AtomTriggeredCoupling):
+        mass = strat.flip_prob * arm.dist.atom_mass(strat.trigger)
+        return base - mass * (xs >= strat.trigger) + mass * (xs >= strat.point)
+    return (1.0 - arm.eps) * base + arm.eps * _fixed_component(arm)._cdf(xs)
 
 
 def malicious_median_attack(dist: Distribution, eps: float) -> ContaminatedArm:
@@ -304,7 +301,7 @@ def malicious_median_attack(dist: Distribution, eps: float) -> ContaminatedArm:
     median, med_hi = _median_pair(dist)
     if not _is_unique(median, med_hi):
         raise ParameterOutOfRangeError("attack needs a unique median")
-    if abs(float(dist.cdf(median)) - 0.5) > 1e-9:
+    if abs(dist.cdf(median) - 0.5) > 1e-9:
         raise ParameterOutOfRangeError(
             "attack needs P(Y <= median) = 1/2 exactly; cdf jumps across the median"
         )
@@ -330,8 +327,8 @@ def ks_distance(values, dist: Distribution) -> float:
     uniq, counts = np.unique(xs, return_counts=True)
     ecdf_hi = np.cumsum(counts) / n
     ecdf_lo = ecdf_hi - counts / n
-    fs = np.asarray(dist.cdf(uniq), dtype=float)
-    fs_left = fs - np.asarray(dist.atom_mass(uniq), dtype=float)
+    fs = dist.cdf(uniq)
+    fs_left = fs - dist.atom_mass(uniq)
     return float(max(np.max(np.abs(fs - ecdf_hi)), np.max(np.abs(fs_left - ecdf_lo))))
 
 

@@ -402,15 +402,16 @@ class Affine(Distribution):
     def sample(self, n, rng):
         return self.scale * self.base.sample(n, rng) + self.shift
 
+    # 1 - p rounds to 1.0 for p <= 2**-54: only the base's array math takes it.
     def _quantile_left(self, p):
         if self.scale > 0:
-            return self.scale * self.base.quantile_left(p) + self.shift
-        return self.scale * self.base.quantile_right(1.0 - p) + self.shift
+            return self.scale * self.base._quantile_left(p) + self.shift
+        return self.scale * self.base._quantile_right(1.0 - p) + self.shift
 
     def _quantile_right(self, p):
         if self.scale > 0:
-            return self.scale * self.base.quantile_right(p) + self.shift
-        return self.scale * self.base.quantile_left(1.0 - p) + self.shift
+            return self.scale * self.base._quantile_right(p) + self.shift
+        return self.scale * self.base._quantile_left(1.0 - p) + self.shift
 
 
 @dataclass(frozen=True)
@@ -547,7 +548,7 @@ def _slope_check(dist: Distribution, lo: float, hi: float, inv_slope: float, gri
     every pair on the grid. A necessary-condition check, not a proof.
     """
     xs = np.linspace(lo, hi, grid + 1)
-    fs = np.asarray(dist.cdf(xs), dtype=float)
+    fs = dist.cdf(xs)
     need = np.diff(xs) / inv_slope
     slack = 1e-12 + 1e-9 * need
     return bool(np.all(np.diff(fs) + slack >= need))

@@ -176,12 +176,12 @@ def suite_quantile_galois(rng: np.random.Generator) -> SuiteResult:
             q_hi = dist.quantile_right(p)
             if q_lo > q_hi + 1e-12:
                 ok = False
-            gap = p - float(dist.cdf(q_lo))
+            gap = p - dist.cdf(q_lo)
             worst = max(worst, gap)
             if gap > 1e-9:
                 ok = False
             left = q_lo - max(1e-9, 1e-9 * abs(q_lo))
-            if float(dist.cdf(left)) >= p + 1e-9:
+            if dist.cdf(left) >= p + 1e-9:
                 ok = False
     return SuiteResult("quantile-galois", ok, {"max_defect": worst})
 
@@ -320,9 +320,7 @@ def suite_lifting_identity(rng: np.random.Generator) -> SuiteResult:
     worst_gap = 0.0
     for lifted in (oblivious_lifting(p, eps), malicious_lifting(p, eps)):
         for arm, law in zip(lifted.lifted_arms, lifted.observable_law):
-            sup = float(
-                np.max(np.abs(np.asarray(contaminated_cdf(arm, grid)) - np.asarray(law.cdf(grid))))
-            )
+            sup = float(np.max(np.abs(contaminated_cdf(arm, grid) - law.cdf(grid))))
             worst_cdf = max(worst_cdf, sup)
         gaps = lifted_effective_gaps(lifted)
         classical = lifted.classical_gaps
@@ -559,7 +557,7 @@ def suite_quality(rng: np.random.Generator) -> SuiteResult:
 
 
 def suite_reproducibility(rng: np.random.Generator) -> SuiteResult:
-    """Identical config and seed give byte-identical CSVs at parallelism 1 and 8."""
+    """Identical config and seed give byte-identical CSVs at parallelism 1 and 8, racing or not."""
     import tempfile
     from pathlib import Path
 
@@ -568,15 +566,15 @@ def suite_reproducibility(rng: np.random.Generator) -> SuiteResult:
 
     text = """
 [experiment]
-kind = bai-simple
+kind = {kind}
 replications = 16
 seed = 20240817
 
 [instance]
 model = oblivious
 eps = 0.1
-arm = {dist: {kind: uniform, lo: 0.0, hi: 1.0}, strategy: {kind: uniform_tail_shift, direction: 1}}
-arm = {dist: {kind: uniform, lo: 0.4, hi: 1.4}, strategy: {kind: uniform_tail_shift, direction: -1}}
+arm = {{dist: {{kind: uniform, lo: 0.0, hi: 1.0}}, strategy: {{kind: uniform_tail_shift, direction: 1}}}}
+arm = {{dist: {{kind: uniform, lo: 0.3, hi: 1.3}}, strategy: {{kind: uniform_tail_shift, direction: -1}}}}
 
 [algorithm]
 alpha = 0.3
@@ -587,14 +585,18 @@ slope_bound = 4.0
 mad_bound = 0.25
 mad_ratio = 2.0
 """
-    config = parse_config(text)
-    blobs = []
+    identical, sizes = True, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for run, parallelism in (("a", 1), ("b", 8), ("c", 1)):
-            result = run_experiment(config, parallelism=parallelism, out_dir=Path(tmp) / run)
-            blobs.append(result.files["records"].read_bytes() + result.files["summary"].read_bytes())
-    identical = blobs[0] == blobs[1] == blobs[2]
-    return SuiteResult("reproducibility", identical, {"bytes": len(blobs[0])})
+        for kind in ("bai-simple", "bai-succelim"):
+            config = parse_config(text.format(kind=kind))
+            blobs = []
+            for run, parallelism in enumerate((1, 8, 1)):
+                out_dir = Path(tmp, kind, str(run))
+                files = run_experiment(config, parallelism=parallelism, out_dir=out_dir).files
+                blobs.append(files["records"].read_bytes() + files["summary"].read_bytes())
+            identical = identical and blobs[0] == blobs[1] == blobs[2]
+            sizes[f"bytes_{kind[4:]}"] = len(blobs[0])
+    return SuiteResult("reproducibility", identical, sizes)
 
 
 SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {

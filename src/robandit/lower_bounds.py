@@ -165,7 +165,7 @@ def _assert_lifting(lifted: LiftedInstance, median_shifts: tuple[float, ...]) ->
     for arm, law, shift, pi in zip(
         lifted.lifted_arms, lifted.observable_law, median_shifts, lifted.p
     ):
-        gap = np.max(np.abs(np.asarray(contaminated_cdf(arm, grid)) - np.asarray(law.cdf(grid))))
+        gap = np.max(np.abs(contaminated_cdf(arm, grid) - law.cdf(grid)))
         if gap > 1e-12:
             raise LiftingError(f"observable law mismatch: sup distance {gap:.3e}")
         hidden_median = _hidden_median(arm.dist)

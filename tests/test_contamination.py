@@ -1,9 +1,13 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
+from robandit.contamination import draw_clean
 
 OBL = rb.AdversaryModel.OBLIVIOUS
 PRE = rb.AdversaryModel.PRESCIENT
@@ -28,6 +32,10 @@ class TestCompatibility:
         make_arm(rb.EmpiricalQuantileShift(0.9), model=PRE)
         make_arm(rb.EmpiricalQuantileShift(0.9), model=MAL)
 
+    def test_batch_aware_has_no_observable_cdf(self):
+        with pytest.raises(rb.IncompatibleStrategyError):
+            rb.contaminated_cdf(make_arm(rb.EmpiricalQuantileShift(0.9), model=PRE), 0.5)
+
     def test_tail_shift_needs_uniform_base(self):
         with pytest.raises(rb.IncompatibleStrategyError):
             make_arm(rb.UniformTailShift(1), dist=rb.Gaussian(0, 1))
@@ -45,10 +53,19 @@ class TestDrawBatch:
         assert np.array_equal(xs, ys)
 
     def test_zero_eps_any_strategy(self):
-        for strategy in (rb.FixedContamination(rb.Dirac(9.0)), rb.UniformTailShift(1)):
+        # the tail shift's law is undefined at eps = 0; no flag, so none is built
+        strategies = (rb.FixedContamination(rb.Dirac(9.0)), rb.UniformTailShift(1), rb.UniformTailShift(-1))
+        for strategy in strategies:
             arm = make_arm(strategy, eps=0.0)
-            xs = rb.draw_batch(arm, 500, np.random.default_rng(8))
-            assert np.all((0 <= xs) & (xs <= 1))
+            for debug in (False, True):
+                rng = np.random.default_rng(8)
+                out = rb.draw_batch(arm, 500, rng, debug)
+                ref = np.random.default_rng(8)
+                ys = arm.dist.sample(500, ref)
+                ref.random(500)
+                xs = out.x if debug else out
+                assert xs.tobytes() == ys.tobytes()
+                assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_contamination_fraction_concentrates(self):
         arm = make_arm(rb.ShiftMedianUp(1e6), eps=0.1)
@@ -70,6 +87,130 @@ class TestDrawBatch:
         batch = rb.draw_batch(arm, 2000, np.random.default_rng(11), debug=True)
         target = np.quantile(batch.y, 0.9, method="inverted_cdf")
         assert np.all(batch.z == target)
+
+
+def _stream_digest(arm, debug=False):
+    """sha256 of draw_batch's values for n = 1, 2, 7, 64, 4096 in turn on one
+    generator, and of the state they leave it in."""
+    rng = np.random.default_rng(20261019)
+    h = hashlib.sha256()
+    for n in (1, 2, 7, 64, 4096):
+        out = rb.draw_batch(arm, n, rng, debug)
+        h.update((out.x if debug else out).tobytes())
+    h.update(repr(rng.bit_generator.state).encode())
+    return h.hexdigest()
+
+
+# Arms whose contamination draws nothing from the generator, with their
+# _stream_digest as recorded when draw_batch still drew a contamination value
+# for every pull: sampling the law only at flagged pulls leaves these streams
+# alone.
+_PINNED = {
+    "dirac": (
+        make_arm(rb.FixedContamination(rb.Dirac(2.5)), eps=0.2, dist=rb.Gaussian(0.0, 1.0)),
+        "ba36182b70b8c7461f3c46fa87d6052e4ae6a57647f3471433a3e75c2fc4c86a",
+    ),
+    "shift-up": (
+        make_arm(rb.ShiftMedianUp()),
+        "8cd04b0665b967c4e236e1e3e31ab752e756e6e45cddb26795c5c7004f486340",
+    ),
+    "shift-down": (
+        make_arm(rb.ShiftMedianDown(3.0), eps=0.3, model=PRE, dist=rb.Cauchy(0.0, 1.0)),
+        "077c6ffd2a5e7652346fc84e40e860145dd2da5626bfa2b39663aebacfd8fabf",
+    ),
+    "below-median": (
+        rb.malicious_median_attack(rb.Uniform(0.0, 1.0), 0.2),
+        "6a64b35b495c39bb80e3a17a8005131286c2e6022702f61ac1f37281dc07dde5",
+    ),
+    "atom": (
+        make_arm(rb.AtomTriggeredCoupling(1.0, 0.3, 0.0), eps=0.15, model=MAL, dist=rb.Bernoulli(0.5)),
+        "5044ff97095f7ac6d389d767dd2b7c6f37a33d98e05b3f8354eb03b7f0ae2820",
+    ),
+    "quantile": (
+        make_arm(rb.EmpiricalQuantileShift(0.9), model=PRE),
+        "84d1bac35c85954f8b2a51a452291182da1300db3153a7aac0b36ad844909a5d",
+    ),
+}
+
+# Arms with a random contamination law, and that law.
+_RANDOM_LAW = {
+    "cauchy": (
+        make_arm(rb.FixedContamination(rb.Cauchy(5.0, 2.0)), eps=0.05, dist=rb.Gaussian(0.0, 1.0)),
+        rb.Cauchy(5.0, 2.0),
+    ),
+    "gaussian": (
+        make_arm(rb.FixedContamination(rb.Gaussian(3.0, 0.5)), eps=0.2),
+        rb.Gaussian(3.0, 0.5),
+    ),
+    "mixture": (
+        make_arm(
+            rb.FixedContamination(rb.Mixture([0.3, 0.7], [rb.Dirac(-2.0), rb.Uniform(2.0, 3.0)])),
+            eps=0.3,
+            dist=rb.Cauchy(0.0, 1.0),
+        ),
+        rb.Mixture([0.3, 0.7], [rb.Dirac(-2.0), rb.Uniform(2.0, 3.0)]),
+    ),
+    "tail-up": (make_arm(rb.UniformTailShift(1)), rb.Uniform(1.0, 1.0 / 0.9)),
+    "tail-down": (
+        make_arm(rb.UniformTailShift(-1), eps=0.4, dist=rb.Uniform(2.0, 5.0)),
+        rb.Uniform(0.0, 2.0),
+    ),
+}
+
+
+def _ks_to_contaminated_cdf(arm, xs):
+    """sup |empirical cdf - contaminated_cdf|, tie-aware: the left limit is
+    the cdf at the float below each value."""
+    uniq, counts = np.unique(xs, return_counts=True)
+    hi = np.cumsum(counts) / xs.size
+    lo = hi - counts / xs.size
+    f = rb.contaminated_cdf(arm, uniq)
+    f_left = rb.contaminated_cdf(arm, np.nextafter(uniq, -np.inf))
+    return max(np.max(np.abs(f - hi)), np.max(np.abs(f_left - lo)))
+
+
+class TestContaminationDraws:
+    """A fixed contamination law is sampled only at the flagged pulls."""
+
+    @pytest.mark.parametrize("debug", [False, True])
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_streams_without_random_draws_are_pinned(self, name, debug):
+        arm, digest = _PINNED[name]
+        assert _stream_digest(arm, debug) == digest
+
+    @pytest.mark.parametrize("name", sorted(_RANDOM_LAW))
+    def test_flagged_pulls_are_the_law_drawn_in_order(self, name):
+        arm, law = _RANDOM_LAW[name]
+        rng = np.random.default_rng(21)
+        xs = rb.draw_batch(arm, 5000, rng)
+        twin = np.random.default_rng(21)
+        y, d = draw_clean(arm, 5000, twin)
+        z = law.sample(int(d.sum()), twin)
+        assert 0 < z.size < 5000
+        assert xs[~d].tobytes() == y[~d].tobytes()
+        assert xs[d].tobytes() == z.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("name", sorted(_RANDOM_LAW))
+    def test_values_follow_the_contaminated_cdf(self, name):
+        arm, _ = _RANDOM_LAW[name]
+        n = 100_000
+        xs = rb.draw_batch(arm, n, np.random.default_rng(22))
+        assert _ks_to_contaminated_cdf(arm, xs) <= math.sqrt(math.log(2 / 1e-4) / (2 * n))
+
+    @pytest.mark.parametrize("name", sorted(_PINNED) + sorted(_RANDOM_LAW))
+    def test_debug_mode_draws_the_same(self, name):
+        arm = {**_PINNED, **_RANDOM_LAW}[name][0]
+        for n in (1, 3, 4096):
+            rng = np.random.default_rng(23)
+            xs = rb.draw_batch(arm, n, rng)
+            debug_rng = np.random.default_rng(23)
+            batch = rb.draw_batch(arm, n, debug_rng, debug=True)
+            assert batch.x.tobytes() == xs.tobytes()
+            assert rng.bit_generator.state == debug_rng.bit_generator.state
+            assert np.array_equal(batch.x, np.where(batch.d, batch.z, batch.y))
+            if name in _RANDOM_LAW:
+                assert np.all(np.isnan(batch.z[~batch.d]))
 
 
 class _Replay(rb.Distribution):

@@ -157,6 +157,14 @@ class TestQuantiles:
         flipped = rb.Affine(base, -1.0, 0.0)
         assert flipped.quantile_left(0.5) == pytest.approx(-0.6, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1e-17, 2.0**-54, 5e-324])
+    def test_affine_negative_scale_takes_levels_near_zero(self, p):
+        # 1 - p rounds to 1.0 at these levels
+        for scale, shift, image in ((-1.0, 0.0, rb.Uniform(-1.0, 0.0)), (-2.0, 3.0, rb.Uniform(1.0, 3.0))):
+            flipped = rb.Affine(rb.Uniform(0.0, 1.0), scale, shift)
+            assert flipped.quantile_left(p) == image.quantile_left(p)
+            assert flipped.quantile_right(p) == image.quantile_right(p)
+
 
 def _bisection_oracle(dist, p, strict, max_steps=200):
     """The bracketed bisection the k-section search replaced, kept as its
