@@ -230,11 +230,12 @@ def elimination_round_delta(r: int, k: int, delta: float) -> float:
 class RunningMedian:
     """Two-heap running median matching ``empirical_median`` exactly.
 
-    The reference oracle for the racing kernel, which keeps sorted arrays
-    instead: its tests replay the kernel against a round-by-round loop that
-    pushes every pull into one of these. ``_low`` is a negated max-heap of the
-    lower half, ``_high`` a min-heap of the upper half; the lower half holds
-    the extra element for odd counts.
+    The reference oracle for the racing kernel, which keeps a sorted window
+    of order statistics per arm instead (``_MedianWindow``): its tests replay
+    the kernel against a round-by-round loop that pushes every pull into one
+    of these. ``_low`` is a negated max-heap of the lower half, ``_high`` a
+    min-heap of the upper half; the lower half holds the extra element for
+    odd counts.
     """
 
     __slots__ = ("_low", "_high")
@@ -280,8 +281,13 @@ _BLOCK = 4096
 # numpy's log may differ from math.log by a few ulps; the skip test shrinks
 # its radii by this factor, so a rounding difference can only add a check.
 _RADIUS_SHRINK = 1.0 - 1e-9
-# Rounds covered by the first envelope scan after a check; each further scan doubles.
+# Rounds covered by a race's first envelope scan; later scans start at twice
+# the previous check distance, and each further scan doubles.
 _SCAN_ROUNDS = 32
+# An arm's pulls stay one sorted array until it holds more than _WHOLE of them;
+# past that it keeps _HALF_WIDTH sorted ranks on each side of its middle pair.
+_WHOLE = 16_384
+_HALF_WIDTH = 2048
 
 
 class _ArmPulls:
@@ -371,9 +377,8 @@ class _RoundSchedule:
 
 
 def _merged(a: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The sorted array ``a`` with ``values`` merged in, without a full sort."""
-    values = np.sort(values)
-    at = np.searchsorted(a, values) + np.arange(values.size)
+    """The sorted array ``a`` with the sorted ``values`` merged in, without a full sort."""
+    at = a.searchsorted(values) + np.arange(values.size)
     out = np.empty(a.size + values.size)
     rest = np.ones(out.size, dtype=bool)
     rest[at] = False
@@ -382,12 +387,65 @@ def _merged(a: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sorted_median(a: np.ndarray) -> float:
-    """``empirical_median`` of a sorted array."""
-    mid = a.size // 2
-    if a.size % 2:
-        return float(a[mid])
-    return 0.5 * (float(a[mid - 1]) + float(a[mid]))
+class _MedianWindow:
+    """One arm's pulls as the order statistics around their middle pair.
+
+    ``window`` holds the ranks ``base`` to ``base + window.size - 1`` sorted;
+    ``out`` holds every other value, unsorted, as a list of chunks. Up to
+    ``_WHOLE`` values the window is the whole sorted array. Past that it keeps
+    at most ``_HALF_WIDTH`` ranks on each side of the middle pair, and is
+    rebuilt from all values when a side with values beyond it holds fewer than
+    half of those.
+    """
+
+    __slots__ = ("window", "base", "count", "out")
+
+    def __init__(self, values: np.ndarray):
+        self.window = np.sort(values)
+        self.base = 0
+        self.count = values.size
+        self.out: list[np.ndarray] = []
+
+    def add(self, values: np.ndarray) -> None:
+        """Take in ``values``: merge those between the window's ends, set
+        aside the rest, and re-centre the window on the new middle pair."""
+        values = np.sort(values)
+        w, base, n = self.window, self.base, self.count + values.size
+        # an end with no values beyond it is open, so a whole window stays whole
+        below = values.searchsorted(w[0]) if base else 0
+        above = values.searchsorted(w[-1], "right") if base + w.size < self.count else values.size
+        self.out += [c for c in (values[:below], values[above:]) if c.size]
+        w, base, self.count = _merged(w, values[below:above]), base + below, n
+        half = _HALF_WIDTH if n > _WHOLE else n
+        mid = (n - 1) // 2  # the middle pair's ranks are mid and n // 2
+        start, stop = max(mid - half, 0), min(n // 2 + half + 1, n)
+        # a side of the middle pair with values beyond it needs half // 2 ranks
+        short_below = base > 0 and mid - base < half // 2
+        short_above = base + w.size < n and base + w.size - 1 - n // 2 < half // 2
+        if short_below or short_above:
+            self._rebuild(w, start, stop)
+            return
+        lo, hi = max(start - base, 0), min(stop - base, w.size)
+        # copies, so that the trimmed ends do not keep the merged array alive
+        self.out += [w[:lo].copy()] if lo else []
+        self.out += [w[hi:].copy()] if hi < w.size else []
+        self.window, self.base = w[lo:hi], base + lo
+
+    def _rebuild(self, w: np.ndarray, start: int, stop: int) -> None:
+        """Make the window ranks ``start`` to ``stop - 1`` with one partition
+        over ``w`` and the values set aside."""
+        everything = np.concatenate([*self.out, w])
+        everything.partition((start, stop - 1))
+        self.window = np.sort(everything[start:stop])
+        self.out = [c for c in (everything[:start], everything[stop:]) if c.size]
+        self.base = start
+
+    def median(self) -> float:
+        """``empirical_median`` of every value taken in."""
+        w, mid = self.window, self.count // 2 - self.base
+        if self.count % 2:
+            return float(w[mid])
+        return 0.5 * (float(w[mid - 1]) + float(w[mid]))
 
 
 def run_contaminated_successive_elimination(
@@ -402,13 +460,15 @@ def run_contaminated_successive_elimination(
     elimination diameter drops to alpha/2.
 
     Medians are evaluated only at rounds where an elimination or a stop is
-    possible (envelope skipping). Each survivor's pulls are kept sorted; m
-    pulls after a check at c pulls, its median lies between the check's
-    order statistics of ranks lo(c+m) - m and hi(c+m), lo and hi the ranks
-    of the middle pair. While the lowest such lower end stays within two
-    radii of the highest upper end, no arm can be dropped, so the kernel
-    draws all pulls up to the first round where that fails and checks there.
-    Results equal those of a round-by-round loop.
+    possible (envelope skipping). Each survivor keeps the order statistics
+    around its middle pair sorted (``_MedianWindow``); m pulls after a check
+    at c pulls, its median lies between the check's order statistics of ranks
+    lo(c+m) - m and hi(c+m), lo and hi the ranks of the middle pair. While the
+    lowest such lower end stays within two radii of the highest upper end, no
+    arm can be dropped, so the kernel draws all pulls up to the first round
+    where that fails, or where those ranks leave a survivor's window, and
+    checks there. A check at a round where no arm can be dropped changes
+    nothing, so results equal those of a round-by-round loop.
 
     Arm i pulls from its own generator ``rng.spawn(k)[i]`` in fixed blocks (see
     ``_ArmPulls``), so its pulls do not depend on when the kernel checks or on
@@ -434,42 +494,51 @@ def run_contaminated_successive_elimination(
         return np.sqrt(radius_scale2 * np.log(3.0 / elimination_round_delta(r, k, delta)) / r)
 
     streams = [_ArmPulls(arm, child) for arm, child in zip(instance.arms, rng.spawn(k))]
-    anchors = [np.sort(s.rounds([warmup])) for s in streams]
+    stores = [_MedianWindow(s.rounds([warmup])) for s in streams]
     if k == 1:
         return BanditRunResult(0, (warmup,), 0, (), "single-survivor")
     schedule = _RoundSchedule(floor_scale, radii, stop_radius, max_rounds)
-    estimates = [_sorted_median(a) for a in anchors]
-    count = warmup
-    pulls = [warmup] * k
+    estimates = [s.median() for s in stores]
 
-    def next_check(first: int, survivors: list[int]) -> int:
+    def next_check(first: int, survivors: list[int], span: int) -> int:
         """The first round from ``first`` on at which an elimination is
-        possible or after which the race may stop; ``first - 1`` was checked."""
-        rows = [anchors[i] for i in survivors]
+        possible or after which the race may stop, or at which the ranks to
+        read leave a survivor's window; ``first - 1`` was checked."""
+        rows = [stores[i] for i in survivors]
+        count = rows[0].count
+        # every window holds the ranks floor..top; m more pulls read ranks
+        # (count - 1 - m) // 2 to (count + m) // 2, within them while m <= reach
+        floor = max(a.base for a in rows)
+        top = min(a.base + a.window.size for a in rows) - 1
+        reach = min(count - 1 - 2 * floor, 2 * top + 1 - count)
+        views = [a.window[floor - a.base :] for a in rows]
         base = schedule.cum[first - 1]
-        span = _SCAN_ROUNDS
         while True:
             last = first + span
             schedule.cover(last + 1)
             m = schedule.cum[first : last + 1] - base
-            inside = m < count  # else the envelope has no order statistic to use
-            lo = np.maximum((count + m + 1) // 2 - m - 1, 0)
-            hi = np.minimum((count + m) // 2, count - 1)
-            lowest, highest = rows[0][lo], rows[0][hi]
-            for a in rows[1:]:
-                np.minimum(lowest, a[lo], out=lowest)
-                np.maximum(highest, a[hi], out=highest)
-            hit = ~(inside & (lowest >= highest - schedule.width[first : last + 1]))
-            hit |= schedule.may_stop[first + 1 : last + 2]
-            j = int(hit.argmax())
-            if hit[j]:
-                return first + j
+            ok = int(m.searchsorted(reach, "right"))
+            if ok:
+                m = m[:ok]
+                lo, hi = (count - 1 - 2 * floor - m) // 2, (count - 2 * floor + m) // 2
+                lowest, highest = views[0][lo], views[0][hi]
+                for v in views[1:]:
+                    np.minimum(lowest, v[lo], out=lowest)
+                    np.maximum(highest, v[hi], out=highest)
+                hit = lowest < highest - schedule.width[first : first + ok]
+                hit |= schedule.may_stop[first + 1 : first + ok + 1]
+                j = int(hit.argmax())
+                if hit[j]:
+                    return first + j
+            if ok <= last - first:
+                return first + ok
             first = last + 1
             span *= 2
 
     survivors = list(range(k))
     trace: list[tuple[int, tuple[int, ...]]] = []
     r = 0
+    span = _SCAN_ROUNDS
     terminated_by = "single-survivor"
     while len(survivors) > 1:
         radius = radius_at(r + 1)
@@ -479,17 +548,15 @@ def run_contaminated_successive_elimination(
         if r + 1 > max_rounds:
             terminated_by = "round-cap"
             break
-        check = next_check(r + 1, survivors)
+        check = next_check(r + 1, survivors, span)
+        span = 2 * (check - r)
         sizes = np.diff(schedule.cum[r : check + 1]).tolist()
         for i in survivors:
-            anchors[i] = _merged(anchors[i], streams[i].rounds(sizes))
-        count += sum(sizes)
+            stores[i].add(streams[i].rounds(sizes))
+            estimates[i] = stores[i].median()
         if check > r + 1:
             radius = radius_at(check)
         r = check
-        for i in survivors:
-            pulls[i] = count
-            estimates[i] = _sorted_median(anchors[i])
         best_value = max(estimates[i] for i in survivors)
         keep = [i for i in survivors if estimates[i] >= best_value - 2.0 * radius]
         dropped = tuple(i for i in survivors if i not in keep)
@@ -499,7 +566,7 @@ def run_contaminated_successive_elimination(
     chosen = max(survivors, key=lambda i: (estimates[i], -i))
     return BanditRunResult(
         chosen_arm=int(chosen),
-        pulls_per_arm=tuple(pulls),
+        pulls_per_arm=tuple(s.count for s in stores),
         rounds=r,
         elimination_trace=tuple(trace),
         terminated_by=terminated_by,

@@ -95,7 +95,10 @@ class Distribution:
 
     A law states only its math on float arrays: ``_cdf``, ``_atom_mass`` if it
     has atoms, and ``_quantile_left``/``_quantile_right`` if it has closed
-    forms (the k-section search otherwise). The public methods take a scalar
+    forms (the k-section search otherwise). A law with a closed-form upper
+    tail also states ``_upper_quantile_left``/``_upper_quantile_right``, its
+    quantiles at level 1 - p computed from p, which keep a small p that
+    ``1.0 - p`` rounds away. The public methods take a scalar
     or an array, return a float for a scalar and reject a quantile level
     outside (0, 1), once for every law.
     """
@@ -134,6 +137,12 @@ class Distribution:
 
     def _quantile_right(self, p):
         return _search_quantile(self, p, strict=True)
+
+    def _upper_quantile_left(self, p):
+        return self._quantile_left(1.0 - p)
+
+    def _upper_quantile_right(self, p):
+        return self._quantile_right(1.0 - p)
 
 
 def _on_floats(law_math, x):
@@ -214,7 +223,11 @@ class Uniform(Distribution):
     def _quantile_left(self, p):
         return self.lo + p * (self.hi - self.lo)
 
+    def _upper_quantile_left(self, p):
+        return self.hi - p * (self.hi - self.lo)
+
     _quantile_right = _quantile_left
+    _upper_quantile_right = _upper_quantile_left
 
 
 @dataclass(frozen=True)
@@ -235,7 +248,11 @@ class Gaussian(Distribution):
     def _quantile_left(self, p):
         return self.mu + self.sigma * float(_special().ndtri(p))
 
+    def _upper_quantile_left(self, p):
+        return self.mu - self.sigma * float(_special().ndtri(p))
+
     _quantile_right = _quantile_left
+    _upper_quantile_right = _upper_quantile_left
 
 
 @dataclass(frozen=True)
@@ -256,7 +273,11 @@ class Cauchy(Distribution):
     def _quantile_left(self, p):
         return self.x0 + self.scale * math.tan(math.pi * (p - 0.5))
 
+    def _upper_quantile_left(self, p):
+        return self.x0 - self.scale * math.tan(math.pi * (p - 0.5))
+
     _quantile_right = _quantile_left
+    _upper_quantile_right = _upper_quantile_left
 
 
 @dataclass(frozen=True)
@@ -339,7 +360,7 @@ class Dirac(Distribution):
     def _quantile_left(self, p):
         return float(self.x)
 
-    _quantile_right = _quantile_left
+    _quantile_right = _upper_quantile_left = _upper_quantile_right = _quantile_left
 
 
 @dataclass(frozen=True)
@@ -402,16 +423,17 @@ class Affine(Distribution):
     def sample(self, n, rng):
         return self.scale * self.base.sample(n, rng) + self.shift
 
-    # 1 - p rounds to 1.0 for p <= 2**-54: only the base's array math takes it.
+    # A negative scale reads the base at level 1 - p, which a closed-form base
+    # computes from p: 1.0 - p loses a small p, and is 1.0 for p <= 2**-54.
     def _quantile_left(self, p):
         if self.scale > 0:
             return self.scale * self.base._quantile_left(p) + self.shift
-        return self.scale * self.base._quantile_right(1.0 - p) + self.shift
+        return self.scale * self.base._upper_quantile_right(p) + self.shift
 
     def _quantile_right(self, p):
         if self.scale > 0:
             return self.scale * self.base._quantile_right(p) + self.shift
-        return self.scale * self.base._quantile_left(1.0 - p) + self.shift
+        return self.scale * self.base._upper_quantile_left(p) + self.shift
 
 
 @dataclass(frozen=True)

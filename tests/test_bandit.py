@@ -238,6 +238,96 @@ class TestRunningMedian:
             rb.RunningMedian().median
 
 
+# Window sizes (_WHOLE, _HALF_WIDTH) for the store tests: a window from the
+# first chunk on, and small ones that the chunks below switch, trim and rebuild.
+WINDOW_SIZES = [(0, 1), (8, 2), (16, 4), (64, 8)]
+
+
+def store_chunk(data, store, half):
+    """One chunk for ``store``: continuous values, atoms of a Mixture of Diracs,
+    the window's own ends, or values all beyond one end, some longer than the
+    half-width."""
+    size = data.draw(st.integers(1, 3 * half + 4))
+    kind = data.draw(st.sampled_from(["floats", "atoms", "ends", "high", "low"]))
+    if kind == "floats":
+        values = data.draw(st.lists(st.floats(-4, 4), min_size=size, max_size=size))
+    elif kind == "atoms":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        return QUANTILE_BASES[1].sample(size, rng)
+    elif kind == "ends":
+        ends = [store.window[0], store.window[-1], 1.0]
+        values = data.draw(st.lists(st.sampled_from(ends), min_size=size, max_size=size))
+    else:
+        values = data.draw(st.lists(st.floats(5, 9), min_size=size, max_size=size))
+        values = [-v for v in values] if kind == "low" else values
+    return np.array(values, dtype=float)
+
+
+def assert_store_holds(store, pulls):
+    """``store`` holds ``pulls``: the window is their sorted ranks from
+    ``base`` on and covers the middle pair, and ``out`` holds the rest."""
+    ordered = np.sort(pulls)
+    n, w = ordered.size, store.window
+    assert store.count == n
+    assert store.base <= (n - 1) // 2 and n // 2 < store.base + w.size
+    assert np.array_equal(w, ordered[store.base : store.base + w.size])
+    assert np.array_equal(np.sort(np.concatenate([*store.out, w])), ordered)
+    assert store.median() == rb.empirical_median(pulls)
+
+
+class TestMedianWindow:
+    """The racing kernel's order-statistic store against ``np.sort`` of
+    every value fed to it."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data(), st.sampled_from(WINDOW_SIZES))
+    def test_matches_sorted_pulls(self, data, sizes):
+        whole, half = sizes
+        with (
+            mock.patch.object(bandit, "_WHOLE", whole),
+            mock.patch.object(bandit, "_HALF_WIDTH", half),
+        ):
+            pulls = data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=12))
+            pulls = np.array(pulls, dtype=float)
+            store = bandit._MedianWindow(pulls)
+            assert_store_holds(store, pulls)
+            for _ in range(data.draw(st.integers(1, 10))):
+                chunk = store_chunk(data, store, half)
+                store.add(chunk)
+                pulls = np.concatenate([pulls, chunk])
+                assert_store_holds(store, pulls)
+                if pulls.size <= whole:
+                    assert store.base == 0 and store.window.size == pulls.size
+                else:
+                    assert store.window.size <= 2 * half + 2
+
+    def test_stays_whole_then_trims_then_rebuilds(self):
+        rebuild = bandit._MedianWindow._rebuild
+        with (
+            mock.patch.object(bandit, "_WHOLE", 16),
+            mock.patch.object(bandit, "_HALF_WIDTH", 4),
+            mock.patch.object(
+                bandit._MedianWindow, "_rebuild", autospec=True, side_effect=rebuild
+            ) as rebuilds,
+        ):
+            rng = np.random.default_rng(15)
+            pulls = rng.random(10)
+            store = bandit._MedianWindow(pulls)
+            for chunk, base, size in ((rng.random(6), 0, 16), (rng.random(8), 7, 10)):
+                store.add(chunk)
+                pulls = np.concatenate([pulls, chunk])
+                assert_store_holds(store, pulls)
+                assert (store.base, store.window.size) == (base, size)
+            assert rebuilds.call_count == 0
+            # every new value lies above the window: the middle pair leaves it
+            chunk = 2.0 + rng.random(40)
+            store.add(chunk)
+            pulls = np.concatenate([pulls, chunk])
+            assert rebuilds.call_count == 1
+            assert_store_holds(store, pulls)
+            assert (store.base, store.window.size) == (27, 10)
+
+
 class _OraclePuller:
     """The reference loop's puller on one arm's own generator, in whole blocks
     of ``bandit._BLOCK`` draws: iid arms hand out a block's values in order;
@@ -423,16 +513,44 @@ class TestEnvelopeSkippingKernel:
         )
         assert_kernel_matches_oracle(lifted.instance(), config, 2024)
 
+    @settings(deadline=None, max_examples=30)
+    @given(race_cases(), st.sampled_from([(0, 1), (64, 8), (600, 64)]))
+    def test_windowed_kernel_matches_round_by_round_oracle(self, case, sizes):
+        """The same with windows small enough that races trim, rebuild and
+        cut scans at the windows' ends."""
+        whole, half = sizes
+        with (
+            mock.patch.object(bandit, "_WHOLE", whole),
+            mock.patch.object(bandit, "_HALF_WIDTH", half),
+        ):
+            assert_kernel_matches_oracle(*case)
+
+    def test_narrow_lifted_instance(self):
+        """The narrow hardness instance, whose arms pass ``_WHOLE`` pulls and
+        keep windows."""
+        lifted = rb.oblivious_lifting([0.55, 0.45], 0.05)
+        config = rb.AlgoConfig(
+            alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05
+        )
+        with mock.patch.object(
+            bandit._MedianWindow, "add", autospec=True, side_effect=bandit._MedianWindow.add
+        ) as add:
+            assert_kernel_matches_oracle(lifted.instance(), config, 6)
+        assert max(c.args[0].count for c in add.call_args_list) > bandit._WHOLE
+
     def test_checks_fewer_rounds_than_it_races(self):
         lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
         config = rb.AlgoConfig(
             alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05
         )
-        with mock.patch.object(bandit, "_sorted_median", wraps=bandit._sorted_median) as med:
+        # each check hands every survivor's new pulls to its store once
+        with mock.patch.object(
+            bandit._MedianWindow, "add", autospec=True, side_effect=bandit._MedianWindow.add
+        ) as add:
             result = rb.run_contaminated_successive_elimination(
                 lifted.instance(), config, np.random.default_rng(3)
             )
-        assert med.call_count < result.rounds / 10
+        assert 0 < add.call_count < result.rounds / 10
 
 
 def iid_arms():

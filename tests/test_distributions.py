@@ -166,6 +166,18 @@ class TestQuantiles:
             assert flipped.quantile_right(p) == image.quantile_right(p)
 
 
+    @pytest.mark.parametrize("p", [1e-17, 1e-12, 1e-3, 0.3, 0.5, 0.9, 1.0 - 1e-12])
+    @pytest.mark.parametrize(
+        "law", [rb.Gaussian(0.0, 1.0), rb.Cauchy(0.0, 1.0), rb.Uniform(-1.0, 1.0), rb.Dirac(0.0)]
+    )
+    def test_affine_negative_scale_keeps_small_levels(self, law, p):
+        # a law symmetric about 0 is its own mirror image; 1 - p rounds away a small p
+        flipped = rb.Affine(law, -1.0)
+        for side in ("quantile_left", "quantile_right"):
+            want = getattr(law, side)(p)
+            assert getattr(flipped, side)(p) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
 def _bisection_oracle(dist, p, strict, max_steps=200):
     """The bracketed bisection the k-section search replaced, kept as its
     reference: the old loop with its 200-step cap as a parameter. Returns the

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -413,6 +415,20 @@ class TestRunExperiment:
             result = run_experiment(config, parallelism=parallelism, out_dir=tmp_path / name)
             blobs.append(b"".join(result.files[f].read_bytes() for f in files))
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize(
+        "demo, replications, digest",
+        [
+            ("lb", 4, "d0c66b6eb548a7fd614fd09ce8264f61869e636c3a589a959b3b044d386bd3e3"),
+            ("prescient", 20, "e536d46730e7ab36ae645e8f3254f0b7025a50ee439e120d655fd8e23b52bb38"),
+        ],
+    )
+    def test_racing_records_are_pinned(self, tmp_path, demo, replications, digest):
+        """sha256 of ``records.csv`` for two racing demos, recorded while the
+        racing kernel kept every arm's pulls as one sorted array."""
+        text = re.sub(r"replications = \d+", f"replications = {replications}", _demo(demo))
+        result = run_experiment(parse_config(text), out_dir=tmp_path)
+        assert hashlib.sha256(result.files["records"].read_bytes()).hexdigest() == digest
 
     def test_estimate_median_experiment(self, tmp_path):
         text = """
