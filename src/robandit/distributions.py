@@ -74,11 +74,13 @@ def _special():
 
 # glibc serves each allocation above its mmap threshold (128 KB at start) with
 # fresh pages, and raises the threshold to the size of the largest such block
-# freed, up to 32 MB. A race's sorted pull arrays and an estimate's batches
-# (0.1-3 MB) are allocated anew at every check or replication; below the
-# threshold they reuse heap pages instead of faulting new ones in, which cuts
-# the benchmark's lifted-race and bulk-estimate wall time by 10-14%. Freeing
-# one untouched 4 MB block raises the threshold once and keeps no memory.
+# freed, up to 32 MB. An estimate allocates its batch anew at every replication
+# (the benchmark's bulk-estimate draws n = 19,087 values, about 153 KB); below
+# the threshold the batch reuses heap pages instead of faulting new ones in.
+# On a 2-core machine, two sets of 6 alternating benchmark pairs without this
+# block put bulk-estimate wall time up 17% and 24% (worse in every pair);
+# lifted-race, whose median windows stay small, moved by 1-3%, near its noise.
+# Freeing one untouched 4 MB block raises the threshold once and keeps no memory.
 np.empty(1 << 19)
 
 
@@ -255,6 +257,17 @@ class Gaussian(Distribution):
     _upper_quantile_right = _upper_quantile_left
 
 
+def _tan_from_median(p: float) -> float:
+    """tan(pi * (p - 1/2)). Near 0 or 1, tan amplifies the rounding of its
+    argument (and below 1/4 ``p - 0.5`` rounds p too), so off [1/4, 3/4] this
+    is the cotangent of the exact tail mass, p or 1 - p."""
+    if p < 0.25:
+        return -1.0 / math.tan(math.pi * p)
+    if p > 0.75:
+        return 1.0 / math.tan(math.pi * (1.0 - p))
+    return math.tan(math.pi * (p - 0.5))
+
+
 @dataclass(frozen=True)
 class Cauchy(Distribution):
     x0: float
@@ -271,10 +284,10 @@ class Cauchy(Distribution):
         return self.x0 + self.scale * rng.standard_cauchy(size=n)
 
     def _quantile_left(self, p):
-        return self.x0 + self.scale * math.tan(math.pi * (p - 0.5))
+        return self.x0 + self.scale * _tan_from_median(p)
 
     def _upper_quantile_left(self, p):
-        return self.x0 - self.scale * math.tan(math.pi * (p - 0.5))
+        return self.x0 - self.scale * _tan_from_median(p)
 
     _quantile_right = _quantile_left
     _upper_quantile_right = _upper_quantile_left

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from ..errors import RobanditError
-from .config import ConfigError, ExperimentConfig, check_seed, parse_config
+from .config import ConfigError, ExperimentConfig, check_seed, check_suites, parse_config
 from .runner import run_experiment
 
 _COMMAND_KINDS = {
@@ -54,8 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             config = parse_config(args.config.read_text())
         elif args.command == "verify":
-            suites = tuple(s for s in (args.suites or "").split(",") if s) or ()
-            config = ExperimentConfig(kind="verify", replications=1, seed=0, suites=suites)
+            config = ExperimentConfig(kind="verify", replications=1, seed=0)
         else:
             print("error: --config is required", file=sys.stderr)
             return 2
@@ -66,8 +65,8 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.command == "verify" and args.config is not None and args.suites:
-            config.suites = tuple(s for s in args.suites.split(",") if s)
+        if args.command == "verify" and args.suites:
+            config.suites = check_suites([s for s in args.suites.split(",") if s])
 
         env_seed = os.environ.get("ROBANDIT_SEED")
         if env_seed is not None:

@@ -70,6 +70,7 @@ from ..errors import (
     RobanditError,
 )
 from ..estimators import EstimationParams, _BOUNDS
+from .verify import SUITES
 
 __all__ = [
     "ConfigError",
@@ -79,6 +80,7 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "check_seed",
+    "check_suites",
     "distribution_from_spec",
     "strategy_from_spec",
 ]
@@ -412,6 +414,14 @@ def check_seed(seed: int, line: int | None = None) -> int:
     return seed
 
 
+def check_suites(names, line: int | None = None) -> tuple[str, ...]:
+    """``names`` as a tuple if each one names a verify suite, else a ``TypeMismatchError``."""
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise TypeMismatchError(f"unknown verify suites: {', '.join(unknown)}", "suites", line)
+    return tuple(names)
+
+
 def _parse_sections(text: str):
     """Returns {section: [(key, value, line)]} with values decoded."""
     sections: dict[str, list[tuple[str, Any, int]]] = {}
@@ -481,7 +491,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raw = [raw]
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
             raise TypeMismatchError("suites must be a list of names", key="suites", line=exp_lines.get("suites"))
-        suites = tuple(raw)
+        suites = check_suites(raw, exp_lines.get("suites"))
 
     out, out_lines = _section_map(sections.get("output", []))
     out_dir = _coerce(out["dir"], str, "dir", out_lines.get("dir")) if "dir" in out else None

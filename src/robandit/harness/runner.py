@@ -4,6 +4,12 @@ Replication i derives its own 64-bit seed as ``mix_seed(seed, i)`` (the
 SplitMix64 finalizer applied to ``seed + (i + 1) * 0x9E3779B97F4A7C15``, all
 mod 2**64) and feeds it to a fresh PCG64 generator, so results are identical
 at any parallelism level; rows are always emitted in replication order.
+
+Every replicating experiment kind describes one replication as a spec: a
+frozen, picklable dataclass (``RaceSpec`` or ``EstimateSpec``) whose
+``row(rng)`` returns that replication's record. A spec holds data only; its
+``row`` looks the racing, sampling and estimation functions up as module
+globals at call time, so a tracer that rebinds those names sees every call.
 """
 
 from __future__ import annotations
@@ -23,15 +29,10 @@ from ..bandit import (
     run_contaminated_successive_elimination,
     run_simple,
 )
-from ..contamination import draw_batch
+from ..contamination import ContaminatedArm, draw_batch
 from ..distributions import _median_mad
 from ..errors import ParameterOutOfRangeError, RobanditError
-from ..estimators import (
-    estimate_mad_ci,
-    estimate_median_ci,
-    sample_size_mad,
-    sample_size_median,
-)
+from ..estimators import _BOUNDS, EstimationParams, estimate_mad_ci, estimate_median_ci
 from ..lower_bounds import LiftedInstance, lower_bound_samples, malicious_lifting, oblivious_lifting
 from .config import ExperimentConfig
 
@@ -39,6 +40,8 @@ __all__ = [
     "mix_seed",
     "replication_rng",
     "ExperimentResult",
+    "RaceSpec",
+    "EstimateSpec",
     "run_experiment",
     "wilson_interval",
     "HardnessReport",
@@ -107,47 +110,75 @@ class ExperimentResult:
     summary: dict[str, Any]
 
 
-def _run_replications(
-    seed: int,
-    replications: int,
-    parallelism: int,
-    worker: Callable[[int, np.random.Generator], dict[str, Any]],
-) -> list[dict[str, Any]]:
-    indices = range(replications)
+@dataclass(frozen=True)
+class RaceSpec:
+    """One race on ``instance``: uniform exploration when ``simple``, else the
+    contaminated racing loop. The chosen arm succeeds if it is ``best_arm``,
+    or, when ``gaps`` (effective gaps, ``None`` for the best arm) are given,
+    if its gap is at most ``algo.alpha``."""
 
-    def call(i: int) -> dict[str, Any]:
-        record = worker(i, replication_rng(seed, i))
-        return {"replication": i, "seed": mix_seed(seed, i), **record}
+    instance: BanditInstance
+    algo: AlgoConfig
+    simple: bool
+    best_arm: int
+    gaps: tuple[float | None, ...] | None = None
 
-    if parallelism <= 1:
-        return [call(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(call, indices))
-
-
-_RACE_COLUMNS = ["replication", "seed", "chosen_arm", "total_pulls", "rounds", "terminated_by", "success"]
-
-
-def _race_rows(
-    seed: int,
-    replications: int,
-    parallelism: int,
-    race: Callable[[np.random.Generator], Any],
-    is_success: Callable[[int], bool],
-) -> list[dict[str, Any]]:
-    """One ``_RACE_COLUMNS`` row per replication of ``race(rng)``."""
-
-    def worker(_i: int, rng: np.random.Generator) -> dict[str, Any]:
-        result = race(rng)
+    def row(self, rng: np.random.Generator) -> dict[str, Any]:
+        run = run_simple if self.simple else run_contaminated_successive_elimination
+        result = run(self.instance, self.algo, rng)
+        chosen = result.chosen_arm
         return {
-            "chosen_arm": result.chosen_arm,
+            "chosen_arm": chosen,
             "total_pulls": result.total_pulls,
             "rounds": result.rounds,
             "terminated_by": result.terminated_by,
-            "success": is_success(result.chosen_arm),
+            "success": chosen == self.best_arm
+            or (self.gaps is not None and self.gaps[chosen] <= self.algo.alpha),
         }
 
-    return _run_replications(seed, replications, parallelism, worker)
+
+@dataclass(frozen=True)
+class EstimateSpec:
+    """One interval estimate of ``arm``'s median or MAD (``statistic``) from
+    ``n`` contaminated draws; covered if ``truth`` lies within bias + half-width."""
+
+    arm: ContaminatedArm
+    n: int
+    statistic: str
+    delta: float
+    params: EstimationParams
+    mad_used: float
+    truth: float
+
+    def row(self, rng: np.random.Generator) -> dict[str, Any]:
+        estimate_ci = estimate_median_ci if self.statistic == "median" else estimate_mad_ci
+        xs = draw_batch(self.arm, self.n, rng)
+        report = estimate_ci(xs, self.delta, self.params, self.mad_used)
+        return {
+            "statistic": report.statistic,
+            "estimate": report.estimate,
+            "bias": report.bias,
+            "half_width": report.half_width,
+            "n": report.n,
+            "model": report.model.value,
+            "covered": abs(report.estimate - self.truth) <= report.bias + report.half_width,
+        }
+
+
+def _run_replications(
+    seed: int, replications: int, parallelism: int, spec: RaceSpec | EstimateSpec
+) -> list[dict[str, Any]]:
+    """``spec.row`` of every replication, in replication order, each prefixed
+    with its ``replication`` index and ``seed``; the first row's keys are the
+    run's CSV columns."""
+
+    def call(i: int) -> dict[str, Any]:
+        return {"replication": i, "seed": mix_seed(seed, i), **spec.row(replication_rng(seed, i))}
+
+    if parallelism <= 1:
+        return [call(i) for i in range(replications)]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(call, range(replications)))
 
 
 def _pull_stats(rows: list[dict[str, Any]]) -> list[tuple[str, Any]]:
@@ -192,51 +223,20 @@ def _run_estimate(config: ExperimentConfig, parallelism: int):
     arm = config.arms[0]
     params = config.estimation_params()
     delta = config.algorithm["delta"]
-    error_level = config.algorithm["error_level"]
     median, mad, _, _ = _median_mad(arm.dist)
-    sample_size, estimate_ci, truth = {
-        "estimate-median": (sample_size_median, estimate_median_ci, median),
-        "estimate-mad": (sample_size_mad, estimate_mad_ci, mad),
-    }[config.kind]
-    n = sample_size(error_level, delta, params)
-    if config.algorithm["mad_source"] == "bound":
-        mad_used = config.family().mad_bound
-    else:
-        mad_used = mad
-
-    def worker(_i: int, rng: np.random.Generator) -> dict[str, Any]:
-        xs = draw_batch(arm, n, rng)
-        report = estimate_ci(xs, delta, params, mad_used)
-        covered = abs(report.estimate - truth) <= report.bias + report.half_width
-        return {
-            "statistic": report.statistic,
-            "estimate": report.estimate,
-            "bias": report.bias,
-            "half_width": report.half_width,
-            "n": report.n,
-            "model": report.model.value,
-            "covered": covered,
-        }
-
-    rows = _run_replications(config.seed, config.replications, parallelism, worker)
-    columns = [
-        "replication",
-        "seed",
-        "statistic",
-        "estimate",
-        "bias",
-        "half_width",
-        "n",
-        "model",
-        "covered",
-    ]
+    statistic = config.kind.removeprefix("estimate-")
+    truth = median if statistic == "median" else mad
+    n = _BOUNDS[statistic].sample_size(config.algorithm["error_level"], delta, params)
+    mad_used = config.family().mad_bound if config.algorithm["mad_source"] == "bound" else mad
+    spec = EstimateSpec(arm, n, statistic, delta, params, mad_used, truth)
+    rows = _run_replications(config.seed, config.replications, parallelism, spec)
     summary = _success_stats(rows, key="covered")
     summary += [
         ("mean_total_pulls", float(n)),
         ("median_total_pulls", float(n)),
         ("true_value", truth),
     ]
-    return {"records": (columns, rows)}, summary, 0
+    return {"records": (list(rows[0]), rows)}, summary, 0
 
 
 def _algo_config(config: ExperimentConfig) -> AlgoConfig:
@@ -257,24 +257,12 @@ def _run_bai(config: ExperimentConfig, parallelism: int):
     instance = BanditInstance(config.arms)
     algo = _algo_config(config)
     report = effective_gaps(instance, algo.family)
-
-    def is_success(chosen: int) -> bool:
-        if simple or algo.early_stop:
-            gap = report.gaps[chosen]
-            return gap is None or gap <= algo.alpha
-        return chosen == report.best_arm
-
-    run = run_simple if simple else run_contaminated_successive_elimination
-    rows = _race_rows(
-        config.seed,
-        config.replications,
-        parallelism,
-        lambda rng: run(instance, algo, rng),
-        is_success,
-    )
+    gaps = tuple(report.gaps) if simple or algo.early_stop else None
+    spec = RaceSpec(instance, algo, simple, report.best_arm, gaps)
+    rows = _run_replications(config.seed, config.replications, parallelism, spec)
     summary = _success_stats(rows) + _pull_stats(rows)
     summary.append(("best_arm", report.best_arm))
-    return {"records": (_RACE_COLUMNS, rows)}, summary, 0
+    return {"records": (list(rows[0]), rows)}, summary, 0
 
 
 def _run_gaps(config: ExperimentConfig, _parallelism: int):
@@ -336,14 +324,8 @@ def _race_lifted(
     gaps = lifted.classical_gaps
     # a single arm has nothing to separate; the bound degenerates to zero
     lb_value = lower_bound_samples(gaps, algo.alpha, algo.delta, c_eta) if gaps else 0.0
-    instance = lifted.instance()
-    rows = _race_rows(
-        seed,
-        replications,
-        parallelism,
-        lambda rng: run_contaminated_successive_elimination(instance, algo, rng),
-        lambda chosen: chosen == 0,
-    )
+    spec = RaceSpec(lifted.instance(), algo, simple=False, best_arm=0)
+    rows = _run_replications(seed, replications, parallelism, spec)
     mean_pulls = float(np.mean([r["total_pulls"] for r in rows]))
     report = HardnessReport(
         k=lifted.k,
@@ -392,7 +374,7 @@ def _run_lower_bound(config: ExperimentConfig, parallelism: int):
     row = report.as_row()
     summary = _success_stats(rows) + _pull_stats(rows)
     summary += [("lb_value", report.lb_value), ("ratio", report.ratio)]
-    return {"records": (_RACE_COLUMNS, rows), "aggregate": (list(row), [row])}, summary, 0
+    return {"records": (list(rows[0]), rows), "aggregate": (list(row), [row])}, summary, 0
 
 
 def _run_verify(config: ExperimentConfig, _parallelism: int):

@@ -17,8 +17,6 @@ from ..bandit import (
     BanditInstance,
     effective_gaps,
     elimination_round_delta,
-    run_contaminated_successive_elimination,
-    run_simple,
     simple_exploration_estimates,
 )
 from ..contamination import (
@@ -49,7 +47,6 @@ from ..distributions import (
     in_quantile_family,
     robust_moments,
 )
-from ..errors import RobanditError
 from ..estimators import (
     EstimationParams,
     _BOUNDS,
@@ -436,6 +433,8 @@ def suite_malicious_tightness(rng: np.random.Generator) -> SuiteResult:
 def suite_pac_simple(rng: np.random.Generator) -> SuiteResult:
     """Uniform exploration returns an alpha-suboptimal arm at the advertised
     rate with a deterministic pull count."""
+    from .runner import RaceSpec
+
     eps = 0.1
     alpha = 0.1
     delta = 0.1
@@ -445,17 +444,11 @@ def suite_pac_simple(rng: np.random.Generator) -> SuiteResult:
     params = config.estimation_params(instance.model)
     expected = instance.k * sample_size_median(alpha / 2.0, delta / instance.k, params)
     report = effective_gaps(instance, family)
+    spec = RaceSpec(instance, config, simple=True, best_arm=report.best_arm, gaps=tuple(report.gaps))
     reps = 200
-    wins = 0
-    pulls_ok = True
-    for _ in range(reps):
-        result = run_simple(instance, config, rng)
-        if result.total_pulls != expected:
-            pulls_ok = False
-        gap = report.gaps[result.chosen_arm]
-        if gap is None or gap <= alpha:
-            wins += 1
-    rate = wins / reps
+    rows = [spec.row(rng) for _ in range(reps)]
+    pulls_ok = all(row["total_pulls"] == expected for row in rows)
+    rate = sum(row["success"] for row in rows) / reps
     floor = 1.0 - delta - binomial_slack(delta, reps)
     return SuiteResult(
         "pac-simple",
@@ -467,6 +460,8 @@ def suite_pac_simple(rng: np.random.Generator) -> SuiteResult:
 def suite_pac_succelim(rng: np.random.Generator) -> SuiteResult:
     """Racing run is PAC and its pull count scales like the inverse squared
     effective gap: halving the gap multiplies mean pulls by roughly four."""
+    from .runner import RaceSpec
+
     eps = 0.05
     delta = 0.1
     family = _coverage_family()
@@ -480,14 +475,10 @@ def suite_pac_succelim(rng: np.random.Generator) -> SuiteResult:
     for label, gap in (("wide", 0.45), ("narrow", 0.225)):
         start = gap + 2.0 * bias
         instance = _tail_shift_instance([0.0, start], eps, best=1)
-        wins = 0
-        pulls = 0
-        for _ in range(reps):
-            result = run_contaminated_successive_elimination(instance, config, rng)
-            wins += int(result.chosen_arm == 1)
-            pulls += result.total_pulls
-        rate = wins / reps
-        mean_pulls = pulls / reps
+        spec = RaceSpec(instance, config, simple=False, best_arm=1)
+        rows = [spec.row(rng) for _ in range(reps)]
+        rate = sum(row["success"] for row in rows) / reps
+        mean_pulls = sum(row["total_pulls"] for row in rows) / reps
         means.append(mean_pulls)
         stats[f"success_{label}"] = rate
         stats[f"pulls_{label}"] = mean_pulls
@@ -622,11 +613,9 @@ SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {
 
 def run_suites(names=None, seed: int = 0) -> list[SuiteResult]:
     """Run the named suites (all when None), each on the stream of its place in SUITES."""
+    from .config import check_suites
     from .runner import replication_rng
 
     order = list(SUITES)
-    selected = order if names is None else list(names)
-    unknown = [n for n in selected if n not in SUITES]
-    if unknown:
-        raise RobanditError(f"unknown verify suites: {', '.join(unknown)}")
+    selected = order if names is None else check_suites(names)
     return [SUITES[name](replication_rng(seed, order.index(name))) for name in selected]

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -176,6 +177,58 @@ class TestQuantiles:
         for side in ("quantile_left", "quantile_right"):
             want = getattr(law, side)(p)
             assert getattr(flipped, side)(p) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(1e-300, 1.0, exclude_max=True),
+        x0=st.floats(-5.0, 5.0),
+        scale=st.floats(0.1, 10.0),
+    )
+    @example(p=1e-17, x0=0.0, scale=1.0)
+    @example(p=1e-12, x0=0.0, scale=1.0)
+    @example(p=1.0 - 1e-12, x0=0.0, scale=1.0)
+    @example(p=0.25, x0=0.0, scale=1.0)
+    def test_cauchy_tails_match_decimal_reference(self, p, x0, scale):
+        """Both tails to a few ulps against cot computed at 45 digits; the
+        mirrored law reads the same quantile from the upper-tail branch."""
+        tan = _cauchy_tan_reference(p)
+        with localcontext() as ctx:
+            ctx.prec = 45
+            want = float(Decimal(x0) + Decimal(scale) * tan)
+        # a few ulps, plus the reference's own error where tan is near 0
+        tol = 2e-15 * (abs(x0) + scale * abs(float(tan))) + 1e-30
+        law = rb.Cauchy(x0, scale)
+        mirrored = rb.Affine(rb.Cauchy(-x0, scale), -1.0)
+        for quantile in (law.quantile_left, law.quantile_right, mirrored.quantile_left, mirrored.quantile_right):
+            assert abs(quantile(p) - want) <= tol
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _cot_pi(u: Decimal) -> Decimal:
+    """cot(pi * u) for u in (0, 1/2], from the sine and cosine series at 45 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 45
+        x = _PI * u
+        x2 = x * x
+        sin_term, cos_term = x, Decimal(1)
+        sin, cos = sin_term, cos_term
+        for k in range(1, 40):
+            sin_term *= -x2 / ((2 * k) * (2 * k + 1))
+            cos_term *= -x2 / ((2 * k - 1) * (2 * k))
+            sin += sin_term
+            cos += cos_term
+        return cos / sin
+
+
+def _cauchy_tan_reference(p: float) -> Decimal:
+    """tan(pi * (p - 1/2)) for the exact binary value of p, through the tail
+    mass below or above p so that no level is rounded away."""
+    level = Decimal(p)
+    with localcontext() as ctx:
+        ctx.prec = 45
+        return -_cot_pi(level) if level < Decimal("0.5") else _cot_pi(1 - level)
 
 
 def _bisection_oracle(dist, p, strict, max_steps=200):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -16,9 +17,11 @@ from robandit.harness import (
     UnknownKeyError,
     mix_seed,
     parse_config,
+    replication_rng,
     run_experiment,
     wilson_interval,
 )
+from robandit.harness import runner
 from robandit.harness.config import (
     _ALGORITHM,
     EXPERIMENT_KINDS,
@@ -405,8 +408,10 @@ class TestRunExperiment:
         [
             (MINIMAL, ("records", "summary")),
             (LOWER_BOUND, ("records", "summary", "aggregate")),
+            (OUTPUT_CASES["estimate-mad"], ("records", "summary")),
+            (OUTPUT_CASES["bai-succelim"], ("records", "summary")),
         ],
-        ids=["bai-simple", "lower-bound"],
+        ids=["bai-simple", "lower-bound", "estimate-mad", "bai-succelim"],
     )
     def test_byte_identical_across_parallelism(self, tmp_path, text, files):
         config = parse_config(text)
@@ -417,18 +422,44 @@ class TestRunExperiment:
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize(
-        "demo, replications, digest",
+        "text, replications, digest",
         [
-            ("lb", 4, "d0c66b6eb548a7fd614fd09ce8264f61869e636c3a589a959b3b044d386bd3e3"),
-            ("prescient", 20, "e536d46730e7ab36ae645e8f3254f0b7025a50ee439e120d655fd8e23b52bb38"),
+            (_demo("lb"), 4, "d0c66b6eb548a7fd614fd09ce8264f61869e636c3a589a959b3b044d386bd3e3"),
+            (_demo("prescient"), 20, "e536d46730e7ab36ae645e8f3254f0b7025a50ee439e120d655fd8e23b52bb38"),
+            (_demo("estimate"), 20, "10f2fed4abf26544f123c7eb7e3a79ceed499bf78d3687e4843039b395ada67a"),
+            (OUTPUT_CASES["estimate-mad"], 20, "36891c766e8a2026f78132fe917322f4fe4fa5a33d2a34491db6d3516a40bb9a"),
+            (MINIMAL, 20, "7dbe28314332af9e449593e8731d7b629d91a597b2be439021190cd85f981a32"),
         ],
+        ids=["lb", "prescient", "estimate-median", "estimate-mad", "bai-simple"],
     )
-    def test_racing_records_are_pinned(self, tmp_path, demo, replications, digest):
-        """sha256 of ``records.csv`` for two racing demos, recorded while the
-        racing kernel kept every arm's pulls as one sorted array."""
-        text = re.sub(r"replications = \d+", f"replications = {replications}", _demo(demo))
+    def test_racing_records_are_pinned(self, tmp_path, text, replications, digest):
+        """sha256 of ``records.csv`` for racing and estimation runs: the lb and
+        prescient digests were recorded while the racing kernel kept every
+        arm's pulls as one sorted array, the others while each experiment kind
+        handed the replication engine a closure instead of a spec."""
+        text = re.sub(r"replications = \d+", f"replications = {replications}", text)
         result = run_experiment(parse_config(text), out_dir=tmp_path)
         assert hashlib.sha256(result.files["records"].read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "kind", ["estimate-median", "estimate-mad", "bai-simple", "bai-succelim", "lower-bound"]
+    )
+    def test_replication_spec_survives_pickle(self, tmp_path, monkeypatch, kind):
+        """Each replicating kind hands the engine one spec; a pickled copy
+        equals it and gives the same row on an equal stream."""
+        specs = []
+        engine = runner._run_replications
+
+        def capture(seed, replications, parallelism, spec):
+            specs.append(spec)
+            return engine(seed, replications, parallelism, spec)
+
+        monkeypatch.setattr(runner, "_run_replications", capture)
+        run_experiment(parse_config(OUTPUT_CASES[kind]), out_dir=tmp_path)
+        (spec,) = specs
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        assert copy.row(replication_rng(3, 0)) == spec.row(replication_rng(3, 0))
 
     def test_estimate_median_experiment(self, tmp_path):
         text = """
@@ -509,6 +540,8 @@ error_level = 0.1
     def test_unknown_suite_rejected(self):
         with pytest.raises(rb.RobanditError):
             run_suites(["no-such-suite"], seed=0)
+        with pytest.raises(TypeMismatchError, match=r"nope.*\(key 'suites', line 3\)"):
+            parse_config("[experiment]\nkind = verify\nsuites = [kl, nope]\n")
 
     def test_suite_stream_does_not_depend_on_selection(self):
         full = {result.name: result.detail() for result in run_suites(seed=1)}
@@ -594,6 +627,18 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "all_passed = True" in proc.stdout
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_suite_is_usage_error(self, tmp_path, source):
+        if source == "flag":
+            proc = self._run("verify", "--suites", "kl,nope", "--out", str(tmp_path / "out"))
+        else:
+            cfg = tmp_path / "verify.cfg"
+            cfg.write_text("[experiment]\nkind = verify\nsuites = [kl, nope]\n")
+            proc = self._run("verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "unknown verify suites: nope" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_env_seed_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
