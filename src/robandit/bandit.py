@@ -16,6 +16,7 @@ rival's optimistic one.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -295,12 +296,14 @@ class _ArmPulls:
     ``_BLOCK`` and handed out in order.
 
     An iid arm's blocks are ``draw_batch`` outputs, so its j-th pull depends
-    only on its generator and j. A batch-aware ``EmpiricalQuantileShift`` arm
-    (``quantile`` set) draws blocks of clean values and contamination flags
-    with ``draw_clean``, so these too depend only on its generator and j. Its
-    adversary sees each round's pulls as one batch: ``rounds`` places every
-    contaminated value of a round at that round's ceil(nq)-th clean order
-    statistic.
+    only on its generator and j, and ``rounds`` needs only the pull count. A
+    batch-aware ``EmpiricalQuantileShift`` arm (``quantile`` set) draws blocks
+    of clean values and contamination flags with ``draw_clean``, so these too
+    depend only on its generator and j. Its adversary sees each round's pulls
+    as one batch: ``rounds`` places every contaminated value of a round at
+    that round's ceil(nq)-th clean order statistic, so it needs the round
+    sizes too. Pulls already held are handed out as views; the held arrays are
+    joined only when a new block is drawn.
     """
 
     __slots__ = ("arm", "rng", "quantile", "held")
@@ -317,16 +320,17 @@ class _ArmPulls:
             return (draw_batch(self.arm, _BLOCK, self.rng),)
         return draw_clean(self.arm, _BLOCK, self.rng)
 
-    def rounds(self, sizes) -> np.ndarray:
-        """The arm's pulls over consecutive rounds of ``sizes`` pulls each."""
-        total = sum(sizes)
-        missing = -(-(total - self.held[0].size) // _BLOCK)  # blocks to draw; <= 0 if none
-        blocks = [self._block() for _ in range(missing)]
-        columns = [np.concatenate(parts) for parts in zip(self.held, *blocks)]
-        self.held = tuple(c[total:] for c in columns)
+    def rounds(self, total: int, sizes=None) -> np.ndarray:
+        """The arm's next ``total`` pulls, over consecutive rounds of ``sizes``
+        pulls each; an iid arm ignores ``sizes``."""
+        held = self.held
+        if total > held[0].size:
+            blocks = [self._block() for _ in range(-(-(total - held[0].size) // _BLOCK))]
+            held = tuple(np.concatenate(parts) for parts in zip(held, *blocks))
+        self.held = tuple(c[total:] for c in held)
         if self.quantile is None:
-            return columns[0][:total]
-        y, d = (c[:total] for c in columns)
+            return held[0][:total]
+        y, d = (c[:total] for c in held)
         return np.where(d, segment_quantiles(y, sizes, self.quantile), y)
 
 
@@ -346,34 +350,55 @@ def _round_pulls(rounds: np.ndarray, floor_scale: float) -> np.ndarray:
 class _RoundSchedule:
     """A race's per-round quantities, indexed by round and extended by doubling.
 
-    ``cum[r]`` counts the pulls per survivor of rounds 1..r. ``width[r]`` is twice the round radius, shrunk by
-    ``_RADIUS_SHRINK``. ``may_stop[r]`` marks the rounds at which the early
-    stop or the round cap may fire. Index 0 is the warm-up and holds zeros.
+    ``cover(last)`` returns ``(cum, width, may_stop)`` reaching at least round
+    ``last``. ``cum[r]`` counts the pulls per survivor of rounds 1..r.
+    ``width[r]`` is twice the round radius, shrunk by ``_RADIUS_SHRINK``.
+    ``may_stop[r]`` marks the rounds at which the early stop or the round cap
+    may fire. Index 0 is the warm-up and holds zeros.
+
+    Every entry depends only on the constructor's arguments and its round, so
+    one schedule serves every race on the same parameters (``_round_schedule``
+    shares it). ``cover`` publishes the three arrays as one tuple, so a race on
+    another thread never reads arrays of different lengths. Two threads may
+    extend it at once and the later tuple is kept, possibly the shorter; each
+    caller reads the tuple ``cover`` returned to it, which reaches its round.
     """
 
-    def __init__(self, floor_scale, radii, stop_radius, max_rounds):
+    def __init__(self, floor_scale, radius_scale2, k, delta, stop_radius, max_rounds):
         self._floor_scale = floor_scale
-        self._radii = radii
+        self._radius_scale2 = radius_scale2
+        self._k = k
+        self._delta = delta
         self._stop_radius = stop_radius
         self._max_rounds = max_rounds
-        self.cum = np.zeros(1, dtype=np.int64)
-        self.width = np.zeros(1)
-        self.may_stop = np.zeros(1, dtype=bool)
+        self._arrays = (np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=bool))
 
-    def cover(self, last: int) -> None:
-        """Make the arrays reach round ``last``."""
-        size = self.cum.size
+    def cover(self, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arrays, made to reach round ``last``."""
+        arrays = self._arrays
+        cum, width, may_stop = arrays
+        size = cum.size
         if last < size:
-            return
+            return arrays
         rounds = np.arange(size, max(2 * size, last + 1))
         pulls = _round_pulls(rounds, self._floor_scale)
-        width = 2.0 * _RADIUS_SHRINK * self._radii(rounds.astype(float))
-        may_stop = rounds > self._max_rounds
+        r = rounds.astype(float)
+        shares = elimination_round_delta(r, self._k, self._delta)
+        widths = 2.0 * _RADIUS_SHRINK * np.sqrt(self._radius_scale2 * np.log(3.0 / shares) / r)
+        stops = rounds > self._max_rounds
         if self._stop_radius is not None:
-            may_stop |= width <= self._stop_radius
-        self.cum = np.concatenate((self.cum, self.cum[-1] + np.cumsum(pulls)))
-        self.width = np.concatenate((self.width, width))
-        self.may_stop = np.concatenate((self.may_stop, may_stop))
+            stops |= widths <= self._stop_radius
+        arrays = (
+            np.concatenate((cum, cum[-1] + np.cumsum(pulls))),
+            np.concatenate((width, widths)),
+            np.concatenate((may_stop, stops)),
+        )
+        self._arrays = arrays
+        return arrays
+
+
+# The schedule shared by every race on the same parameters.
+_round_schedule = functools.lru_cache(maxsize=8)(_RoundSchedule)
 
 
 def _merged(a: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -414,7 +439,10 @@ class _MedianWindow:
         # an end with no values beyond it is open, so a whole window stays whole
         below = values.searchsorted(w[0]) if base else 0
         above = values.searchsorted(w[-1], "right") if base + w.size < self.count else values.size
-        self.out += [c for c in (values[:below], values[above:]) if c.size]
+        if below:
+            self.out.append(values[:below])
+        if above < values.size:
+            self.out.append(values[above:])
         w, base, self.count = _merged(w, values[below:above]), base + below, n
         half = _HALF_WIDTH if n > _WHOLE else n
         mid = (n - 1) // 2  # the middle pair's ranks are mid and n // 2
@@ -427,8 +455,10 @@ class _MedianWindow:
             return
         lo, hi = max(start - base, 0), min(stop - base, w.size)
         # copies, so that the trimmed ends do not keep the merged array alive
-        self.out += [w[:lo].copy()] if lo else []
-        self.out += [w[hi:].copy()] if hi < w.size else []
+        if lo:
+            self.out.append(w[:lo].copy())
+        if hi < w.size:
+            self.out.append(w[hi:].copy())
         self.window, self.base = w[lo:hi], base + lo
 
     def _rebuild(self, w: np.ndarray, start: int, stop: int) -> None:
@@ -490,14 +520,11 @@ def run_contaminated_successive_elimination(
     def radius_at(r):
         return math.sqrt(radius_scale2 * math.log(3.0 / elimination_round_delta(r, k, delta)) / r)
 
-    def radii(r):
-        return np.sqrt(radius_scale2 * np.log(3.0 / elimination_round_delta(r, k, delta)) / r)
-
     streams = [_ArmPulls(arm, child) for arm, child in zip(instance.arms, rng.spawn(k))]
-    stores = [_MedianWindow(s.rounds([warmup])) for s in streams]
+    stores = [_MedianWindow(s.rounds(warmup, [warmup])) for s in streams]
     if k == 1:
         return BanditRunResult(0, (warmup,), 0, (), "single-survivor")
-    schedule = _RoundSchedule(floor_scale, radii, stop_radius, max_rounds)
+    schedule = _round_schedule(floor_scale, radius_scale2, k, delta, stop_radius, max_rounds)
     estimates = [s.median() for s in stores]
 
     def next_check(first: int, survivors: list[int], span: int) -> int:
@@ -512,11 +539,11 @@ def run_contaminated_successive_elimination(
         top = min(a.base + a.window.size for a in rows) - 1
         reach = min(count - 1 - 2 * floor, 2 * top + 1 - count)
         views = [a.window[floor - a.base :] for a in rows]
-        base = schedule.cum[first - 1]
+        base = schedule.cover(first - 1)[0][first - 1]
         while True:
             last = first + span
-            schedule.cover(last + 1)
-            m = schedule.cum[first : last + 1] - base
+            cum, width, may_stop = schedule.cover(last + 1)
+            m = cum[first : last + 1] - base
             ok = int(m.searchsorted(reach, "right"))
             if ok:
                 m = m[:ok]
@@ -525,8 +552,8 @@ def run_contaminated_successive_elimination(
                 for v in views[1:]:
                     np.minimum(lowest, v[lo], out=lowest)
                     np.maximum(highest, v[hi], out=highest)
-                hit = lowest < highest - schedule.width[first : first + ok]
-                hit |= schedule.may_stop[first + 1 : first + ok + 1]
+                hit = lowest < highest - width[first : first + ok]
+                hit |= may_stop[first + 1 : first + ok + 1]
                 j = int(hit.argmax())
                 if hit[j]:
                     return first + j
@@ -550,9 +577,13 @@ def run_contaminated_successive_elimination(
             break
         check = next_check(r + 1, survivors, span)
         span = 2 * (check - r)
-        sizes = np.diff(schedule.cum[r : check + 1]).tolist()
+        cum = schedule.cover(check)[0]
+        total = int(cum[check] - cum[r])
+        # only a batch-aware arm splits its pulls into rounds
+        batched = any(streams[i].quantile is not None for i in survivors)
+        sizes = np.diff(cum[r : check + 1]) if batched else None
         for i in survivors:
-            stores[i].add(streams[i].rounds(sizes))
+            stores[i].add(streams[i].rounds(total, sizes))
             estimates[i] = stores[i].median()
         if check > r + 1:
             radius = radius_at(check)

@@ -241,7 +241,8 @@ def draw_batch(
 
     The clean values are drawn first, so with eps = 0 the output is bitwise
     equal to a plain sample of the arm's distribution under a shared seed.
-    A fixed law is drawn only at flagged pulls, in order; ``z`` is NaN elsewhere.
+    A fixed law is drawn only at flagged pulls, in order, and written over the
+    clean values there; in debug mode ``z`` holds them and is NaN elsewhere.
     Debug mode also asserts the order-statistic sandwich on the realized batch.
     """
     if n < 1:
@@ -249,11 +250,16 @@ def draw_batch(
     strat = arm.strategy
     y, d = draw_clean(arm, n, rng)
     s = int(np.count_nonzero(d))
+    # no law is built without a flag: the tail shift has none at eps = 0
     if isinstance(strat, EmpiricalQuantileShift):
         z = segment_quantiles(y, [n], strat.target_quantile)
+    elif not debug:
+        if s:
+            y[d] = _fixed_component(arm).sample(s, rng)
+        return y
     else:
         z = np.full(n, np.nan)
-        if s:  # no law is built without a flag: the tail shift has none at eps = 0
+        if s:
             z[d] = _fixed_component(arm).sample(s, rng)
 
     x = np.where(d, z, y)

@@ -18,6 +18,7 @@ It takes a sixth of the Python-level steps.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +63,8 @@ _UNIQUE_TOL = 1e-10
 _SECTION_DEPTH = 6
 
 _GAUSSIAN_MAD = 0.6744897501960817  # MAD of the standard normal: float(ndtri(0.75))
+# median of ||X| - _GAUSSIAN_MAD| for a standard normal X, the numeric search's result
+_GAUSSIAN_MAD2 = 0.3990915958297282
 
 
 def _special():
@@ -400,13 +403,16 @@ class Mixture(Distribution):
         return sum(w * c._atom_mass(x) for w, c in zip(self.weights, self.components))
 
     def sample(self, n, rng):
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        idx = np.minimum(idx, len(self.components) - 1)
+        u = rng.random(n)
         out = np.empty(n, dtype=float)
-        for j, comp in enumerate(self.components):
-            mask = idx == j
-            count = int(mask.sum())
+        taken = np.zeros(n, dtype=bool)
+        # component j takes the uniforms in [c_{j-1}, c_j), c the cumulative
+        # weights; the last takes every uniform from c_{last-1} on
+        bounds = [*itertools.accumulate(self.weights[:-1]), math.inf]
+        for c, comp in zip(bounds, self.components):
+            below = u < c
+            mask, taken = below ^ taken, below
+            count = int(np.count_nonzero(mask))
             if count:
                 out[mask] = comp.sample(count, rng)
         return out
@@ -533,6 +539,8 @@ def robust_moments(dist: Distribution, force_numeric: bool = False) -> RobustMom
             return RobustMoments(median, mad, dist.scale * (math.sqrt(3.0) - 1.0), True, True, True)
         if isinstance(dist, Dirac):
             return RobustMoments(median, mad, 0.0, True, True, True)
+        if isinstance(dist, Gaussian):
+            return RobustMoments(median, mad, dist.sigma * _GAUSSIAN_MAD2, True, True, True)
     if not mad_unique:
         return RobustMoments(median, mad, math.nan, median_unique, False, False)
 

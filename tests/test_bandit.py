@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -553,6 +555,76 @@ class TestEnvelopeSkippingKernel:
         assert 0 < add.call_count < result.rounds / 10
 
 
+class TestRoundSchedule:
+    """Races on the same parameters share one schedule, extended by whichever
+    race needs more rounds."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(race_cases())
+    def test_race_after_a_longer_race_equals_a_fresh_race(self, case):
+        instance, config, seed = case
+
+        def race(inst):
+            return rb.run_contaminated_successive_elimination(inst, config, np.random.default_rng(seed))
+
+        bandit._round_schedule.cache_clear()
+        fresh = race(instance)
+        bandit._round_schedule.cache_clear()
+        made = []
+        share = bandit._round_schedule
+
+        def recorded(*key):
+            made.append(share(*key))
+            return made[-1]
+
+        # identical arms that always pull 0 tie at every check, so their race
+        # runs until the early stop or the round cap
+        flat = rb.ContaminatedArm(
+            rb.Dirac(0.0), rb.FixedContamination(rb.Dirac(0.0)), instance.eps, instance.model
+        )
+        with mock.patch.object(bandit, "_round_schedule", recorded):
+            longer = race(rb.BanditInstance([flat] * instance.k))
+            again = race(instance)
+        assert longer.terminated_by != "single-survivor"
+        assert longer.rounds >= fresh.rounds
+        assert made[0] is made[1]
+        assert made[0].cover(0)[0].size > longer.rounds
+        assert again == fresh
+
+    def test_threads_extending_one_schedule_read_whole_prefixes(self):
+        """Threads extending one schedule at once each get three arrays of
+        one length that reach their round and equal a schedule built alone."""
+        args = (812.5, 7.2, 3, 0.1, 0.025, 10**6)
+        want = bandit._RoundSchedule(*args).cover(1 << 15)  # past any size the threads reach
+        shared = bandit._RoundSchedule(*args)
+        bad = []
+
+        def extend(seed):
+            try:
+                for last in np.random.default_rng(seed).integers(1, 8000, 300):
+                    got = shared.cover(int(last))
+                    size = got[0].size
+                    if not (size > last and all(a.size == size for a in got)):
+                        bad.append(("length", int(last), [a.size for a in got]))
+                    elif not all(np.array_equal(a, b[:size]) for a, b in zip(got, want)):
+                        bad.append(("values", int(last)))
+            except Exception as e:  # a thread's exception would otherwise only be printed
+                bad.append(repr(e))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=extend, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+
 def iid_arms():
     """Arms whose pulls are iid, one per kind of contamination draw."""
     base = rb.Uniform(0.0, 1.0)
@@ -615,7 +687,7 @@ class TestArmPulls:
             draws = []
             stream = bandit._ArmPulls(arm, np.random.default_rng(seed))
             with mock.patch.object(bandit, "draw_batch", drawn_by(arm, draws)):
-                values = np.concatenate([stream.rounds(sizes) for sizes in calls])
+                values = np.concatenate([stream.rounds(sum(sizes), sizes) for sizes in calls])
             return values, [n for n, _ in draws]
 
         total = sum(map(sum, partition))
@@ -659,7 +731,7 @@ class TestArmPulls:
         def pulled(calls):
             rng = np.random.default_rng(seed)
             stream = bandit._ArmPulls(arm, rng)
-            return np.concatenate([stream.rounds(c) for c in calls if c]), rng.bit_generator.state
+            return np.concatenate([stream.rounds(sum(c), c) for c in calls if c]), rng.bit_generator.state
 
         split = pulled([sizes[a:b] for a, b in zip(bounds, bounds[1:])])
         whole = pulled([sizes])
@@ -674,7 +746,7 @@ class TestArmPulls:
         quantile; the clean values and flags are those of whole debug batches
         of ``_BLOCK`` draws on the same generator."""
         arm = quantile_arm(base, q)
-        pulls = bandit._ArmPulls(arm, np.random.default_rng(seed)).rounds(sizes)
+        pulls = bandit._ArmPulls(arm, np.random.default_rng(seed)).rounds(sum(sizes), sizes)
         twin = np.random.default_rng(seed)
         batches = [
             rb.draw_batch(arm, bandit._BLOCK, twin, debug=True)

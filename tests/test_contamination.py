@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
-from robandit.contamination import draw_clean
+from robandit.contamination import _fixed_component, draw_clean
 
 OBL = rb.AdversaryModel.OBLIVIOUS
 PRE = rb.AdversaryModel.PRESCIENT
@@ -211,6 +211,39 @@ class TestContaminationDraws:
             assert np.array_equal(batch.x, np.where(batch.d, batch.z, batch.y))
             if name in _RANDOM_LAW:
                 assert np.all(np.isnan(batch.z[~batch.d]))
+
+
+def _full_where_draw(arm, n, rng):
+    """Plain ``draw_batch`` for a fixed law as it was before it wrote the law's
+    values over the clean batch: a NaN-filled ``z`` and one ``np.where``."""
+    y, d = draw_clean(arm, n, rng)
+    z = np.full(n, np.nan)
+    s = int(np.count_nonzero(d))
+    if s:
+        z[d] = _fixed_component(arm).sample(s, rng)
+    return np.where(d, z, y)
+
+
+_FIXED_LAW = {name: arm for name, (arm, _) in {**_PINNED, **_RANDOM_LAW}.items() if name != "quantile"}
+
+
+class TestPlainDrawBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(_FIXED_LAW)),
+        st.one_of(st.integers(1, 8), st.integers(1, 5000)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_where_path(self, name, n, seed):
+        """Every fixed-law strategy draws the values and leaves the generator
+        state of the ``full``/``where`` path."""
+        arm = _FIXED_LAW[name]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        xs = rb.draw_batch(arm, n, rng)
+        want = _full_where_draw(arm, n, ref)
+        assert xs.dtype == want.dtype == np.float64
+        assert xs.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class _Replay(rb.Distribution):

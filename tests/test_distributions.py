@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +388,88 @@ class TestSampling:
         assert rb.ks_distance(xs, dist) <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * n))
 
 
+def _searchsorted_mixture_sample(mix, n, rng):
+    """``Mixture.sample`` as it was before it compared the uniforms with the
+    cumulative weights: one ``searchsorted``, the last component taking the rest."""
+    cum = np.cumsum(mix.weights)
+    idx = np.searchsorted(cum, rng.random(n), side="right")
+    idx = np.minimum(idx, len(mix.components) - 1)
+    out = np.empty(n, dtype=float)
+    for j, comp in enumerate(mix.components):
+        mask = idx == j
+        count = int(mask.sum())
+        if count:
+            out[mask] = comp.sample(count, rng)
+    return out
+
+
+# weights whose cumulative sum ends at 1 - 2**-53
+_SHORT_WEIGHTS = [0.43085688411427203, 0.22054288235364464, 0.34860023353208325]
+_MIXTURE_PARTS = [
+    rb.Uniform(0.0, 1.0),
+    rb.Gaussian(2.0, 1.0),
+    rb.Dirac(-1.0),
+    rb.Cauchy(0.0, 1.0),
+    rb.SmoothedBernoulli(0.3),
+]
+
+
+@st.composite
+def _weighted_mixtures(draw):
+    """Mixtures of 1 to 5 components, with zero weights and weights whose
+    cumulative sum stops 1 ulp short of 1."""
+    if draw(st.booleans()):
+        weights = list(_SHORT_WEIGHTS)
+        if draw(st.booleans()):
+            weights.insert(draw(st.integers(0, 3)), 0.0)
+    else:
+        counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(any))
+        weights = [c / sum(counts) for c in counts]
+    parts = [draw(st.sampled_from(_MIXTURE_PARTS)) for _ in weights]
+    return rb.Mixture(weights, parts)
+
+
+class _Uniforms:
+    """A generator stand-in whose ``random`` returns the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+class TestMixtureSample:
+    """``Mixture.sample`` is the searchsorted sampler bit for bit: the same
+    uniforms, the same component calls in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_weighted_mixtures(), st.integers(0, 3000), st.integers(0, 2**32 - 1))
+    @example(rb.Mixture(_SHORT_WEIGHTS, _MIXTURE_PARTS[:3]), 4096, 0)
+    @example(rb.Mixture([0.0, 1.0, 0.0], _MIXTURE_PARTS[:3]), 100, 1)
+    @example(rb.Mixture([1.0], _MIXTURE_PARTS[:1]), 5, 2)
+    def test_matches_searchsorted_sampler(self, mix, n, seed):
+        rng, ref = RNG(seed), RNG(seed)
+        xs = mix.sample(n, rng)
+        want = _searchsorted_mixture_sample(mix, n, ref)
+        assert xs.dtype == want.dtype == np.float64
+        assert xs.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "weights", [_SHORT_WEIGHTS, [0.25, 0.0, 0.75], [0.0, 0.5, 0.0, 0.5], [0.1] * 10, [1.0]]
+    )
+    def test_uniforms_at_the_cumulative_weights(self, weights):
+        """Uniforms on, just below and past each cumulative weight pick the
+        component the searchsorted sampler picks."""
+        mix = rb.Mixture(weights, [rb.Dirac(float(j)) for j in range(len(weights))])
+        cum = np.cumsum(weights)
+        u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cum[cum < 1.0], np.nextafter(cum, 0.0)))
+        got = mix.sample(u.size, _Uniforms(u))
+        assert got.tobytes() == _searchsorted_mixture_sample(mix, u.size, _Uniforms(u)).tobytes()
+
+
 class TestSmoothedBernoulliStream:
     @pytest.mark.parametrize("n", [1, 3, 256])
     @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
@@ -421,6 +507,29 @@ class TestRobustMoments:
         m = rb.robust_moments(rb.Gaussian(0.0, 1.0))
         assert (m.median, m.mad, m.mad2) == (0.0, 0.6744897501960817, 0.3990915958297282)
         assert m.median_unique and m.mad_unique and m.mad2_unique
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.2, 1.7, 2.0])
+    def test_gaussian_mad2_within_ulps_of_the_search(self, sigma):
+        """The closed form scales the standard normal's searched mad2; the search
+        on another Gaussian may land a few ulps away."""
+        closed = rb.robust_moments(rb.Gaussian(0.3, sigma))
+        numeric = rb.robust_moments(rb.Gaussian(0.3, sigma), force_numeric=True)
+        assert closed.mad2 == sigma * 0.3990915958297282
+        assert closed.mad2 == pytest.approx(numeric.mad2, rel=1e-14)
+        assert closed.mad2_unique and numeric.mad2_unique
+
+    def test_gaussian_moments_without_scipy(self):
+        """A Gaussian's robust moments are closed forms and load no scipy."""
+        src = str(Path(rb.__file__).parents[1])
+        probe = (
+            "import sys, robandit as rb; m = rb.robust_moments(rb.Gaussian(0.3, 1.7)); "
+            "print(m.mad2, 'scipy' in sys.modules)"
+        )
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [repr(1.7 * 0.3990915958297282), "False"]
 
     def test_closed_forms_match_numeric_path(self):
         for dist in [rb.Uniform(0.0, 2.0), rb.Cauchy(1.0, 2.0), rb.Gaussian(0.5, 1.5)]:
