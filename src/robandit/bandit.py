@@ -79,7 +79,13 @@ class BanditInstance:
         return self.arms[0].model
 
 
-THRESHOLD_VARIANTS = ("squared-slope", "linear-slope")
+# r * radius**2 / log(3 / share) of the racing loop's round radius, by
+# threshold variant, from the family's slope and MAD bounds.
+_RADIUS_SCALE2 = {
+    "squared-slope": lambda slope, mad: 2.0 * (slope * mad) ** 2,
+    "linear-slope": lambda slope, mad: 2.0 * slope * mad**2,
+}
+THRESHOLD_VARIANTS = tuple(_RADIUS_SCALE2)
 
 
 @dataclass(frozen=True)
@@ -279,9 +285,6 @@ def warmup_pulls(k: int, delta: float, params: EstimationParams) -> int:
 
 # Pulls an arm draws at once from its generator.
 _BLOCK = 4096
-# numpy's log may differ from math.log by a few ulps; the skip test shrinks
-# its radii by this factor, so a rounding difference can only add a check.
-_RADIUS_SHRINK = 1.0 - 1e-9
 # Rounds covered by a race's first envelope scan; later scans start at twice
 # the previous check distance, and each further scan doubles.
 _SCAN_ROUNDS = 32
@@ -334,17 +337,9 @@ class _ArmPulls:
         return np.where(d, segment_quantiles(y, sizes, self.quantile), y)
 
 
-def _round_pulls(rounds: np.ndarray, floor_scale: float) -> np.ndarray:
-    """Pulls per survivor in each round, 1 + ceil(2 N log((r+1)/r)).
-
-    Values within rounding of an integer are recomputed with the scalar
-    expression, so the counts never depend on numpy's log."""
-    x = 2.0 * floor_scale * np.log((rounds + 1.0) / rounds)
-    n = 1 + np.ceil(x).astype(np.int64)
-    for j in np.flatnonzero(np.abs(x - np.rint(x)) <= 1e-9 * np.maximum(x, 1.0)):
-        r = int(rounds[j])
-        n[j] = 1 + math.ceil(2.0 * floor_scale * math.log((r + 1.0) / r))
-    return n
+def _log(a: np.ndarray) -> np.ndarray:
+    """``math.log`` of every entry; numpy's log may differ from it by an ulp."""
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
 
 
 class _RoundSchedule:
@@ -352,9 +347,11 @@ class _RoundSchedule:
 
     ``cover(last)`` returns ``(cum, width, may_stop)`` reaching at least round
     ``last``. ``cum[r]`` counts the pulls per survivor of rounds 1..r.
-    ``width[r]`` is twice the round radius, shrunk by ``_RADIUS_SHRINK``.
-    ``may_stop[r]`` marks the rounds at which the early stop or the round cap
-    may fire. Index 0 is the warm-up and holds zeros.
+    ``width[r]`` is twice the round radius, the drop test's distance behind
+    the leader. ``may_stop[r]`` marks the rounds at which the early stop or the
+    round cap fires. Index 0 is the warm-up and holds zeros. Pull counts and
+    radii take ``math.log``, as a round-by-round loop would, so the envelope
+    scan, the drop test and the stop test all read these arrays.
 
     Every entry depends only on the constructor's arguments and its round, so
     one schedule serves every race on the same parameters (``_round_schedule``
@@ -380,12 +377,11 @@ class _RoundSchedule:
         size = cum.size
         if last < size:
             return arrays
-        rounds = np.arange(size, max(2 * size, last + 1))
-        pulls = _round_pulls(rounds, self._floor_scale)
-        r = rounds.astype(float)
+        r = np.arange(size, max(2 * size, last + 1), dtype=float)
+        pulls = 1 + np.ceil(2.0 * self._floor_scale * _log((r + 1.0) / r)).astype(np.int64)
         shares = elimination_round_delta(r, self._k, self._delta)
-        widths = 2.0 * _RADIUS_SHRINK * np.sqrt(self._radius_scale2 * np.log(3.0 / shares) / r)
-        stops = rounds > self._max_rounds
+        widths = 2.0 * np.sqrt(self._radius_scale2 * _log(3.0 / shares) / r)
+        stops = r > self._max_rounds
         if self._stop_radius is not None:
             stops |= widths <= self._stop_radius
         arrays = (
@@ -497,7 +493,9 @@ def run_contaminated_successive_elimination(
     lowest such lower end stays within two radii of the highest upper end, no
     arm can be dropped, so the kernel draws all pulls up to the first round
     where that fails, or where those ranks leave a survivor's window, and
-    checks there. A check at a round where no arm can be dropped changes
+    checks there. The scan and the drop test subtract the same two radii
+    (``_RoundSchedule``), and rounding is monotone, so the scan reaches every
+    round where an arm can be dropped; a check at any other round changes
     nothing, so results equal those of a round-by-round loop.
 
     Arm i pulls from its own generator ``rng.spawn(k)[i]`` in fixed blocks (see
@@ -509,21 +507,14 @@ def run_contaminated_successive_elimination(
     params = config.estimation_params(instance.model)
     floor_scale = _BOUNDS["median"].floor_scale(params)
     warmup = warmup_pulls(k, config.delta, params)
-    scale = config.family.slope_bound * config.family.mad_bound
-    if config.threshold_variant == "squared-slope":
-        radius_scale2 = 2.0 * scale**2
-    else:
-        radius_scale2 = 2.0 * config.family.slope_bound * config.family.mad_bound**2
-    delta, max_rounds = config.delta, config.max_rounds
+    family = config.family
+    radius_scale2 = _RADIUS_SCALE2[config.threshold_variant](family.slope_bound, family.mad_bound)
     stop_radius = config.alpha / 2.0 if config.early_stop else None
-
-    def radius_at(r):
-        return math.sqrt(radius_scale2 * math.log(3.0 / elimination_round_delta(r, k, delta)) / r)
-
     streams = [_ArmPulls(arm, child) for arm, child in zip(instance.arms, rng.spawn(k))]
     stores = [_MedianWindow(s.rounds(warmup, [warmup])) for s in streams]
     if k == 1:
         return BanditRunResult(0, (warmup,), 0, (), "single-survivor")
+    delta, max_rounds = config.delta, config.max_rounds
     schedule = _round_schedule(floor_scale, radius_scale2, k, delta, stop_radius, max_rounds)
     estimates = [s.median() for s in stores]
 
@@ -567,17 +558,16 @@ def run_contaminated_successive_elimination(
     r = 0
     span = _SCAN_ROUNDS
     terminated_by = "single-survivor"
+    cum, width, may_stop = schedule.cover(1)
     while len(survivors) > 1:
-        radius = radius_at(r + 1)
-        if stop_radius is not None and 2.0 * radius <= stop_radius:
-            terminated_by = "early-stop"
-            break
-        if r + 1 > max_rounds:
-            terminated_by = "round-cap"
+        if may_stop[r + 1]:
+            # the early stop wins when both stops fire at one round
+            early = stop_radius is not None and width[r + 1] <= stop_radius
+            terminated_by = "early-stop" if early else "round-cap"
             break
         check = next_check(r + 1, survivors, span)
         span = 2 * (check - r)
-        cum = schedule.cover(check)[0]
+        cum, width, may_stop = schedule.cover(check + 1)
         total = int(cum[check] - cum[r])
         # only a batch-aware arm splits its pulls into rounds
         batched = any(streams[i].quantile is not None for i in survivors)
@@ -585,11 +575,9 @@ def run_contaminated_successive_elimination(
         for i in survivors:
             stores[i].add(streams[i].rounds(total, sizes))
             estimates[i] = stores[i].median()
-        if check > r + 1:
-            radius = radius_at(check)
         r = check
         best_value = max(estimates[i] for i in survivors)
-        keep = [i for i in survivors if estimates[i] >= best_value - 2.0 * radius]
+        keep = [i for i in survivors if estimates[i] >= best_value - width[r]]
         dropped = tuple(i for i in survivors if i not in keep)
         survivors = keep
         if dropped:

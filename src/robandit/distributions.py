@@ -506,20 +506,21 @@ def _is_unique(lo: float, hi: float) -> bool:
     return abs(hi - lo) <= _UNIQUE_TOL * max(1.0, abs(lo), abs(hi))
 
 
+# (median, mad, mad2) of the laws that have closed forms.
+_CLOSED_FORMS = {
+    Uniform: lambda d: (d.lo + (d.hi - d.lo) / 2, (d.hi - d.lo) / 4, (d.hi - d.lo) / 8),
+    Cauchy: lambda d: (d.x0, d.scale, d.scale * (math.sqrt(3.0) - 1.0)),
+    Dirac: lambda d: (float(d.x), 0.0, 0.0),
+    Gaussian: lambda d: (d.mu, d.sigma * _GAUSSIAN_MAD, d.sigma * _GAUSSIAN_MAD2),
+}
+
+
 def _median_mad(dist: Distribution, force_numeric: bool = False):
     """``(median, mad, median_unique, mad_unique)``: the first two steps of
     ``robust_moments``, for callers that need no second-order MAD."""
-    if not force_numeric:
-        if isinstance(dist, Uniform):
-            width = dist.hi - dist.lo
-            return dist.lo + width / 2, width / 4, True, True
-        if isinstance(dist, Cauchy):
-            return dist.x0, dist.scale, True, True
-        if isinstance(dist, Dirac):
-            return float(dist.x), 0.0, True, True
-        if isinstance(dist, Gaussian):
-            return dist.mu, dist.sigma * _GAUSSIAN_MAD, True, True
-
+    form = None if force_numeric else _CLOSED_FORMS.get(type(dist))
+    if form:
+        return *form(dist)[:2], True, True
     med_lo, med_hi = _median_pair(dist)
     if not _is_unique(med_lo, med_hi):
         return 0.5 * (med_lo + med_hi), math.nan, False, False
@@ -531,16 +532,10 @@ def _median_mad(dist: Distribution, force_numeric: bool = False):
 
 def robust_moments(dist: Distribution, force_numeric: bool = False) -> RobustMoments:
     """Compute robust moments, preferring closed forms unless ``force_numeric``."""
+    form = None if force_numeric else _CLOSED_FORMS.get(type(dist))
+    if form:
+        return RobustMoments(*form(dist), True, True, True)
     median, mad, median_unique, mad_unique = _median_mad(dist, force_numeric)
-    if not force_numeric:
-        if isinstance(dist, Uniform):
-            return RobustMoments(median, mad, (dist.hi - dist.lo) / 8, True, True, True)
-        if isinstance(dist, Cauchy):
-            return RobustMoments(median, mad, dist.scale * (math.sqrt(3.0) - 1.0), True, True, True)
-        if isinstance(dist, Dirac):
-            return RobustMoments(median, mad, 0.0, True, True, True)
-        if isinstance(dist, Gaussian):
-            return RobustMoments(median, mad, dist.sigma * _GAUSSIAN_MAD2, True, True, True)
     if not mad_unique:
         return RobustMoments(median, mad, math.nan, median_unique, False, False)
 

@@ -15,6 +15,7 @@ globals at call time, so a tracer that rebinds those names sees every call.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,9 +176,11 @@ def _run_replications(
     def call(i: int) -> dict[str, Any]:
         return {"replication": i, "seed": mix_seed(seed, i), **spec.row(replication_rng(seed, i))}
 
-    if parallelism <= 1:
+    # the pool starts a thread per submitted call while none is idle
+    workers = min(parallelism, replications, os.cpu_count() or 1)
+    if workers <= 1:
         return [call(i) for i in range(replications)]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(call, range(replications)))
 
 

@@ -554,10 +554,61 @@ class TestEnvelopeSkippingKernel:
             )
         assert 0 < add.call_count < result.rounds / 10
 
+    def test_early_stop_wins_when_both_stops_fire_at_one_round(self):
+        """Arms that tie forever race until a stop; with the round cap one
+        round short of the early stop, both fire at the same round."""
+        alpha, delta, k = 1.0, 0.1, 2
+        scale2 = 2.0 * (FAMILY.slope_bound * FAMILY.mad_bound) ** 2
+
+        def diameter(r):
+            return 2.0 * math.sqrt(scale2 * math.log(3.0 / rb.elimination_round_delta(r, k, delta)) / r)
+
+        early = next(r for r in range(1, 10**4) if diameter(r) <= alpha / 2.0)
+        instance = rb.BanditInstance(
+            rb.ContaminatedArm(rb.Dirac(0.0), rb.FixedContamination(rb.Dirac(0.0)), 0.05, OBL)
+            for _ in range(k)
+        )
+        config = rb.AlgoConfig(
+            alpha=alpha, delta=delta, family=FAMILY, eps0=0.05, max_rounds=early - 1, early_stop=True
+        )
+        assert_kernel_matches_oracle(instance, config, 5)
+        result = rb.run_contaminated_successive_elimination(instance, config, np.random.default_rng(5))
+        assert result.terminated_by == "early-stop"
+        assert result.rounds == early - 1
+
 
 class TestRoundSchedule:
     """Races on the same parameters share one schedule, extended by whichever
     race needs more rounds."""
+
+    @pytest.mark.parametrize("variant", ["squared-slope", "linear-slope"])
+    @pytest.mark.parametrize("stop_radius, max_rounds", [(None, 40_000), (0.25, 10**6)])
+    def test_schedule_is_the_scalar_rule_bitwise(self, variant, stop_radius, max_rounds):
+        """On the lb demo's parameters, every round's pull count and width
+        equal the round-by-round loop's scalar expressions bit for bit, and
+        ``may_stop`` marks the rounds where the early stop or the round cap
+        fires."""
+        lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
+        family = lifted.family_for(0.15)
+        params = rb.AlgoConfig(alpha=0.05, delta=0.1, family=family, eps0=0.05).estimation_params(OBL)
+        floor_scale = 2.0 * params.median_margin() ** -2
+        slope, mad = family.slope_bound, family.mad_bound
+        s2 = 2.0 * (slope * mad) ** 2 if variant == "squared-slope" else 2.0 * slope * mad**2
+        k, delta, last = 2, 0.1, 1 << 16
+        schedule = bandit._RoundSchedule(floor_scale, s2, k, delta, stop_radius, max_rounds)
+        cum, width, may_stop = (a.tolist() for a in schedule.cover(last))
+        assert (cum[0], width[0], may_stop[0]) == (0, 0.0, False)
+        bad_pulls, bad_width, bad_stop = [], [], []
+        for r in range(1, last + 1):
+            if cum[r] - cum[r - 1] != 1 + math.ceil(2.0 * floor_scale * math.log((r + 1.0) / r)):
+                bad_pulls.append(r)
+            w = 2.0 * math.sqrt(s2 * math.log(3.0 / rb.elimination_round_delta(r, k, delta)) / r)
+            if width[r] != w:
+                bad_width.append(r)
+            if may_stop[r] != (r > max_rounds or (stop_radius is not None and w <= stop_radius)):
+                bad_stop.append(r)
+        assert (bad_pulls, bad_width, bad_stop) == ([], [], [])
+        assert 1 < may_stop.index(True) < last
 
     @settings(deadline=None, max_examples=20)
     @given(race_cases())

@@ -421,6 +421,24 @@ class TestRunExperiment:
             blobs.append(b"".join(result.files[f].read_bytes() for f in files))
         assert blobs[0] == blobs[1]
 
+    def test_thread_pool_is_capped(self, tmp_path, monkeypatch):
+        """The pool starts a thread per submitted call while none is idle, so
+        it gets no more workers than replications or CPUs; one runs serially."""
+        sizes = []
+        pool = runner.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", recorded)
+        config = parse_config(MINIMAL.replace("replications = 4", "replications = 3"))
+        capped = run_experiment(config, parallelism=10**6, out_dir=tmp_path / "capped")
+        serial = run_experiment(config, parallelism=1, out_dir=tmp_path / "serial")
+        cap = min(3, os.cpu_count() or 1)
+        assert sizes == ([cap] if cap > 1 else [])
+        assert capped.files["records"].read_bytes() == serial.files["records"].read_bytes()
+
     @pytest.mark.parametrize(
         "text, replications, digest",
         [
