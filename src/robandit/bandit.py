@@ -336,6 +336,14 @@ class _ArmPulls:
         y, d = (c[:total] for c in held)
         return np.where(d, segment_quantiles(y, sizes, self.quantile), y)
 
+    def ahead(self) -> np.ndarray:
+        """The pulls held for the coming rounds, NaN where a pull's value
+        depends on its round (a batch-aware arm's contaminated pulls)."""
+        if self.quantile is None:
+            return self.held[0]
+        y, d = self.held
+        return np.where(d, np.nan, y)
+
 
 def _log(a: np.ndarray) -> np.ndarray:
     """``math.log`` of every entry; numpy's log may differ from it by an ulp."""
@@ -406,6 +414,27 @@ def _merged(a: np.ndarray, values: np.ndarray) -> np.ndarray:
     out[at] = values
     out[rest] = a
     return out
+
+
+def _bracket(
+    v: np.ndarray, lo: np.ndarray, hi: np.ndarray, m: np.ndarray, ahead: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on an arm's median after each of the increasing pull counts ``m``.
+
+    ``v`` holds the arm's pulls so far, sorted; after m more pulls the middle
+    pair has ranks ``lo + m`` and ``hi``. ``ahead`` holds the next pulls, NaN
+    where unknown, and pulls past its end are unknown too. Of the first m
+    pulls, B(m) lie strictly below ``v[lo[-1]]`` and N(m) are unknown or not
+    strictly above ``v[hi[-1]]``. The bracket ``v[lo + m - N(m)] ..
+    v[hi - B(m)]`` holds the middle pair: both reads lie in ``v[lo[-1]] ..
+    v[hi[-1]]``, so at most ``lo + m`` pulls lie strictly below the lower end
+    and at least ``hi + 1`` at or below the upper end. With no pull known it
+    is ``v[lo] .. v[hi]``, and it is never wider.
+    """
+    held = ahead[: m[-1]]
+    above = np.flatnonzero(held > v[hi[-1]]).searchsorted(m)
+    below = np.flatnonzero(held < v[lo[-1]]).searchsorted(m)
+    return v[lo + above], v[hi - below]
 
 
 class _MedianWindow:
@@ -487,16 +516,23 @@ def run_contaminated_successive_elimination(
 
     Medians are evaluated only at rounds where an elimination or a stop is
     possible (envelope skipping). Each survivor keeps the order statistics
-    around its middle pair sorted (``_MedianWindow``); m pulls after a check
+    around its middle pair sorted (``_MedianWindow``). m pulls after a check
     at c pulls, its median lies between the check's order statistics of ranks
-    lo(c+m) - m and hi(c+m), lo and hi the ranks of the middle pair. While the
-    lowest such lower end stays within two radii of the highest upper end, no
-    arm can be dropped, so the kernel draws all pulls up to the first round
-    where that fails, or where those ranks leave a survivor's window, and
-    checks there. The scan and the drop test subtract the same two radii
+    lo(c+m) - N(m) and hi(c+m) - B(m), lo and hi the ranks of the middle pair
+    (``_bracket``). Over a span of the scan that reaches M pulls, B(m) counts
+    the arm's next m pulls strictly below its order statistic of rank
+    lo(c+M) - M and N(m) those not strictly above that of rank hi(c+M).
+    Only the pulls the arm already holds are known; a pull past them, or a
+    batch-aware arm's contaminated pull, counts in N but not in B, so with
+    nothing known the ranks are lo(c+m) - m and hi(c+m). While the lowest
+    such lower end stays within two radii of the highest upper end, no arm
+    can be dropped, so the kernel draws all pulls up to the first round where
+    that fails, or where those ranks leave a survivor's window, and checks
+    there. The scan and the drop test subtract the same two radii
     (``_RoundSchedule``), and rounding is monotone, so the scan reaches every
     round where an arm can be dropped; a check at any other round changes
-    nothing, so results equal those of a round-by-round loop.
+    nothing, so results equal those of a round-by-round loop. The scan draws
+    nothing, so each arm's draws do not depend on it.
 
     Arm i pulls from its own generator ``rng.spawn(k)[i]`` in fixed blocks (see
     ``_ArmPulls``), so its pulls do not depend on when the kernel checks or on
@@ -530,6 +566,7 @@ def run_contaminated_successive_elimination(
         top = min(a.base + a.window.size for a in rows) - 1
         reach = min(count - 1 - 2 * floor, 2 * top + 1 - count)
         views = [a.window[floor - a.base :] for a in rows]
+        aheads = [streams[i].ahead() for i in survivors]
         base = schedule.cover(first - 1)[0][first - 1]
         while True:
             last = first + span
@@ -539,11 +576,8 @@ def run_contaminated_successive_elimination(
             if ok:
                 m = m[:ok]
                 lo, hi = (count - 1 - 2 * floor - m) // 2, (count - 2 * floor + m) // 2
-                lowest, highest = views[0][lo], views[0][hi]
-                for v in views[1:]:
-                    np.minimum(lowest, v[lo], out=lowest)
-                    np.maximum(highest, v[hi], out=highest)
-                hit = lowest < highest - width[first : first + ok]
+                lows, highs = zip(*(_bracket(v, lo, hi, m, a) for v, a in zip(views, aheads)))
+                hit = np.minimum.reduce(lows) < np.maximum.reduce(highs) - width[first : first + ok]
                 hit |= may_stop[first + 1 : first + ok + 1]
                 j = int(hit.argmax())
                 if hit[j]:

@@ -447,14 +447,26 @@ class TestRunExperiment:
             (_demo("estimate"), 20, "10f2fed4abf26544f123c7eb7e3a79ceed499bf78d3687e4843039b395ada67a"),
             (OUTPUT_CASES["estimate-mad"], 20, "36891c766e8a2026f78132fe917322f4fe4fa5a33d2a34491db6d3516a40bb9a"),
             (MINIMAL, 20, "7dbe28314332af9e449593e8731d7b629d91a597b2be439021190cd85f981a32"),
+            (
+                _demo("lb").replace("p = [0.6, 0.4]", "p = [0.6, 0.4, 0.4, 0.4]"),
+                10,
+                "23f239c5f3b82e3a59d62d0dd290896fa3aec496b7f4fc49e0b1bb9bd58be90a",
+            ),
+            (
+                _demo("lb").replace("p = [0.6, 0.4]", "p = [0.55, 0.45]"),
+                10,
+                "cab570bb3ea6405912609bf63cfbfda2b56598953aec112fe47a8983ae3e8729",
+            ),
         ],
-        ids=["lb", "prescient", "estimate-median", "estimate-mad", "bai-simple"],
+        ids=["lb", "prescient", "estimate-median", "estimate-mad", "bai-simple", "lb-k4", "lb-narrow"],
     )
     def test_racing_records_are_pinned(self, tmp_path, text, replications, digest):
         """sha256 of ``records.csv`` for racing and estimation runs: the lb and
         prescient digests were recorded while the racing kernel kept every
-        arm's pulls as one sorted array, the others while each experiment kind
-        handed the replication engine a closure instead of a spec."""
+        arm's pulls as one sorted array, the estimation and bai-simple ones
+        while each experiment kind handed the replication engine a closure
+        instead of a spec, and the four-arm and narrow lifted ones while the
+        envelope scan assumed every new pull fell on one side of the median."""
         text = re.sub(r"replications = \d+", f"replications = {replications}", text)
         result = run_experiment(parse_config(text), out_dir=tmp_path)
         assert hashlib.sha256(result.files["records"].read_bytes()).hexdigest() == digest
