@@ -288,9 +288,7 @@ _BLOCK = 4096
 # Rounds covered by a race's first envelope scan; later scans start at twice
 # the previous check distance, and each further scan doubles.
 _SCAN_ROUNDS = 32
-# An arm's pulls stay one sorted array until it holds more than _WHOLE of them;
-# past that it keeps _HALF_WIDTH sorted ranks on each side of its middle pair.
-_WHOLE = 16_384
+# Sorted ranks an arm's store keeps on each side of its middle pair.
 _HALF_WIDTH = 2048
 
 
@@ -405,17 +403,6 @@ class _RoundSchedule:
 _round_schedule = functools.lru_cache(maxsize=8)(_RoundSchedule)
 
 
-def _merged(a: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The sorted array ``a`` with the sorted ``values`` merged in, without a full sort."""
-    at = a.searchsorted(values) + np.arange(values.size)
-    out = np.empty(a.size + values.size)
-    rest = np.ones(out.size, dtype=bool)
-    rest[at] = False
-    out[at] = values
-    out[rest] = a
-    return out
-
-
 def _bracket(
     v: np.ndarray, lo: np.ndarray, hi: np.ndarray, m: np.ndarray, ahead: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -440,60 +427,50 @@ def _bracket(
 class _MedianWindow:
     """One arm's pulls as the order statistics around their middle pair.
 
-    ``window`` holds the ranks ``base`` to ``base + window.size - 1`` sorted;
-    ``out`` holds every other value, unsorted, as a list of chunks. Up to
-    ``_WHOLE`` values the window is the whole sorted array. Past that it keeps
-    at most ``_HALF_WIDTH`` ranks on each side of the middle pair, and is
-    rebuilt from all values when a side with values beyond it holds fewer than
-    half of those.
+    ``pulls`` holds every value taken in, one sorted chunk per ``add``.
+    ``window`` holds the ranks ``base`` to ``base + window.size - 1`` sorted:
+    at most ``_HALF_WIDTH`` ranks on each side of the middle pair, or all
+    ranks while there are no more. It is rebuilt from ``pulls`` when a side
+    with values beyond it holds fewer than half of those.
     """
 
-    __slots__ = ("window", "base", "count", "out")
+    __slots__ = ("pulls", "window", "base", "count")
 
     def __init__(self, values: np.ndarray):
-        self.window = np.sort(values)
-        self.base = 0
-        self.count = values.size
-        self.out: list[np.ndarray] = []
+        self.pulls: list[np.ndarray] = []
+        self.window = np.empty(0)
+        self.base = self.count = 0
+        self.add(values)
 
     def add(self, values: np.ndarray) -> None:
-        """Take in ``values``: merge those between the window's ends, set
-        aside the rest, and re-centre the window on the new middle pair."""
+        """Take in ``values``: merge those between the window's ends and
+        re-centre the window on the new middle pair."""
         values = np.sort(values)
+        self.pulls.append(values)
         w, base, n = self.window, self.base, self.count + values.size
         # an end with no values beyond it is open, so a whole window stays whole
         below = values.searchsorted(w[0]) if base else 0
         above = values.searchsorted(w[-1], "right") if base + w.size < self.count else values.size
-        if below:
-            self.out.append(values[:below])
-        if above < values.size:
-            self.out.append(values[above:])
-        w, base, self.count = _merged(w, values[below:above]), base + below, n
-        half = _HALF_WIDTH if n > _WHOLE else n
+        # timsort merges the two sorted runs
+        w = np.concatenate((w, values[below:above]))
+        w.sort(kind="stable")
+        base, self.count = base + below, n
         mid = (n - 1) // 2  # the middle pair's ranks are mid and n // 2
-        start, stop = max(mid - half, 0), min(n // 2 + half + 1, n)
-        # a side of the middle pair with values beyond it needs half // 2 ranks
-        short_below = base > 0 and mid - base < half // 2
-        short_above = base + w.size < n and base + w.size - 1 - n // 2 < half // 2
+        start, stop = max(mid - _HALF_WIDTH, 0), min(n // 2 + _HALF_WIDTH + 1, n)
+        # a side of the middle pair with values beyond it needs _HALF_WIDTH // 2 ranks
+        short_below = base > 0 and mid - base < _HALF_WIDTH // 2
+        short_above = base + w.size < n and base + w.size - 1 - n // 2 < _HALF_WIDTH // 2
         if short_below or short_above:
-            self._rebuild(w, start, stop)
-            return
+            w, base = self._rebuild(start, stop), start
         lo, hi = max(start - base, 0), min(stop - base, w.size)
-        # copies, so that the trimmed ends do not keep the merged array alive
-        if lo:
-            self.out.append(w[:lo].copy())
-        if hi < w.size:
-            self.out.append(w[hi:].copy())
         self.window, self.base = w[lo:hi], base + lo
 
-    def _rebuild(self, w: np.ndarray, start: int, stop: int) -> None:
-        """Make the window ranks ``start`` to ``stop - 1`` with one partition
-        over ``w`` and the values set aside."""
-        everything = np.concatenate([*self.out, w])
+    def _rebuild(self, start: int, stop: int) -> np.ndarray:
+        """The ranks ``start`` to ``stop - 1`` of every value, sorted, by one
+        partition."""
+        everything = np.concatenate(self.pulls)
         everything.partition((start, stop - 1))
-        self.window = np.sort(everything[start:stop])
-        self.out = [c for c in (everything[:start], everything[stop:]) if c.size]
-        self.base = start
+        return np.sort(everything[start:stop])
 
     def median(self) -> float:
         """``empirical_median`` of every value taken in."""

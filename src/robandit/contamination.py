@@ -25,7 +25,7 @@ from .distributions import (
     _median_pair,
     _on_floats,
 )
-from .errors import IncompatibleStrategyError, ParameterOutOfRangeError
+from .errors import EmptyInputError, IncompatibleStrategyError, ParameterOutOfRangeError
 
 __all__ = [
     "AdversaryModel",
@@ -330,6 +330,8 @@ def ks_distance(values, dist: Distribution) -> float:
     """sup_x |empirical cdf - F|, tie-aware so atoms are handled correctly."""
     xs = np.asarray(values, dtype=float)
     n = xs.size
+    if n == 0:
+        raise EmptyInputError("KS distance needs at least one sample")
     uniq, counts = np.unique(xs, return_counts=True)
     ecdf_hi = np.cumsum(counts) / n
     ecdf_lo = ecdf_hi - counts / n
@@ -343,6 +345,8 @@ def verify_marginals(
 ) -> MarginalReport:
     """Draw a debug batch and check the contamination-flag frequency and the
     clean-sample KS distance against their concentration bands."""
+    if n < 1:
+        raise ParameterOutOfRangeError(f"batch size must be at least 1, got {n}")
     band = math.sqrt(math.log(2.0 / delta) / (2.0 * n))
     if arm.eps > 0 and not band < arm.eps / 2.0:
         raise ParameterOutOfRangeError(

@@ -289,7 +289,15 @@ def _literal(table: dict, what: str, spec: Any, key: str, line: int | None):
     args = []
     for name, want, *default in fields:
         if name in spec:
-            args.append(_coerce(spec[name], want, key, line))
+            value = _coerce(spec[name], want, key, line)
+            numbers = value if want == [float] else [value] if want is float else []
+            if not all(map(math.isfinite, numbers)):
+                raise FeasibilityViolationError(
+                    f"{what} kind {kind!r} field {name!r} must be finite, got {spec[name]!r}",
+                    key,
+                    line,
+                )
+            args.append(value)
         elif default:
             args.append(default[0])
         else:

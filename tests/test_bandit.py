@@ -240,9 +240,9 @@ class TestRunningMedian:
             rb.RunningMedian().median
 
 
-# Window sizes (_WHOLE, _HALF_WIDTH) for the store tests: a window from the
-# first chunk on, and small ones that the chunks below switch, trim and rebuild.
-WINDOW_SIZES = [(0, 1), (8, 2), (16, 4), (64, 8)]
+# Half-widths (_HALF_WIDTH) for the store tests: small enough that the chunks
+# below trim and rebuild the window.
+WINDOW_SIZES = [1, 2, 4, 8]
 
 
 def store_chunk(data, store, half):
@@ -267,13 +267,13 @@ def store_chunk(data, store, half):
 
 def assert_store_holds(store, pulls):
     """``store`` holds ``pulls``: the window is their sorted ranks from
-    ``base`` on and covers the middle pair, and ``out`` holds the rest."""
+    ``base`` on and covers the middle pair, and ``pulls`` holds them all."""
     ordered = np.sort(pulls)
     n, w = ordered.size, store.window
     assert store.count == n
     assert store.base <= (n - 1) // 2 and n // 2 < store.base + w.size
     assert np.array_equal(w, ordered[store.base : store.base + w.size])
-    assert np.array_equal(np.sort(np.concatenate([*store.out, w])), ordered)
+    assert np.array_equal(np.sort(np.concatenate(store.pulls)), ordered)
     assert store.median() == rb.empirical_median(pulls)
 
 
@@ -283,12 +283,8 @@ class TestMedianWindow:
 
     @settings(deadline=None, max_examples=150)
     @given(st.data(), st.sampled_from(WINDOW_SIZES))
-    def test_matches_sorted_pulls(self, data, sizes):
-        whole, half = sizes
-        with (
-            mock.patch.object(bandit, "_WHOLE", whole),
-            mock.patch.object(bandit, "_HALF_WIDTH", half),
-        ):
+    def test_matches_sorted_pulls(self, data, half):
+        with mock.patch.object(bandit, "_HALF_WIDTH", half):
             pulls = data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=12))
             pulls = np.array(pulls, dtype=float)
             store = bandit._MedianWindow(pulls)
@@ -298,7 +294,7 @@ class TestMedianWindow:
                 store.add(chunk)
                 pulls = np.concatenate([pulls, chunk])
                 assert_store_holds(store, pulls)
-                if pulls.size <= whole:
+                if pulls.size <= 2 * half + 2:
                     assert store.base == 0 and store.window.size == pulls.size
                 else:
                     assert store.window.size <= 2 * half + 2
@@ -306,16 +302,16 @@ class TestMedianWindow:
     def test_stays_whole_then_trims_then_rebuilds(self):
         rebuild = bandit._MedianWindow._rebuild
         with (
-            mock.patch.object(bandit, "_WHOLE", 16),
             mock.patch.object(bandit, "_HALF_WIDTH", 4),
             mock.patch.object(
                 bandit._MedianWindow, "_rebuild", autospec=True, side_effect=rebuild
             ) as rebuilds,
         ):
             rng = np.random.default_rng(15)
-            pulls = rng.random(10)
+            pulls = rng.random(6)
             store = bandit._MedianWindow(pulls)
-            for chunk, base, size in ((rng.random(6), 0, 16), (rng.random(8), 7, 10)):
+            # whole up to 2 * 4 + 2 values, then trimmed to 4 ranks on each side
+            for chunk, base, size in ((rng.random(4), 0, 10), (rng.random(8), 4, 10)):
                 store.add(chunk)
                 pulls = np.concatenate([pulls, chunk])
                 assert_store_holds(store, pulls)
@@ -327,7 +323,7 @@ class TestMedianWindow:
             pulls = np.concatenate([pulls, chunk])
             assert rebuilds.call_count == 1
             assert_store_holds(store, pulls)
-            assert (store.base, store.window.size) == (27, 10)
+            assert (store.base, store.window.size) == (24, 10)
 
 
 class TestBracket:
@@ -557,15 +553,14 @@ class TestEnvelopeSkippingKernel:
     @settings(deadline=None, max_examples=40)
     @given(
         race_cases(),
-        st.sampled_from([(0, 1, 64), (64, 8, 256), (600, 64, 1000), (16384, 2048, 97)]),
+        st.sampled_from([(1, 64), (8, 256), (64, 1000), (2048, 97)]),
     )
     def test_windowed_kernel_matches_round_by_round_oracle(self, case, sizes):
         """The same with windows small enough that races trim, rebuild and
         cut scans at the windows' ends, and blocks small enough that scans
         run past the pulls an arm holds and across its blocks' ends."""
-        whole, half, block = sizes
+        half, block = sizes
         with (
-            mock.patch.object(bandit, "_WHOLE", whole),
             mock.patch.object(bandit, "_HALF_WIDTH", half),
             mock.patch.object(bandit, "_BLOCK", block),
         ):
@@ -581,8 +576,7 @@ class TestEnvelopeSkippingKernel:
             assert_kernel_matches_oracle(lifted.instance(), config, 11)
 
     def test_narrow_lifted_instance(self):
-        """The narrow hardness instance, whose arms pass ``_WHOLE`` pulls and
-        keep windows."""
+        """The narrow hardness instance, whose stores trim their windows."""
         lifted = rb.oblivious_lifting([0.55, 0.45], 0.05)
         config = rb.AlgoConfig(
             alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05
@@ -591,7 +585,7 @@ class TestEnvelopeSkippingKernel:
             bandit._MedianWindow, "add", autospec=True, side_effect=bandit._MedianWindow.add
         ) as add:
             assert_kernel_matches_oracle(lifted.instance(), config, 6)
-        assert max(c.args[0].count for c in add.call_args_list) > bandit._WHOLE
+        assert max(c.args[0].base for c in add.call_args_list) > 0
 
     def test_checks_fewer_rounds_than_it_races(self):
         lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)

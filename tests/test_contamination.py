@@ -376,6 +376,12 @@ class TestVerifyMarginals:
         with pytest.raises(rb.ParameterOutOfRangeError):
             rb.verify_marginals(arm, 100, np.random.default_rng(20))
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_batch(self, n):
+        arm = make_arm(rb.ShiftMedianUp(), eps=0.0)
+        with pytest.raises(rb.ParameterOutOfRangeError):
+            rb.verify_marginals(arm, n, np.random.default_rng(20))
+
 
 class TestSandwich:
     @settings(max_examples=60, deadline=None)
@@ -423,3 +429,7 @@ class TestKsDistance:
     def test_detects_wrong_law(self):
         xs = rb.Uniform(0, 1).sample(10_000, np.random.default_rng(23))
         assert rb.ks_distance(xs, rb.Uniform(0.2, 1.2)) > 0.1
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(rb.EmptyInputError):
+            rb.ks_distance([], rb.Uniform(0, 1))

@@ -194,6 +194,29 @@ class TestParser:
         assert err.value.key == key
         assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
 
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "dist: {kind: gaussian, mu: nan, sigma: 1.0}",
+            "dist: {kind: gaussian, mu: inf, sigma: 1.0}",
+            "dist: {kind: dirac, x: inf}",
+            "dist: {kind: mixture, weights: [nan, 0.5],"
+            " components: [{kind: dirac, x: 0.0}, {kind: dirac, x: 1.0}]}",
+            "dist: {kind: affine, base: {kind: uniform, lo: 0.0, hi: 1.0}, scale: nan}",
+            "dist: {kind: uniform, lo: 0.0, hi: 1.0},"
+            " strategy: {kind: shift_median_up, magnitude: nan}",
+        ],
+    )
+    def test_non_finite_literal_number_rejected(self, literal):
+        """A nan or inf in a distribution or strategy literal names the arm's
+        key and line instead of failing mid-race or racing to a success."""
+        old = next(line for line in MINIMAL.splitlines() if line.startswith("arm ="))
+        bad = MINIMAL.replace(old, "arm = {" + literal + "}")
+        with pytest.raises(FeasibilityViolationError) as err:
+            parse_config(bad)
+        assert err.value.key == "arm"
+        assert bad.splitlines()[err.value.line - 1] == "arm = {" + literal + "}"
+
     @pytest.mark.parametrize("value", ["true", '"true"'])
     def test_mad_source_true_bare_or_quoted(self, value):
         text = _demo("estimate").replace("delta = 0.1", f"delta = 0.1\nmad_source = {value}")
