@@ -297,50 +297,63 @@ class _ArmPulls:
     ``_BLOCK`` and handed out in order.
 
     An iid arm's blocks are ``draw_batch`` outputs, so its j-th pull depends
-    only on its generator and j, and ``rounds`` needs only the pull count. A
-    batch-aware ``EmpiricalQuantileShift`` arm (``quantile`` set) draws blocks
-    of clean values and contamination flags with ``draw_clean``, so these too
-    depend only on its generator and j. Its adversary sees each round's pulls
-    as one batch: ``rounds`` places every contaminated value of a round at
-    that round's ceil(nq)-th clean order statistic, so it needs the round
-    sizes too. Pulls already held are handed out as views; the held arrays are
-    joined only when a new block is drawn.
+    only on its generator and j. A batch-aware ``EmpiricalQuantileShift`` arm
+    (``quantile`` set) draws blocks of clean values and contamination flags
+    with ``draw_clean``, so these too depend only on its generator and j. Its
+    adversary sees each round's pulls as one batch and places every
+    contaminated value of a round at that round's ceil(nq)-th clean order
+    statistic. ``ends(n)`` gives the arm's round ends, counted in pulls from
+    its first, as an increasing array holding every end up to n; only a
+    batch-aware arm reads it. When it draws, such an arm resolves the
+    contaminated pulls of every round it now holds whole; those of the
+    trailing partial round stay NaN until the next draw. ``start`` counts
+    the pulls before that round, and ``clean`` and ``flags`` hold its clean
+    values and flags. Held pulls are handed out as views; they are joined
+    only when a block is drawn.
     """
 
-    __slots__ = ("arm", "rng", "quantile", "held")
+    __slots__ = ("arm", "rng", "quantile", "ends", "held", "start", "clean", "flags")
 
-    def __init__(self, arm: ContaminatedArm, rng: np.random.Generator):
+    def __init__(self, arm: ContaminatedArm, rng: np.random.Generator, ends):
         self.arm = arm
         self.rng = rng
         strat = arm.strategy
         self.quantile = strat.target_quantile if isinstance(strat, EmpiricalQuantileShift) else None
-        self.held = (np.empty(0),) if self.quantile is None else (np.empty(0), np.empty(0, bool))
+        self.ends = ends
+        self.held = np.empty(0)
+        self.start = 0
+        self.clean, self.flags = np.empty(0), np.empty(0, bool)
 
-    def _block(self) -> tuple[np.ndarray, ...]:
+    def _draw(self, blocks: int) -> None:
+        """Draw ``blocks`` more blocks onto the held pulls."""
         if self.quantile is None:
-            return (draw_batch(self.arm, _BLOCK, self.rng),)
-        return draw_clean(self.arm, _BLOCK, self.rng)
+            draws = [draw_batch(self.arm, _BLOCK, self.rng) for _ in range(blocks)]
+            self.held = np.concatenate((self.held, *draws))
+            return
+        ys, ds = zip(*(draw_clean(self.arm, _BLOCK, self.rng) for _ in range(blocks)))
+        y, d = np.concatenate((self.clean, *ys)), np.concatenate((self.flags, *ds))
+        ends = self.ends(self.start + y.size) - self.start
+        ends = ends[ends.searchsorted(0, "right") : ends.searchsorted(y.size, "right")]
+        whole = int(ends[-1]) if ends.size else 0
+        fill = np.full(y.size, np.nan)
+        fill[:whole] = segment_quantiles(y[:whole], np.diff(ends, prepend=0), self.quantile)
+        kept = self.held[: self.held.size - self.clean.size]
+        self.held = np.concatenate((kept, np.where(d, fill, y)))
+        self.clean, self.flags = y[whole:], d[whole:]
+        self.start += whole
 
-    def rounds(self, total: int, sizes=None) -> np.ndarray:
-        """The arm's next ``total`` pulls, over consecutive rounds of ``sizes``
-        pulls each; an iid arm ignores ``sizes``."""
-        held = self.held
-        if total > held[0].size:
-            blocks = [self._block() for _ in range(-(-(total - held[0].size) // _BLOCK))]
-            held = tuple(np.concatenate(parts) for parts in zip(held, *blocks))
-        self.held = tuple(c[total:] for c in held)
-        if self.quantile is None:
-            return held[0][:total]
-        y, d = (c[:total] for c in held)
-        return np.where(d, segment_quantiles(y, sizes, self.quantile), y)
+    def rounds(self, total: int) -> np.ndarray:
+        """The arm's next ``total`` pulls, which end at a round's end."""
+        short = total - self.held.size
+        if short > 0:
+            self._draw(-(-short // _BLOCK))
+        pulls, self.held = self.held[:total], self.held[total:]
+        return pulls
 
     def ahead(self) -> np.ndarray:
-        """The pulls held for the coming rounds, NaN where a pull's value
-        depends on its round (a batch-aware arm's contaminated pulls)."""
-        if self.quantile is None:
-            return self.held[0]
-        y, d = self.held
-        return np.where(d, np.nan, y)
+        """The pulls held for the coming rounds, NaN where a batch-aware
+        arm's contaminated pull lies in a round it does not hold whole."""
+        return self.held
 
 
 def _log(a: np.ndarray) -> np.ndarray:
@@ -500,21 +513,23 @@ def run_contaminated_successive_elimination(
     the arm's next m pulls strictly below its order statistic of rank
     lo(c+M) - M and N(m) those not strictly above that of rank hi(c+M).
     Only the pulls the arm already holds are known; a pull past them, or a
-    batch-aware arm's contaminated pull, counts in N but not in B, so with
-    nothing known the ranks are lo(c+m) - m and hi(c+m). While the lowest
-    such lower end stays within two radii of the highest upper end, no arm
-    can be dropped, so the kernel draws all pulls up to the first round where
-    that fails, or where those ranks leave a survivor's window, and checks
-    there. The scan and the drop test subtract the same two radii
-    (``_RoundSchedule``), and rounding is monotone, so the scan reaches every
-    round where an arm can be dropped; a check at any other round changes
-    nothing, so results equal those of a round-by-round loop. The scan draws
-    nothing, so each arm's draws do not depend on it.
+    batch-aware arm's contaminated pull in a round it does not yet hold
+    whole, counts in N but not in B, so with nothing known the ranks are
+    lo(c+m) - m and hi(c+m). While the lowest such lower end stays within
+    two radii of the highest upper end, no arm can be dropped, so the kernel
+    draws all pulls up to the first round where that fails, or where those
+    ranks leave a survivor's window, and checks there. The scan and the drop
+    test subtract the same two radii (``_RoundSchedule``), and rounding is
+    monotone, so the scan reaches every round where an arm can be dropped; a
+    check at any other round changes nothing, so results equal those of a
+    round-by-round loop. The scan draws nothing, so each arm's draws do not
+    depend on it.
 
     Arm i pulls from its own generator ``rng.spawn(k)[i]`` in fixed blocks (see
     ``_ArmPulls``), so its pulls do not depend on when the kernel checks or on
     its rivals. An ``EmpiricalQuantileShift`` arm's contaminated values depend
-    on their round's clean values only; its blocks hold those and the flags.
+    on their round's clean values only; its blocks hold those and the flags,
+    and its round ends come from the schedule (``round_ends``).
     """
     k = instance.k
     params = config.estimation_params(instance.model)
@@ -523,12 +538,18 @@ def run_contaminated_successive_elimination(
     family = config.family
     radius_scale2 = _RADIUS_SCALE2[config.threshold_variant](family.slope_bound, family.mad_bound)
     stop_radius = config.alpha / 2.0 if config.early_stop else None
-    streams = [_ArmPulls(arm, child) for arm, child in zip(instance.arms, rng.spawn(k))]
-    stores = [_MedianWindow(s.rounds(warmup, [warmup])) for s in streams]
-    if k == 1:
-        return BanditRunResult(0, (warmup,), 0, (), "single-survivor")
     delta, max_rounds = config.delta, config.max_rounds
     schedule = _round_schedule(floor_scale, radius_scale2, k, delta, stop_radius, max_rounds)
+
+    def round_ends(n: int) -> np.ndarray:
+        """Every round end up to pull n: the warm-up's, then those of rounds
+        of at least 2 pulls each, up to the round cap."""
+        return warmup + schedule.cover(min((n - warmup) // 2 + 1, max_rounds))[0]
+
+    streams = [_ArmPulls(arm, child, round_ends) for arm, child in zip(instance.arms, rng.spawn(k))]
+    stores = [_MedianWindow(s.rounds(warmup)) for s in streams]
+    if k == 1:
+        return BanditRunResult(0, (warmup,), 0, (), "single-survivor")
     estimates = [s.median() for s in stores]
 
     def next_check(first: int, survivors: list[int], span: int) -> int:
@@ -580,11 +601,8 @@ def run_contaminated_successive_elimination(
         span = 2 * (check - r)
         cum, width, may_stop = schedule.cover(check + 1)
         total = int(cum[check] - cum[r])
-        # only a batch-aware arm splits its pulls into rounds
-        batched = any(streams[i].quantile is not None for i in survivors)
-        sizes = np.diff(cum[r : check + 1]) if batched else None
         for i in survivors:
-            stores[i].add(streams[i].rounds(total, sizes))
+            stores[i].add(streams[i].rounds(total))
             estimates[i] = stores[i].median()
         r = check
         best_value = max(estimates[i] for i in survivors)

@@ -221,17 +221,25 @@ def draw_clean(arm: ContaminatedArm, n: int, rng: np.random.Generator):
 def segment_quantiles(y: np.ndarray, sizes, q: float) -> np.ndarray:
     """``EmpiricalQuantileShift`` values for consecutive batches of ``sizes``
     clean values ``y``: each batch's ceil(nq)-th order statistic, repeated n
-    times.
+    times. A batch of size 0 adds nothing.
 
-    That order statistic is numpy's ``inverted_cdf`` quantile bitwise. One
-    sort by (batch, value) picks it for every batch at once, so a race's
-    rounds up to a check cost one call instead of one per round.
+    That order statistic is numpy's ``inverted_cdf`` quantile bitwise. Each run
+    of consecutive batches of one size is sorted as the rows of one matrix by a
+    stable sort, so equal values keep their order and the pick is the element
+    a stable sort of its batch alone would pick. A race's rounds shrink to 2
+    pulls, so the rounds of a block of pulls cost a few row sorts.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    start = np.cumsum(sizes) - sizes
-    rank = np.minimum(np.maximum(np.ceil(sizes * q).astype(np.int64) - 1, 0), sizes - 1)
-    order = np.lexsort((y, np.repeat(np.arange(sizes.size), sizes)))
-    return np.repeat(y[order[start + rank]], sizes)
+    ends = np.cumsum(sizes)
+    picks = np.empty(sizes.size, dtype=y.dtype)
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
+    for a, b in zip(starts, [*starts[1:], sizes.size]):
+        n = int(sizes[a])
+        if n:
+            rows = y[ends[a] - n : ends[b - 1]].reshape(b - a, n)
+            rank = min(max(math.ceil(n * q) - 1, 0), n - 1)
+            picks[a:b] = np.sort(rows, axis=1, kind="stable")[:, rank]
+    return np.repeat(picks, sizes)
 
 
 def draw_batch(

@@ -538,6 +538,10 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         model = _MODELS[name]
     eps = _coerce(inst.get("eps", 0.0), float, "eps", inst_lines.get("eps"))
+    if not 0.0 <= eps < 0.5:
+        raise FeasibilityViolationError(
+            f"eps must lie in [0, 1/2), got {eps}", key="eps", line=inst_lines.get("eps")
+        )
 
     p = tuple(_coerce(inst["p"], [float], "p", inst_lines["p"])) if "p" in inst else ()
 

@@ -786,9 +786,10 @@ class TestArmPulls:
 
         def pulled(calls):
             draws = []
-            stream = bandit._ArmPulls(arm, np.random.default_rng(seed))
+            ends = np.cumsum(sum(calls, []))
+            stream = bandit._ArmPulls(arm, np.random.default_rng(seed), lambda n: ends)
             with mock.patch.object(bandit, "draw_batch", drawn_by(arm, draws)):
-                values = np.concatenate([stream.rounds(sum(sizes), sizes) for sizes in calls])
+                values = np.concatenate([stream.rounds(sum(sizes)) for sizes in calls])
             return values, [n for n, _ in draws]
 
         total = sum(map(sum, partition))
@@ -831,8 +832,8 @@ class TestArmPulls:
 
         def pulled(calls):
             rng = np.random.default_rng(seed)
-            stream = bandit._ArmPulls(arm, rng)
-            return np.concatenate([stream.rounds(sum(c), c) for c in calls if c]), rng.bit_generator.state
+            stream = bandit._ArmPulls(arm, rng, lambda n: np.cumsum(sizes))
+            return np.concatenate([stream.rounds(sum(c)) for c in calls if c]), rng.bit_generator.state
 
         split = pulled([sizes[a:b] for a, b in zip(bounds, bounds[1:])])
         whole = pulled([sizes])
@@ -847,7 +848,8 @@ class TestArmPulls:
         quantile; the clean values and flags are those of whole debug batches
         of ``_BLOCK`` draws on the same generator."""
         arm = quantile_arm(base, q)
-        pulls = bandit._ArmPulls(arm, np.random.default_rng(seed)).rounds(sum(sizes), sizes)
+        stream = bandit._ArmPulls(arm, np.random.default_rng(seed), lambda n: np.cumsum(sizes))
+        pulls = stream.rounds(sum(sizes))
         twin = np.random.default_rng(seed)
         batches = [
             rb.draw_batch(arm, bandit._BLOCK, twin, debug=True)
@@ -862,6 +864,41 @@ class TestArmPulls:
             assert pulls[start : start + n].tobytes() == want.tobytes()
             start += n
         assert pulls.size == start
+
+    @pytest.mark.parametrize("q", [0.1, 0.9])
+    def test_ahead_is_the_held_block_unknown_only_in_the_partial_round(self, q):
+        """``ahead`` is a view of the held block, not a copy, and the rounds
+        handed out from it are views too. A prescient arm's contaminated pulls
+        in it are resolved wherever their round is held whole and NaN exactly
+        at the flags of the trailing partial round. Blocks of 97 draws make
+        rounds straddle blocks."""
+        arm = quantile_arm(QUANTILE_BASES[0], q)
+        sizes = [150] + [7] * 30 + [3] * 40 + [2] * 50
+        ends = np.cumsum(sizes)
+        blocks = -(-int(ends[-1]) // 97)
+        twin = np.random.default_rng(5)
+        draws = [bandit.draw_clean(arm, 97, twin) for _ in range(blocks)]
+        clean, flags = (np.concatenate(parts) for parts in zip(*draws))
+        rounds = np.repeat(np.arange(len(sizes) + 1), [*sizes, 97 * blocks - ends[-1]])
+        picks = [np.quantile(clean[rounds == j], q, method="inverted_cdf") for j in range(len(sizes))]
+        x = np.where(flags, np.append(picks, np.nan)[rounds], clean)
+        with mock.patch.object(bandit, "_BLOCK", 97):
+            stream = bandit._ArmPulls(arm, np.random.default_rng(5), lambda n: ends)
+            handed = 0
+            for n in sizes:
+                before = stream.ahead()
+                pulls = stream.rounds(n)
+                assert pulls.tobytes() == x[handed : handed + n].tobytes()
+                assert np.shares_memory(pulls, before) == (n <= before.size)
+                handed += n
+                ahead = stream.ahead()
+                assert np.shares_memory(ahead, stream.held)
+                drawn = 97 * -(-handed // 97)
+                whole = ends[ends <= drawn][-1]
+                unknown = flags[handed:drawn] & (np.arange(handed, drawn) >= whole)
+                assert ahead.size == drawn - handed
+                assert np.array_equal(np.isnan(ahead), unknown)
+                assert ahead[~unknown].tobytes() == x[handed:drawn][~unknown].tobytes()
 
     def test_draw_batch_quantile_shift_is_pinned(self):
         """``draw_batch`` on prescient quantile-shift arms keeps its values and

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
-from robandit.contamination import _fixed_component, draw_clean
+from robandit.contamination import _fixed_component, draw_clean, segment_quantiles
 
 OBL = rb.AdversaryModel.OBLIVIOUS
 PRE = rb.AdversaryModel.PRESCIENT
@@ -298,6 +298,77 @@ class TestEmpiricalQuantilePick:
         arm.dist.sample(n, ref)
         ref.random(n)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _lexsort_pick(y, sizes, q):
+    """The reference pick: one stable two-key ``lexsort`` by (batch, value),
+    then each batch's ceil(nq)-th value, repeated n times."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    rank = np.minimum(np.maximum(np.ceil(sizes * q).astype(np.int64) - 1, 0), sizes - 1)
+    order = np.lexsort((y, np.repeat(np.arange(sizes.size), sizes)))
+    return np.repeat(y[order[start + rank]], sizes)
+
+
+@st.composite
+def _segments(draw):
+    """Consecutive batches: runs of equal sizes, single pulls, and at times
+    one batch of 4,096 values or more; the values continuous, or tied on
+    signed zeros or on Dirac atoms; the level near 0 or 1, at an integral
+    n * q, or anywhere in (0, 1)."""
+    runs = draw(
+        st.lists(
+            st.tuples(st.one_of(st.just(1), st.integers(1, 12)), st.integers(1, 40)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    sizes = [n for n, count in runs for _ in range(count)]
+    if draw(st.booleans()):
+        sizes.insert(draw(st.integers(0, len(sizes))), draw(st.integers(4096, 5000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["continuous", "signed zeros", "atoms"]))
+    if kind == "continuous":
+        y = rng.normal(size=sum(sizes))
+    elif kind == "signed zeros":
+        y = rng.choice(np.array([-0.0, 0.0, 1.0]), sum(sizes))
+    else:
+        y = rng.integers(0, 4, sum(sizes)).astype(float)
+    n = draw(st.sampled_from(sizes))
+    levels = [
+        st.sampled_from([1e-12, 1e-3, 0.1, 0.9, 1 - 1e-3, 1 - 1e-12]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    ]
+    if n > 1:
+        levels.append(st.integers(min_value=1, max_value=n - 1).map(lambda j: j / n))
+    return y, sizes, draw(st.one_of(levels))
+
+
+class TestSegmentQuantiles:
+    """``segment_quantiles`` picks what a stable sort of each batch alone
+    picks, ties included, bitwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_segments())
+    def test_matches_the_lexsort_pick(self, case):
+        y, sizes, q = case
+        got = segment_quantiles(y, sizes, q)
+        assert got.tobytes() == _lexsort_pick(y, sizes, q).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=_segments(), data=st.data())
+    def test_empty_batches_add_nothing(self, case, data):
+        y, sizes, q = case
+        with_empty = list(sizes)
+        for _ in range(data.draw(st.integers(1, 4))):
+            with_empty.insert(data.draw(st.integers(0, len(with_empty))), 0)
+        got = segment_quantiles(y, with_empty, q)
+        assert got.tobytes() == _lexsort_pick(y, sizes, q).tobytes()
+
+    @pytest.mark.parametrize("sizes", [[], [0], [0, 0, 0]])
+    def test_no_values(self, sizes):
+        got = segment_quantiles(np.empty(0), sizes, 0.9)
+        assert got.dtype == np.float64 and got.size == 0
 
 
 class TestTailShift:

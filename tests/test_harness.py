@@ -174,6 +174,8 @@ class TestParser:
             ("lower-bound", "c_eta = 1.0", "c_eta = nan", "c_eta"),
             ("gaps", "t_bar = 0.4", "t_bar = 0.7", "t_bar"),
             ("lower-bound", "eps = 0.05", "eps = 0.1", "eps"),
+            ("minimal", "eps = 0.1", "eps = 0.7", "eps"),
+            ("minimal", "eps = 0.1", "eps = nan", "eps"),
             ("lower-bound", "delta = 0.1", "delta = 0.2", "delta"),
             ("lower-bound", "p = [0.6, 0.4]", "p = [0.7, 0.4]", "p"),
             ("lower-bound", "p = [0.6, 0.4]", "p = [0.6, 0.3]", "p"),
