@@ -82,8 +82,8 @@ class BanditInstance:
 # r * radius**2 / log(3 / share) of the racing loop's round radius, by
 # threshold variant, from the family's slope and MAD bounds.
 _RADIUS_SCALE2 = {
-    "squared-slope": lambda slope, mad: 2.0 * (slope * mad) ** 2,
-    "linear-slope": lambda slope, mad: 2.0 * slope * mad**2,
+    "squared-slope": lambda f: 2.0 * (f.slope_bound * f.mad_bound) ** 2,
+    "linear-slope": lambda f: 2.0 * f.slope_bound * f.mad_bound**2,
 }
 THRESHOLD_VARIANTS = tuple(_RADIUS_SCALE2)
 
@@ -308,8 +308,8 @@ class _ArmPulls:
     contaminated pulls of every round it now holds whole; those of the
     trailing partial round stay NaN until the next draw. ``start`` counts
     the pulls before that round, and ``clean`` and ``flags`` hold its clean
-    values and flags. Held pulls are handed out as views; they are joined
-    only when a block is drawn.
+    values and flags. ``held`` holds the pulls not yet handed out, which the
+    envelope scan reads; they leave as views and are joined only at a draw.
     """
 
     __slots__ = ("arm", "rng", "quantile", "ends", "held", "start", "clean", "flags")
@@ -349,11 +349,6 @@ class _ArmPulls:
             self._draw(-(-short // _BLOCK))
         pulls, self.held = self.held[:total], self.held[total:]
         return pulls
-
-    def ahead(self) -> np.ndarray:
-        """The pulls held for the coming rounds, NaN where a batch-aware
-        arm's contaminated pull lies in a round it does not hold whole."""
-        return self.held
 
 
 def _log(a: np.ndarray) -> np.ndarray:
@@ -410,6 +405,13 @@ class _RoundSchedule:
         )
         self._arrays = arrays
         return arrays
+
+    def ends(self, warmup: int, n: int) -> np.ndarray:
+        """Every round end up to pull n or the round cap, counted from the first pull."""
+        cum = self.cover(0)[0]
+        while cum[-1] < n - warmup and cum.size <= self._max_rounds:
+            cum = self.cover(cum.size)[0]
+        return warmup + cum
 
 
 # The schedule shared by every race on the same parameters.
@@ -493,6 +495,89 @@ class _MedianWindow:
         return 0.5 * (float(w[mid - 1]) + float(w[mid]))
 
 
+class _Race:
+    """A race between checks: its schedule, each arm's pulls and store, the
+    survivors, the last checked round ``r``, the next scan span and the drops."""
+
+    def __init__(self, instance: BanditInstance, config: AlgoConfig, rng: np.random.Generator):
+        k = instance.k
+        params = config.estimation_params(instance.model)
+        floor_scale = _BOUNDS["median"].floor_scale(params)
+        radius_scale2 = _RADIUS_SCALE2[config.threshold_variant](config.family)
+        self.stop_radius = config.alpha / 2.0 if config.early_stop else None
+        self.schedule = _round_schedule(
+            floor_scale, radius_scale2, k, config.delta, self.stop_radius, config.max_rounds
+        )
+        warmup = warmup_pulls(k, config.delta, params)
+        ends = functools.partial(self.schedule.ends, warmup)
+        self.streams = [_ArmPulls(a, g, ends) for a, g in zip(instance.arms, rng.spawn(k))]
+        self.stores = [_MedianWindow(s.rounds(warmup)) for s in self.streams]
+        self.survivors = list(range(k))
+        self.r, self.span = 0, _SCAN_ROUNDS
+        self.trace: list[tuple[int, tuple[int, ...]]] = []
+
+    def next_check(self) -> int | None:
+        """The first round after ``r`` at which an elimination is possible or
+        after which the race may stop, or at which the ranks to read leave a
+        survivor's window; None once one survivor is left or the race stops."""
+        cum, _, may_stop = self.schedule.cover(self.r + 1)
+        if len(self.survivors) < 2 or may_stop[self.r + 1]:
+            return None
+        rows = [self.stores[i] for i in self.survivors]
+        count = rows[0].count
+        # every window holds the ranks floor..top; m more pulls read ranks
+        # (count - 1 - m) // 2 to (count + m) // 2, within them while m <= reach
+        floor = max(a.base for a in rows)
+        top = min(a.base + a.window.size for a in rows) - 1
+        reach = min(count - 1 - 2 * floor, 2 * top + 1 - count)
+        views = [a.window[floor - a.base :] for a in rows]
+        held = [self.streams[i].held for i in self.survivors]
+        first, span, base = self.r + 1, self.span, cum[self.r]
+        while True:
+            last = first + span
+            cum, width, may_stop = self.schedule.cover(last + 1)
+            m = cum[first : last + 1] - base
+            ok = int(m.searchsorted(reach, "right"))
+            if ok:
+                m = m[:ok]
+                lo, hi = (count - 1 - 2 * floor - m) // 2, (count - 2 * floor + m) // 2
+                lows, highs = zip(*(_bracket(v, lo, hi, m, a) for v, a in zip(views, held)))
+                hit = np.minimum.reduce(lows) < np.maximum.reduce(highs) - width[first : first + ok]
+                hit |= may_stop[first + 1 : first + ok + 1]
+                j = int(hit.argmax())
+                if hit[j]:
+                    return first + j
+            if ok <= last - first:
+                return first + ok
+            first = last + 1
+            span *= 2
+
+    def advance(self, check: int) -> None:
+        """Draw every survivor's pulls up to round ``check`` and drop those
+        more than two radii behind the leader there."""
+        cum, width, _ = self.schedule.cover(check + 1)
+        total = int(cum[check] - cum[self.r])
+        self.r, self.span = check, 2 * (check - self.r)
+        for i in self.survivors:
+            self.stores[i].add(self.streams[i].rounds(total))
+        medians = {i: self.stores[i].median() for i in self.survivors}
+        best_value = max(medians.values())
+        keep = [i for i in self.survivors if medians[i] >= best_value - width[check]]
+        if len(keep) < len(self.survivors):
+            self.trace.append((check, tuple(i for i in self.survivors if i not in keep)))
+        self.survivors = keep
+
+    def result(self) -> BanditRunResult:
+        width = self.schedule.cover(self.r + 1)[1][self.r + 1]
+        # the early stop wins when both stops fire at one round
+        early = self.stop_radius is not None and width <= self.stop_radius
+        stop = "early-stop" if early else "round-cap"
+        terminated_by = "single-survivor" if len(self.survivors) == 1 else stop
+        chosen = max(self.survivors, key=lambda i: (self.stores[i].median(), -i))
+        pulls = tuple(s.count for s in self.stores)
+        return BanditRunResult(int(chosen), pulls, self.r, tuple(self.trace), terminated_by)
+
+
 def run_contaminated_successive_elimination(
     instance: BanditInstance, config: AlgoConfig, rng: np.random.Generator
 ) -> BanditRunResult:
@@ -529,93 +614,9 @@ def run_contaminated_successive_elimination(
     ``_ArmPulls``), so its pulls do not depend on when the kernel checks or on
     its rivals. An ``EmpiricalQuantileShift`` arm's contaminated values depend
     on their round's clean values only; its blocks hold those and the flags,
-    and its round ends come from the schedule (``round_ends``).
+    and its round ends come from the schedule (``_RoundSchedule.ends``).
     """
-    k = instance.k
-    params = config.estimation_params(instance.model)
-    floor_scale = _BOUNDS["median"].floor_scale(params)
-    warmup = warmup_pulls(k, config.delta, params)
-    family = config.family
-    radius_scale2 = _RADIUS_SCALE2[config.threshold_variant](family.slope_bound, family.mad_bound)
-    stop_radius = config.alpha / 2.0 if config.early_stop else None
-    delta, max_rounds = config.delta, config.max_rounds
-    schedule = _round_schedule(floor_scale, radius_scale2, k, delta, stop_radius, max_rounds)
-
-    def round_ends(n: int) -> np.ndarray:
-        """Every round end up to pull n: the warm-up's, then those of rounds
-        of at least 2 pulls each, up to the round cap."""
-        return warmup + schedule.cover(min((n - warmup) // 2 + 1, max_rounds))[0]
-
-    streams = [_ArmPulls(arm, child, round_ends) for arm, child in zip(instance.arms, rng.spawn(k))]
-    stores = [_MedianWindow(s.rounds(warmup)) for s in streams]
-    if k == 1:
-        return BanditRunResult(0, (warmup,), 0, (), "single-survivor")
-    estimates = [s.median() for s in stores]
-
-    def next_check(first: int, survivors: list[int], span: int) -> int:
-        """The first round from ``first`` on at which an elimination is
-        possible or after which the race may stop, or at which the ranks to
-        read leave a survivor's window; ``first - 1`` was checked."""
-        rows = [stores[i] for i in survivors]
-        count = rows[0].count
-        # every window holds the ranks floor..top; m more pulls read ranks
-        # (count - 1 - m) // 2 to (count + m) // 2, within them while m <= reach
-        floor = max(a.base for a in rows)
-        top = min(a.base + a.window.size for a in rows) - 1
-        reach = min(count - 1 - 2 * floor, 2 * top + 1 - count)
-        views = [a.window[floor - a.base :] for a in rows]
-        aheads = [streams[i].ahead() for i in survivors]
-        base = schedule.cover(first - 1)[0][first - 1]
-        while True:
-            last = first + span
-            cum, width, may_stop = schedule.cover(last + 1)
-            m = cum[first : last + 1] - base
-            ok = int(m.searchsorted(reach, "right"))
-            if ok:
-                m = m[:ok]
-                lo, hi = (count - 1 - 2 * floor - m) // 2, (count - 2 * floor + m) // 2
-                lows, highs = zip(*(_bracket(v, lo, hi, m, a) for v, a in zip(views, aheads)))
-                hit = np.minimum.reduce(lows) < np.maximum.reduce(highs) - width[first : first + ok]
-                hit |= may_stop[first + 1 : first + ok + 1]
-                j = int(hit.argmax())
-                if hit[j]:
-                    return first + j
-            if ok <= last - first:
-                return first + ok
-            first = last + 1
-            span *= 2
-
-    survivors = list(range(k))
-    trace: list[tuple[int, tuple[int, ...]]] = []
-    r = 0
-    span = _SCAN_ROUNDS
-    terminated_by = "single-survivor"
-    cum, width, may_stop = schedule.cover(1)
-    while len(survivors) > 1:
-        if may_stop[r + 1]:
-            # the early stop wins when both stops fire at one round
-            early = stop_radius is not None and width[r + 1] <= stop_radius
-            terminated_by = "early-stop" if early else "round-cap"
-            break
-        check = next_check(r + 1, survivors, span)
-        span = 2 * (check - r)
-        cum, width, may_stop = schedule.cover(check + 1)
-        total = int(cum[check] - cum[r])
-        for i in survivors:
-            stores[i].add(streams[i].rounds(total))
-            estimates[i] = stores[i].median()
-        r = check
-        best_value = max(estimates[i] for i in survivors)
-        keep = [i for i in survivors if estimates[i] >= best_value - width[r]]
-        dropped = tuple(i for i in survivors if i not in keep)
-        survivors = keep
-        if dropped:
-            trace.append((r, dropped))
-    chosen = max(survivors, key=lambda i: (estimates[i], -i))
-    return BanditRunResult(
-        chosen_arm=int(chosen),
-        pulls_per_arm=tuple(s.count for s in stores),
-        rounds=r,
-        elimination_trace=tuple(trace),
-        terminated_by=terminated_by,
-    )
+    race = _Race(instance, config, rng)
+    while (check := race.next_check()) is not None:
+        race.advance(check)
+    return race.result()

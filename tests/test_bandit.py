@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 import sys
 import threading
@@ -364,6 +365,75 @@ class TestBracket:
         low, high = bandit._bracket(old, lo, hi, m, np.empty(0))
         assert np.array_equal(low, old[lo]) and np.array_equal(high, old[hi])
 
+    @pytest.mark.parametrize("q", [0.1, 0.9])
+    def test_race_brackets_hold_the_true_middle_pair(self, q):
+        """Prescient arms raced check by check, in blocks of 97 draws, so
+        that scans read held pulls next to unresolved ones: every bracket a
+        scan takes holds the middle pair of the survivor's pulls after each
+        of its pull counts, read from a twin stream of the same arm."""
+        shift, prescient = rb.EmpiricalQuantileShift(q), rb.AdversaryModel.PRESCIENT
+        arms = [
+            rb.ContaminatedArm(rb.Uniform(s, s + 1.0), shift, 0.3, prescient) for s in (0.0, 0.1, 0.3)
+        ]
+        config = rb.AlgoConfig(alpha=0.05, delta=0.1, family=FAMILY, eps0=0.3, early_stop=True)
+        calls, bracket = [], bandit._bracket
+
+        def spy(v, lo, hi, m, ahead):
+            calls.append((ahead, m, *bracket(v, lo, hi, m, ahead)))
+            return calls[-1][2:]
+
+        bad, scanned = [], 0
+        for seed in range(3):
+            with mock.patch.object(bandit, "_BLOCK", 97):
+                race = bandit._Race(rb.BanditInstance(arms), config, np.random.default_rng(seed))
+                spawned = np.random.default_rng(seed).spawn(len(arms))
+                twins = [bandit._ArmPulls(a, g, race.streams[0].ends) for a, g in zip(arms, spawned)]
+                count = race.stores[0].count
+                pulls = [twin.rounds(count) for twin in twins]
+                with mock.patch.object(bandit, "_bracket", spy):
+                    while True:
+                        survivor = {id(race.streams[i].held): i for i in race.survivors}
+                        count = race.stores[race.survivors[0]].count
+                        calls.clear()
+                        check = race.next_check()
+                        for ahead, m, low, high in calls:
+                            i = survivor[id(ahead)]
+                            short = count + int(m[-1]) - pulls[i].size
+                            if short > 0:  # always up to a round's end
+                                pulls[i] = np.concatenate((pulls[i], twins[i].rounds(short)))
+                            pairs = middle_pairs(pulls[i][:count], pulls[i][count:], m.tolist())
+                            for n, (a, b), lower, upper in zip(m.tolist(), pairs, low, high):
+                                if not lower <= a <= b <= upper:
+                                    bad.append((seed, race.r, i, n))
+                            scanned += m.size
+                        if check is None:
+                            break
+                        race.advance(check)
+        assert scanned > 10_000
+        assert bad == []
+
+
+def middle_pairs(old, new, counts):
+    """The middle pair of ``old`` and the first m values of ``new``, for each
+    increasing m in ``counts``: two heaps seeded with the sorted ``old``."""
+    old = np.sort(old)
+    half = (old.size + 1) // 2
+    low, high = (-old[:half][::-1]).tolist(), old[half:].tolist()
+    pairs, taken = [], 0
+    for m in counts:
+        for x in new[taken:m].tolist():
+            if x > -low[0]:
+                heapq.heappush(high, x)
+            else:
+                heapq.heappush(low, -x)
+            if len(low) > len(high) + 1:
+                heapq.heappush(high, -heapq.heappop(low))
+            elif len(high) > len(low):
+                heapq.heappush(low, -heapq.heappop(high))
+        taken = m
+        pairs.append((-low[0], -low[0] if len(low) > len(high) else high[0]))
+    return pairs
+
 
 class _OraclePuller:
     """The reference loop's puller on one arm's own generator, in whole blocks
@@ -660,6 +730,23 @@ class TestRoundSchedule:
         assert (bad_pulls, bad_width, bad_stop) == ([], [], [])
         assert 1 < may_stop.index(True) < last
 
+    @pytest.mark.parametrize("max_rounds", [10**6, 100])
+    @pytest.mark.parametrize("n", [0, 299, 300, 301, 1_000, 40_000, 123_456])
+    def test_ends_reach_pull_n_by_the_smallest_doubling(self, n, max_rounds):
+        """A fresh schedule asked for the round ends up to pull n covers the
+        fewest rounds, by doubling, whose ends reach n or pass the round cap;
+        its ends are those of a longer schedule."""
+        args, warmup = (812.5, 7.2, 2, 0.1, None, max_rounds), 300
+        cum = bandit._RoundSchedule(*args).cover(1 << 16)[0]
+        size = 1
+        while cum[size - 1] < n - warmup and size <= max_rounds:
+            size *= 2
+        schedule = bandit._RoundSchedule(*args)
+        ends = schedule.ends(warmup, n)
+        assert schedule.cover(0)[0].size == ends.size == size
+        assert ends[-1] >= n or size > max_rounds
+        assert np.array_equal(ends, warmup + cum[:size])
+
     @settings(deadline=None, max_examples=20)
     @given(race_cases())
     def test_race_after_a_longer_race_equals_a_fresh_race(self, case):
@@ -867,9 +954,9 @@ class TestArmPulls:
 
     @pytest.mark.parametrize("q", [0.1, 0.9])
     def test_ahead_is_the_held_block_unknown_only_in_the_partial_round(self, q):
-        """``ahead`` is a view of the held block, not a copy, and the rounds
-        handed out from it are views too. A prescient arm's contaminated pulls
-        in it are resolved wherever their round is held whole and NaN exactly
+        """The held pulls the envelope scan reads ahead, and the rounds handed
+        out from them are views of them. A prescient arm's contaminated pulls
+        in them are resolved wherever their round is held whole and NaN exactly
         at the flags of the trailing partial round. Blocks of 97 draws make
         rounds straddle blocks."""
         arm = quantile_arm(QUANTILE_BASES[0], q)
@@ -886,13 +973,12 @@ class TestArmPulls:
             stream = bandit._ArmPulls(arm, np.random.default_rng(5), lambda n: ends)
             handed = 0
             for n in sizes:
-                before = stream.ahead()
+                before = stream.held
                 pulls = stream.rounds(n)
                 assert pulls.tobytes() == x[handed : handed + n].tobytes()
                 assert np.shares_memory(pulls, before) == (n <= before.size)
                 handed += n
-                ahead = stream.ahead()
-                assert np.shares_memory(ahead, stream.held)
+                ahead = stream.held
                 drawn = 97 * -(-handed // 97)
                 whole = ends[ends <= drawn][-1]
                 unknown = flags[handed:drawn] & (np.arange(handed, drawn) >= whole)

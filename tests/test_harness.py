@@ -482,16 +482,34 @@ class TestRunExperiment:
                 10,
                 "cab570bb3ea6405912609bf63cfbfda2b56598953aec112fe47a8983ae3e8729",
             ),
+            (_demo("bai"), 20, "02413f6efbb94907dd5322936aed29de76640e2e77f0f2a244f619644003afae"),
+            (
+                _demo("lb").replace("model = oblivious", "model = malicious"),
+                4,
+                "38c6e7aaeee8ef40c3e0fd6ac5504e593685dffd9c2919c1709df6a6f9cd8fd3",
+            ),
         ],
-        ids=["lb", "prescient", "estimate-median", "estimate-mad", "bai-simple", "lb-k4", "lb-narrow"],
+        ids=[
+            "lb",
+            "prescient",
+            "estimate-median",
+            "estimate-mad",
+            "bai-simple",
+            "lb-k4",
+            "lb-narrow",
+            "bai-tail-shift",
+            "lb-malicious",
+        ],
     )
     def test_racing_records_are_pinned(self, tmp_path, text, replications, digest):
         """sha256 of ``records.csv`` for racing and estimation runs: the lb and
         prescient digests were recorded while the racing kernel kept every
         arm's pulls as one sorted array, the estimation and bai-simple ones
         while each experiment kind handed the replication engine a closure
-        instead of a spec, and the four-arm and narrow lifted ones while the
-        envelope scan assumed every new pull fell on one side of the median."""
+        instead of a spec, the four-arm and narrow lifted ones while the
+        envelope scan assumed every new pull fell on one side of the median,
+        and the oblivious tail-shift and malicious lifted ones while the
+        kernel kept its state in closures."""
         text = re.sub(r"replications = \d+", f"replications = {replications}", text)
         result = run_experiment(parse_config(text), out_dir=tmp_path)
         assert hashlib.sha256(result.files["records"].read_bytes()).hexdigest() == digest
