@@ -3,7 +3,7 @@
     robandit <command> --config <path> [--seed N] [--parallelism P] [--out DIR]
 
 Commands: estimate, bai, gaps, lb, verify. Each command accepts a config file
-whose [experiment] kind must belong to the command's group; ``verify`` may
+whose [experiment] kind is one the command runs; ``verify`` may
 instead take ``--suites name,name,...`` directly. The environment variable
 ROBANDIT_SEED overrides the config seed; ``--seed`` overrides both. Exit
 status: 0 success, 1 experiment-level failure, 2 usage or config error.
@@ -17,22 +17,14 @@ import sys
 from pathlib import Path
 
 from ..errors import RobanditError
-from .config import ConfigError, ExperimentConfig, check_seed, check_suites, parse_config
+from .config import _KINDS, ConfigError, ExperimentConfig, check_seed, check_suites, parse_config
 from .runner import run_experiment
-
-_COMMAND_KINDS = {
-    "estimate": {"estimate-median", "estimate-mad"},
-    "bai": {"bai-simple", "bai-succelim"},
-    "gaps": {"gaps"},
-    "lb": {"lower-bound"},
-    "verify": {"verify"},
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="robandit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMAND_KINDS:
+    for command in dict.fromkeys(kind.command for kind in _KINDS.values()):
         cp = sub.add_parser(command)
         cp.add_argument("--config", type=Path, default=None)
         cp.add_argument("--seed", type=int, default=None)
@@ -58,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("error: --config is required", file=sys.stderr)
             return 2
-        if config.kind not in _COMMAND_KINDS[args.command]:
+        if _KINDS[config.kind].command != args.command:
             print(
                 f"error: config kind {config.kind!r} does not belong to command "
                 f"{args.command!r}",

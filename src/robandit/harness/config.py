@@ -30,13 +30,18 @@ Values are scalars (int, float, true/false, bare or quoted strings), lists
 line per arm. Lines starting with ``#`` are comments. Every feasibility
 invariant of the downstream modules is re-validated here so bad configs fail
 at parse time with the offending key and line.
+
+``_KINDS`` states each experiment kind once: the CLI command that runs it,
+what its ``[instance]`` declares, the estimation bound whose margin must be
+feasible and its required ``[algorithm]`` keys. The CLI's subcommands and the
+runner's dispatch are read from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..bandit import THRESHOLD_VARIANTS, BanditInstance, effective_gaps
 from ..contamination import (
@@ -61,11 +66,11 @@ from ..distributions import (
     Mixture,
     SmoothedBernoulli,
     Uniform,
+    _median_mad,
 )
 from ..errors import (
     IncompatibleStrategyError,
     InfeasibleRegimeError,
-    NonUniqueMedianError,
     ParameterOutOfRangeError,
     RobanditError,
 )
@@ -84,17 +89,6 @@ __all__ = [
     "distribution_from_spec",
     "strategy_from_spec",
 ]
-
-EXPERIMENT_KINDS = (
-    "estimate-median",
-    "estimate-mad",
-    "bai-simple",
-    "bai-succelim",
-    "gaps",
-    "lower-bound",
-    "verify",
-)
-
 
 class ConfigError(RobanditError):
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
@@ -341,14 +335,26 @@ _ALGORITHM = {
     "c_eta": (float, 1.0, lambda v: v > 0.0, "must be positive"),
 }
 
-_REQUIRED_ALGO = {
-    "estimate-median": {"delta", "eps0", "t_bar", "slope_bound", "mad_bound", "error_level"},
-    "estimate-mad": {"delta", "eps0", "t_bar", "slope_bound", "mad_bound", "mad_ratio", "error_level"},
-    "bai-simple": {"alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound"},
-    "bai-succelim": {"alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound"},
-    "gaps": {"slope_bound", "mad_bound", "t_bar"},
-    "lower-bound": {"alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound"},
-    "verify": set(),
+
+class _Kind(NamedTuple):
+    command: str  # the CLI subcommand that runs the kind
+    instance: str  # what [instance] declares: "arms", one "arm", "p" or ""
+    statistic: str | None  # the _BOUNDS entry whose margin must be feasible
+    required: frozenset[str]  # the [algorithm] keys the config must set
+
+
+_FAMILY = frozenset({"t_bar", "slope_bound", "mad_bound"})
+_ESTIMATE = _FAMILY | {"delta", "eps0", "error_level"}
+_RACE = _FAMILY | {"alpha", "delta", "eps0"}
+
+_KINDS = {
+    "estimate-median": _Kind("estimate", "arm", "median", _ESTIMATE),
+    "estimate-mad": _Kind("estimate", "arm", "mad", _ESTIMATE | {"mad_ratio"}),
+    "bai-simple": _Kind("bai", "arms", "median", _RACE),
+    "bai-succelim": _Kind("bai", "arms", "median", _RACE),
+    "gaps": _Kind("gaps", "arms", None, _FAMILY),
+    "lower-bound": _Kind("lb", "p", "median", _RACE),
+    "verify": _Kind("verify", "", None, frozenset()),
 }
 
 _KNOWN_KEYS = {
@@ -476,9 +482,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     exp, exp_lines = _section_map(sections.get("experiment", []))
     kind = _coerce(exp.get("kind", ""), str, "kind", exp_lines.get("kind"))
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _KINDS:
         raise TypeMismatchError(
-            f"kind must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}",
+            f"kind must be one of {', '.join(_KINDS)}; got {kind!r}",
             key="kind",
             line=exp_lines.get("kind"),
         )
@@ -494,6 +500,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     suites: tuple[str, ...] = ()
     if "suites" in exp:
+        if kind != "verify":
+            raise UnknownKeyError(f"{kind} reads no suites", key="suites", line=exp_lines["suites"])
         raw = exp["suites"]
         if isinstance(raw, str):
             raw = [raw]
@@ -519,12 +527,17 @@ def parse_config(text: str) -> ExperimentConfig:
             raise FeasibilityViolationError(
                 f"{key} {requirement}, got {value!r}", key=key, line=algo_lines[key]
             )
-    missing = _REQUIRED_ALGO[kind] - set(algo)
+    missing = _KINDS[kind].required - set(algo)
     if missing:
         raise ConfigError(
             f"[algorithm] is missing required keys for {kind}: {', '.join(sorted(missing))}"
         )
 
+    instance = _KINDS[kind].instance
+    reads = {"model", "eps", "p" if instance == "p" else "arm"} if instance else set()
+    for key, _, lineno in sections.get("instance", []):
+        if key not in reads:
+            raise UnknownKeyError(f"{kind} reads no [instance] key {key!r}", key=key, line=lineno)
     inst, inst_lines = _section_map(sections.get("instance", []), repeatable={"arm"})
 
     model = None
@@ -559,6 +572,10 @@ def parse_config(text: str) -> ExperimentConfig:
             arms.append(ContaminatedArm(dist=dist, strategy=strategy, eps=eps, model=model))
         except (IncompatibleStrategyError, ParameterOutOfRangeError) as exc:
             raise FeasibilityViolationError(str(exc), key="arm", line=lineno) from exc
+        if instance == "arms" and not _median_mad(dist)[2]:
+            raise FeasibilityViolationError(
+                "effective gaps need every arm's median to be unique", key="arm", line=lineno
+            )
 
     config = ExperimentConfig(
         kind=kind,
@@ -577,23 +594,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> None:
-    kind = config.kind
-    if kind == "verify":
+    kind = _KINDS[config.kind]
+    if not kind.instance:
         return
-    if kind in ("estimate-median", "estimate-mad", "bai-simple", "bai-succelim", "gaps"):
-        if config.model is None:
-            raise ConfigError("[instance] must set a model", key="model")
-        if not config.arms:
-            raise ConfigError("[instance] must declare at least one arm", key="arm")
-    if kind in ("estimate-median", "estimate-mad") and len(config.arms) != 1:
-        raise FeasibilityViolationError(
-            "estimation experiments use exactly one arm", key="arm"
-        )
-    if kind == "lower-bound":
+    if config.model is None:
+        raise ConfigError("[instance] must set a model", key="model")
+    if kind.instance == "p":
         if len(config.p) < 2:
             raise ConfigError("[instance] must list at least two p values", key="p")
-        if config.model is None:
-            raise ConfigError("[instance] must set a model", key="model")
         # the validity ranges of lower_bound_samples and of the liftings
         if not config.algorithm["delta"] < 3.0 / 20.0:
             raise FeasibilityViolationError(
@@ -613,13 +621,26 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
                 key="p",
                 line=inst_lines.get("p"),
             )
-    if kind == "gaps":
-        return
-    try:
-        _BOUNDS["mad" if kind == "estimate-mad" else "median"].margin(config.estimation_params())
-    except InfeasibleRegimeError as exc:
-        raise FeasibilityViolationError(str(exc), key="eps0", line=algo_lines.get("eps0")) from exc
-    if kind == "bai-succelim":
+        if config.p.count(max(config.p)) > 1:
+            raise FeasibilityViolationError(
+                f"the lower bound needs positive gaps, so one largest p; got {list(config.p)}",
+                key="p",
+                line=inst_lines.get("p"),
+            )
+    elif not config.arms:
+        raise ConfigError("[instance] must declare at least one arm", key="arm")
+    elif kind.instance == "arm" and len(config.arms) != 1:
+        raise FeasibilityViolationError("estimation experiments use exactly one arm", key="arm")
+    if kind.statistic is not None:
+        try:
+            _BOUNDS[kind.statistic].margin(config.estimation_params())
+        except InfeasibleRegimeError as exc:
+            raise FeasibilityViolationError(str(exc), key="eps0", line=algo_lines.get("eps0")) from exc
+    if config.kind == "bai-simple" and not config.algorithm["alpha"] > 0:
+        raise FeasibilityViolationError(
+            "uniform exploration needs alpha > 0", key="alpha", line=algo_lines.get("alpha")
+        )
+    if config.kind == "bai-succelim":
         _validate_race_terminates(config, algo_lines)
 
 
@@ -630,10 +651,7 @@ def _validate_race_terminates(config: ExperimentConfig, algo_lines) -> None:
     alg = config.algorithm
     if alg["early_stop"] and alg["alpha"] > 0:
         return
-    try:
-        report = effective_gaps(BanditInstance(config.arms), config.family())
-    except NonUniqueMedianError:
-        return  # effective gaps are undefined; leave the race to its round cap
+    report = effective_gaps(BanditInstance(config.arms), config.family())
     if report.infeasible_arms:
         raise FeasibilityViolationError(
             f"arms {list(report.infeasible_arms)} have effective gap <= 0 against arm "

@@ -35,7 +35,7 @@ from ..distributions import _median_mad
 from ..errors import ParameterOutOfRangeError, RobanditError
 from ..estimators import _BOUNDS, EstimationParams, estimate_mad_ci, estimate_median_ci
 from ..lower_bounds import LiftedInstance, lower_bound_samples, malicious_lifting, oblivious_lifting
-from .config import ExperimentConfig
+from .config import _KINDS, ExperimentConfig
 
 __all__ = [
     "mix_seed",
@@ -209,10 +209,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute one experiment; writes each of its tables to ``<name>.csv``
     (``records.csv`` always, ``aggregate.csv`` for lower-bound runs, one per
-    verify artifact) and then ``summary.txt`` into the output directory."""
+    verify artifact) and then ``summary.txt`` into the output directory,
+    which is created only after the run returns."""
+    tables, summary, exit_code = _RUNS[_KINDS[config.kind].command](config, parallelism)
     target = Path(out_dir if out_dir is not None else (config.out_dir or "out"))
     target.mkdir(parents=True, exist_ok=True)
-    tables, summary, exit_code = _RUNS[config.kind](config, parallelism)
     files = {}
     for name, (columns, rows) in tables.items():
         files[name] = target / f"{name}.csv"
@@ -227,7 +228,7 @@ def _run_estimate(config: ExperimentConfig, parallelism: int):
     params = config.estimation_params()
     delta = config.algorithm["delta"]
     median, mad, _, _ = _median_mad(arm.dist)
-    statistic = config.kind.removeprefix("estimate-")
+    statistic = _KINDS[config.kind].statistic
     truth = median if statistic == "median" else mad
     n = _BOUNDS[statistic].sample_size(config.algorithm["error_level"], delta, params)
     mad_used = config.family().mad_bound if config.algorithm["mad_source"] == "bound" else mad
@@ -393,12 +394,11 @@ def _run_verify(config: ExperimentConfig, _parallelism: int):
     return tables, summary, 0 if all_passed else 1
 
 
+# command -> the run of every kind that command runs
 _RUNS: dict[str, Callable[[ExperimentConfig, int], tuple[dict, list, int]]] = {
-    "estimate-median": _run_estimate,
-    "estimate-mad": _run_estimate,
-    "bai-simple": _run_bai,
-    "bai-succelim": _run_bai,
+    "estimate": _run_estimate,
+    "bai": _run_bai,
     "gaps": _run_gaps,
-    "lower-bound": _run_lower_bound,
+    "lb": _run_lower_bound,
     "verify": _run_verify,
 }

@@ -21,11 +21,11 @@ from robandit.harness import (
     run_experiment,
     wilson_interval,
 )
-from robandit.harness import runner
+from robandit.harness import cli, runner
 from robandit.harness.config import (
     _ALGORITHM,
-    EXPERIMENT_KINDS,
     _DISTRIBUTIONS,
+    _KINDS,
     _STRATEGIES,
     _parse_sections,
     distribution_from_spec,
@@ -85,6 +85,22 @@ c_eta = 1.0
 """
 
 
+# Each config to which a test applies a replacement, by name.
+_BASES = {
+    "minimal": MINIMAL,
+    "estimate": _demo("estimate"),
+    "lower-bound": LOWER_BOUND,
+    "bai": _demo("bai"),
+    "gaps": _demo("gaps"),
+    "verify": "[experiment]\nkind = verify\nsuites = [quality]\n",
+}
+
+# An arm whose median is any point of [0, 1], and the second arms it replaces.
+_FLAT_ARM = "{dist: {kind: bernoulli, p: 0.5}, strategy: {kind: shift_median_up}}"
+_MINIMAL_ARM = "{dist: {kind: uniform, lo: 0.4, hi: 1.4}, strategy: {kind: uniform_tail_shift, direction: -1}}"
+_BAI_ARM = "{dist: {kind: uniform, lo: 0.3, hi: 1.3}, strategy: {kind: uniform_tail_shift, direction: -1}}"
+
+
 class TestParser:
     def test_minimal_config(self):
         config = parse_config(MINIMAL)
@@ -139,12 +155,15 @@ class TestParser:
         assert err.value.key == "alpha"
         early = twins.replace("alpha = 0.0", "alpha = 0.05\nearly_stop = true")
         assert parse_config(early).algorithm["early_stop"] is True
-        # without unique medians there are no effective gaps to judge by
+        # without unique medians there are no effective gaps to race by
         flat = twins.replace(
             "{kind: uniform, lo: 0.0, hi: 1.0}, strategy: {kind: uniform_tail_shift, direction: 1}",
             "{kind: bernoulli, p: 0.5}, strategy: {kind: shift_median_up}",
         )
-        assert parse_config(flat).kind == "bai-succelim"
+        with pytest.raises(FeasibilityViolationError) as err:
+            parse_config(flat)
+        assert err.value.key == "arm"
+        assert "bernoulli" in flat.splitlines()[err.value.line - 1]
 
     @pytest.mark.parametrize(
         "base, old, new, key",
@@ -179,19 +198,44 @@ class TestParser:
             ("lower-bound", "delta = 0.1", "delta = 0.2", "delta"),
             ("lower-bound", "p = [0.6, 0.4]", "p = [0.7, 0.4]", "p"),
             ("lower-bound", "p = [0.6, 0.4]", "p = [0.6, 0.3]", "p"),
+            # configs the runner cannot run: uniform exploration at alpha = 0,
+            ("minimal", "alpha = 0.3", "alpha = 0.0", "alpha"),
+            # a lower bound without one best arm,
+            ("lower-bound", "p = [0.6, 0.4]", "p = [0.5, 0.5]", "p"),
+            ("lower-bound", "p = [0.6, 0.4]", "p = [0.6, 0.6, 0.4]", "p"),
+            # and effective gaps of an arm without a unique median
+            ("minimal", _MINIMAL_ARM, _FLAT_ARM, "arm"),
+            ("bai", _BAI_ARM, _FLAT_ARM, "arm"),
+            ("gaps", _BAI_ARM, _FLAT_ARM, "arm"),
         ],
     )
     def test_out_of_range_algorithm_value_rejected(self, base, old, new, key):
-        text = {
-            "minimal": MINIMAL,
-            "estimate": (REPO_ROOT / "configs" / "estimate_demo.cfg").read_text(),
-            "lower-bound": LOWER_BOUND,
-            "gaps": _demo("gaps"),
-        }[base]
+        text = _BASES[base]
         assert old in text
         parse_config(text)
         bad = text.replace(old, new)
         with pytest.raises(FeasibilityViolationError) as err:
+            parse_config(bad)
+        assert err.value.key == key
+        assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
+
+    @pytest.mark.parametrize(
+        "base, old, new, key",
+        [
+            ("lower-bound", "p = [0.6, 0.4]", f"p = [0.6, 0.4]\narm = {_FLAT_ARM}", "arm"),
+            ("minimal", "eps = 0.1", "eps = 0.1\np = [0.6, 0.4]", "p"),
+            ("estimate", "eps = 0.1", "eps = 0.1\np = [0.6, 0.4]", "p"),
+            ("verify", "suites = [quality]", "suites = [quality]\n[instance]\nmodel = oblivious", "model"),
+            ("gaps", "kind = gaps", "kind = gaps\nsuites = [kl]", "suites"),
+            ("lower-bound", "seed = 5", "seed = 5\nsuites = [kl]", "suites"),
+        ],
+    )
+    def test_key_the_kind_never_reads_rejected(self, base, old, new, key):
+        text = _BASES[base]
+        assert old in text
+        parse_config(text)
+        bad = text.replace(old, new)
+        with pytest.raises(UnknownKeyError) as err:
             parse_config(bad)
         assert err.value.key == key
         assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
@@ -398,9 +442,9 @@ OUTPUT_CASES = {
     "bai-succelim": _demo("bai").replace("replications = 50", "replications = 2"),
     "gaps": _demo("gaps"),
     "lower-bound": LOWER_BOUND,
-    "verify": "[experiment]\nkind = verify\nsuites = [quality]\n",
+    "verify": _BASES["verify"],
 }
-assert set(OUTPUT_CASES) == set(EXPERIMENT_KINDS)
+assert set(OUTPUT_CASES) == set(_KINDS)
 
 
 class TestRunExperiment:
@@ -610,6 +654,13 @@ error_level = 0.1
         lines = result.files["summary"].read_text().splitlines()
         assert [line.split(" = ")[0] for line in lines] == list(result.summary)
 
+    def test_failed_run_leaves_no_output_directory(self, tmp_path):
+        config = parse_config(MINIMAL)
+        config.algorithm["alpha"] = 0.0
+        with pytest.raises(rb.RobanditError, match="alpha > 0"):
+            run_experiment(config, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(rb.RobanditError):
             run_suites(["no-such-suite"], seed=0)
@@ -693,6 +744,44 @@ class TestCli:
         cfg.write_text(MINIMAL)
         proc = self._run("estimate", "--config", str(cfg))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("kind", list(_KINDS))
+    def test_each_kind_runs_under_its_command_only(self, tmp_path, monkeypatch, capsys, kind):
+        """In process: a kind's config runs under its own command and is a
+        usage error that writes nothing under every other command."""
+        monkeypatch.delenv("ROBANDIT_SEED", raising=False)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(OUTPUT_CASES[kind])
+        for command in dict.fromkeys(spec.command for spec in _KINDS.values()):
+            out = tmp_path / command
+            code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+            if command == _KINDS[kind].command:
+                assert code == 0, capsys.readouterr().err
+                assert (out / "summary.txt").exists()
+            else:
+                assert code == 2
+                assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, base, old, new, key",
+        [
+            ("bai", "minimal", "alpha = 0.3", "alpha = 0.0", "alpha"),
+            ("lb", "lower-bound", "p = [0.6, 0.4]", "p = [0.5, 0.5]", "p"),
+            ("bai", "bai", _BAI_ARM, _FLAT_ARM, "arm"),
+            ("gaps", "gaps", _BAI_ARM, _FLAT_ARM, "arm"),
+            ("lb", "lower-bound", "p = [0.6, 0.4]", f"p = [0.6, 0.4]\narm = {_FLAT_ARM}", "arm"),
+        ],
+    )
+    def test_config_the_runner_cannot_run_is_usage_error(
+        self, tmp_path, capsys, command, base, old, new, key
+    ):
+        """Rejected at parse time with its key and line: exit 2, no output directory."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_BASES[base].replace(old, new))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"(key {key!r}, line " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_with_suites_flag(self, tmp_path):
         proc = self._run(
