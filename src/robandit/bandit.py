@@ -427,15 +427,18 @@ def _bracket(
     pair has ranks ``lo + m`` and ``hi``. ``ahead`` holds the next pulls, NaN
     where unknown, and pulls past its end are unknown too. Of the first m
     pulls, B(m) lie strictly below ``v[lo[-1]]`` and N(m) are unknown or not
-    strictly above ``v[hi[-1]]``. The bracket ``v[lo + m - N(m)] ..
-    v[hi - B(m)]`` holds the middle pair: both reads lie in ``v[lo[-1]] ..
-    v[hi[-1]]``, so at most ``lo + m`` pulls lie strictly below the lower end
-    and at least ``hi + 1`` at or below the upper end. With no pull known it
-    is ``v[lo] .. v[hi]``, and it is never wider.
+    strictly above ``v[hi[-1]]``, by prefix counts of the held pulls read at
+    ``min(m, held.size)`` (a NaN is unknown). The bracket ``v[lo + m - N(m)]
+    .. v[hi - B(m)]`` holds the middle pair: both reads lie in ``v[lo[-1]]
+    .. v[hi[-1]]``, so at most ``lo + m`` pulls lie strictly below the lower
+    end and at least ``hi + 1`` at or below the upper end. With no pull known
+    it is ``v[lo] .. v[hi]``, and it is never wider.
     """
     held = ahead[: m[-1]]
-    above = np.flatnonzero(held > v[hi[-1]]).searchsorted(m)
-    below = np.flatnonzero(held < v[lo[-1]]).searchsorted(m)
+    if not held.size:
+        return v[lo], v[hi]
+    at = np.minimum(m, held.size) - 1
+    above, below = (held > v[hi[-1]]).cumsum()[at], (held < v[lo[-1]]).cumsum()[at]
     return v[lo + above], v[hi - below]
 
 
@@ -542,7 +545,9 @@ class _Race:
                 m = m[:ok]
                 lo, hi = (count - 1 - 2 * floor - m) // 2, (count - 2 * floor + m) // 2
                 lows, highs = zip(*(_bracket(v, lo, hi, m, a) for v, a in zip(views, held)))
-                hit = np.minimum.reduce(lows) < np.maximum.reduce(highs) - width[first : first + ok]
+                # folded pairwise: ufunc.reduce over a tuple of rows stacks them first
+                low, high = functools.reduce(np.minimum, lows), functools.reduce(np.maximum, highs)
+                hit = low < high - width[first : first + ok]
                 hit |= may_stop[first + 1 : first + ok + 1]
                 j = int(hit.argmax())
                 if hit[j]:

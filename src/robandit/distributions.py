@@ -411,10 +411,10 @@ class Mixture(Distribution):
         bounds = [*itertools.accumulate(self.weights[:-1]), math.inf]
         for c, comp in zip(bounds, self.components):
             below = u < c
-            mask, taken = below ^ taken, below
-            count = int(np.count_nonzero(mask))
-            if count:
-                out[mask] = comp.sample(count, rng)
+            # integer indices: a boolean-mask scatter mispredicts on random masks
+            at, taken = (below ^ taken).nonzero()[0], below
+            if at.size:
+                out[at] = comp.sample(at.size, rng)
         return out
 
 

@@ -33,8 +33,9 @@ at parse time with the offending key and line.
 
 ``_KINDS`` states each experiment kind once: the CLI command that runs it,
 what its ``[instance]`` declares, the estimation bound whose margin must be
-feasible and its required ``[algorithm]`` keys. The CLI's subcommands and the
-runner's dispatch are read from it.
+feasible, and the ``[algorithm]`` keys it requires and those it also reads; a
+config that sets any other ``[algorithm]`` key is rejected. The CLI's
+subcommands and the runner's dispatch are read from it.
 """
 
 from __future__ import annotations
@@ -341,20 +342,24 @@ class _Kind(NamedTuple):
     instance: str  # what [instance] declares: "arms", one "arm", "p" or ""
     statistic: str | None  # the _BOUNDS entry whose margin must be feasible
     required: frozenset[str]  # the [algorithm] keys the config must set
+    optional: frozenset[str]  # the other [algorithm] keys it reads, if set
 
 
 _FAMILY = frozenset({"t_bar", "slope_bound", "mad_bound"})
 _ESTIMATE = _FAMILY | {"delta", "eps0", "error_level"}
 _RACE = _FAMILY | {"alpha", "delta", "eps0"}
+_RACING = frozenset({"early_stop", "max_rounds", "threshold_variant", "mad_ratio"})
+_NONE = frozenset()
+_MAD_SOURCE = frozenset({"mad_source"})
 
 _KINDS = {
-    "estimate-median": _Kind("estimate", "arm", "median", _ESTIMATE),
-    "estimate-mad": _Kind("estimate", "arm", "mad", _ESTIMATE | {"mad_ratio"}),
-    "bai-simple": _Kind("bai", "arms", "median", _RACE),
-    "bai-succelim": _Kind("bai", "arms", "median", _RACE),
-    "gaps": _Kind("gaps", "arms", None, _FAMILY),
-    "lower-bound": _Kind("lb", "p", "median", _RACE),
-    "verify": _Kind("verify", "", None, frozenset()),
+    "estimate-median": _Kind("estimate", "arm", "median", _ESTIMATE, _MAD_SOURCE),
+    "estimate-mad": _Kind("estimate", "arm", "mad", _ESTIMATE | {"mad_ratio"}, _MAD_SOURCE),
+    "bai-simple": _Kind("bai", "arms", "median", _RACE, _RACING),
+    "bai-succelim": _Kind("bai", "arms", "median", _RACE, _RACING),
+    "gaps": _Kind("gaps", "arms", None, _FAMILY, _NONE),
+    "lower-bound": _Kind("lb", "p", "median", _RACE, _RACING | {"c_eta"}),
+    "verify": _Kind("verify", "", None, _NONE, _NONE),
 }
 
 _KNOWN_KEYS = {
@@ -514,7 +519,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     algo, algo_lines = _section_map(sections.get("algorithm", []))
     algorithm = {key: spec[1] for key, spec in _ALGORITHM.items() if spec[1] is not None}
+    algo_reads = _KINDS[kind].required | _KINDS[kind].optional
     for key, value in algo.items():
+        if key not in algo_reads:
+            raise UnknownKeyError(
+                f"{kind} reads no [algorithm] key {key!r}", key=key, line=algo_lines[key]
+            )
         want, _, in_range, requirement = _ALGORITHM[key]
         if key == "mad_source" and value is True:
             value = "true"  # the value parser reads a bare true as a bool

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
@@ -364,6 +364,43 @@ class TestBracket:
         assert np.array_equal(low, old[lo]) and np.array_equal(high, old[hi])
         low, high = bandit._bracket(old, lo, hi, m, np.empty(0))
         assert np.array_equal(low, old[lo]) and np.array_equal(high, old[hi])
+
+    @pytest.mark.parametrize("reach", ["empty", "shorter", "equal", "longer"])
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_equals_the_scalar_counts(self, reach, data):
+        """Bit for bit the bracket the counts give: of the first m held pulls
+        (NaN unknowns, ties at both pivots), those strictly above ``v[hi[-1]]``
+        and strictly below ``v[lo[-1]]``, counted one by one and by the
+        positions of the matching pulls."""
+        atoms = [0.0, 0.5, 1.0]
+        values = st.sampled_from(atoms) | st.floats(-1.0, 2.0)
+        old = np.sort(data.draw(st.lists(values, min_size=2, max_size=60).map(np.array)))
+        c = old.size
+        m = np.array(sorted(data.draw(st.sets(st.integers(1, c - 1), min_size=1))))
+        lo, hi = (c - 1 - m) // 2, (c + m) // 2
+        top, bottom, last = old[hi[-1]], old[lo[-1]], int(m[-1])
+        assume(reach != "shorter" or last > 1)
+        size = {
+            "empty": lambda: 0,
+            "shorter": lambda: data.draw(st.integers(1, last - 1)),
+            "equal": lambda: last,
+            "longer": lambda: last + data.draw(st.integers(1, 5)),
+        }[reach]()
+        pull = st.sampled_from([top, bottom, np.nan]) | values
+        ahead = np.array(data.draw(st.lists(pull, min_size=size, max_size=size)), dtype=float)
+        low, high = bandit._bracket(old, lo, hi, m, ahead)
+        prefixes = [ahead[:n].tolist() for n in m.tolist()]
+        above = np.array([sum(x > top for x in p) for p in prefixes], dtype=int)
+        below = np.array([sum(x < bottom for x in p) for p in prefixes], dtype=int)
+        assert low.tobytes() == old[lo + above].tobytes()
+        assert high.tobytes() == old[hi - below].tobytes()
+        # the same counts by the positions of the matching pulls
+        held = ahead[: m[-1]]
+        above = np.flatnonzero(held > top).searchsorted(m)
+        below = np.flatnonzero(held < bottom).searchsorted(m)
+        assert low.tobytes() == old[lo + above].tobytes()
+        assert high.tobytes() == old[hi - below].tobytes()
 
     @pytest.mark.parametrize("q", [0.1, 0.9])
     def test_race_brackets_hold_the_true_middle_pair(self, q):

@@ -228,6 +228,15 @@ class TestParser:
             ("verify", "suites = [quality]", "suites = [quality]\n[instance]\nmodel = oblivious", "model"),
             ("gaps", "kind = gaps", "kind = gaps\nsuites = [kl]", "suites"),
             ("lower-bound", "seed = 5", "seed = 5\nsuites = [kl]", "suites"),
+            ("estimate", "delta = 0.1", "delta = 0.1\nalpha = 0.3", "alpha"),
+            ("estimate", "delta = 0.1", "delta = 0.1\nmax_rounds = 5", "max_rounds"),
+            ("estimate", "delta = 0.1", "delta = 0.1\nc_eta = 2.0", "c_eta"),
+            ("estimate", "delta = 0.1", "delta = 0.1\nmad_ratio = 2.0", "mad_ratio"),
+            ("bai", "delta = 0.1", "delta = 0.1\nerror_level = 0.2", "error_level"),
+            ("bai", "delta = 0.1", "delta = 0.1\nmad_source = bound", "mad_source"),
+            ("bai", "delta = 0.1", "delta = 0.1\nc_eta = 2.0", "c_eta"),
+            ("gaps", "t_bar = 0.4", "t_bar = 0.4\ndelta = 0.1", "delta"),
+            ("verify", "suites = [quality]", "suites = [quality]\n[algorithm]\ndelta = 0.1", "delta"),
         ],
     )
     def test_key_the_kind_never_reads_rejected(self, base, old, new, key):
@@ -239,6 +248,26 @@ class TestParser:
             parse_config(bad)
         assert err.value.key == key
         assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
+
+    @pytest.mark.parametrize(
+        "base, old, new",
+        [
+            ("bai", "alpha = 0.0", "alpha = 0.05\nearly_stop = true"),
+            ("bai", "delta = 0.1", "delta = 0.1\nmax_rounds = 5"),
+            ("bai", "delta = 0.1", "delta = 0.1\nthreshold_variant = linear-slope"),
+            ("minimal", "delta = 0.2", "delta = 0.2\nearly_stop = true\nmax_rounds = 5"),
+            ("lower-bound", "delta = 0.1", "delta = 0.1\nearly_stop = true\nmax_rounds = 5"),
+            ("lower-bound", "delta = 0.1", "delta = 0.1\nthreshold_variant = linear-slope"),
+            ("lower-bound", "mad_ratio = 2.0\nc_eta = 1.0\n", ""),
+            ("estimate", "delta = 0.1", "delta = 0.1\nmad_source = bound"),
+        ],
+    )
+    def test_key_the_kind_reads_without_requiring_parses(self, base, old, new):
+        """Keys with a default that the kind reads may be set or left out."""
+        text = _BASES[base]
+        assert old in text
+        parse_config(text)
+        parse_config(text.replace(old, new))
 
     @pytest.mark.parametrize(
         "literal",
@@ -604,8 +633,10 @@ error_level = 0.1
         assert result.summary["success_rate"] >= 0.9
 
     def test_gaps_experiment(self, tmp_path):
-        text = MINIMAL.replace("kind = bai-simple", "kind = gaps")
-        config = parse_config(text)
+        # gaps reads only the family bounds of the race's [algorithm] keys
+        text = MINIMAL.replace("kind = bai-simple", "kind = gaps").split("[algorithm]")[0]
+        family = "[algorithm]\nt_bar = 0.4\nslope_bound = 4.0\nmad_bound = 0.25\n"
+        config = parse_config(text + family)
         result = run_experiment(config, out_dir=tmp_path)
         assert result.exit_code == 0
         lines = result.files["records"].read_text().splitlines()
@@ -870,3 +901,10 @@ def test_readme_config_format_names_every_key_and_kind():
     section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
     names = list(_ALGORITHM) + list(_DISTRIBUTIONS) + list(_STRATEGIES)
     assert [name for name in names if f"`{name}" not in section and f"{name} =" not in section] == []
+
+
+def test_readme_example_config_parses():
+    """The example under "Config format" sets only keys its kind reads."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    example = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config(example).kind == "bai-succelim"
