@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 from ..errors import RobanditError
-from .config import _KINDS, ConfigError, ExperimentConfig, check_seed, check_suites, parse_config
+from .config import _KINDS, ConfigError, ExperimentConfig, check_seed, parse_config
 from .runner import run_experiment
+from .verify import check_suites
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +45,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.config is not None:
-            config = parse_config(args.config.read_text())
+            try:
+                text = args.config.read_text()
+            except OSError as exc:
+                reason = exc.strerror or exc
+                print(f"error: cannot read --config {str(args.config)!r}: {reason}", file=sys.stderr)
+                return 2
+            config = parse_config(text)
         elif args.command == "verify":
             config = ExperimentConfig(kind="verify", replications=1, seed=0)
         else:
@@ -71,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
         result = run_experiment(config, parallelism=args.parallelism, out_dir=args.out)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RobanditError as exc:

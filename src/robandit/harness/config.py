@@ -26,10 +26,12 @@ The format is flat sectioned key-value text::
     dir = out
 
 Values are scalars (int, float, true/false, bare or quoted strings), lists
-``[...]`` or tagged maps ``{key: value, ...}``. The ``arm`` key repeats, one
-line per arm. Lines starting with ``#`` are comments. Every feasibility
-invariant of the downstream modules is re-validated here so bad configs fail
-at parse time with the offending key and line.
+``[...]`` or tagged maps ``{key: value, ...}``; ``_TOKEN`` states what a
+token is. The ``arm`` key repeats, one line per arm. Lines starting with
+``#`` are comments. A distribution or strategy literal's fields are its
+class's dataclass fields. Every feasibility invariant of the downstream
+modules is re-validated here so bad configs fail at parse time with the
+offending key and line.
 
 ``_KINDS`` states each experiment kind once: the CLI command that runs it,
 what its ``[instance]`` declares, the estimation bound whose margin must be
@@ -40,7 +42,9 @@ subcommands and the runner's dispatch are read from it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -76,7 +80,7 @@ from ..errors import (
     RobanditError,
 )
 from ..estimators import EstimationParams, _BOUNDS
-from .verify import SUITES
+from .verify import check_suites
 
 __all__ = [
     "ConfigError",
@@ -118,154 +122,115 @@ class FeasibilityViolationError(ConfigError):
 
 # -- value parser -------------------------------------------------------------
 
+# After blanks, one token: a quoted string (no escapes), a bare word, a mark, a
+# comment running to the end of the line, or any other character, which no
+# value may hold. Every character but a blank is in some token.
+_TOKEN = re.compile(r'[ \t]*(?:"([^"]*)"|([\w.+/~-]+)|([{}\[\],:])|(#.*)|([^ \t]))')
+_QUOTED, _WORD, _MARK, _COMMENT = 1, 2, 3, 4
 
-class _ValueParser:
-    def __init__(self, text: str, line: int, key: str):
-        self.text = text
-        self.pos = 0
-        self.line = line
-        self.key = key
 
-    def fail(self, message: str):
-        raise TypeMismatchError(message, key=self.key, line=self.line)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def parse(self):
-        self.skip_ws()
-        value = self.parse_value()
-        self.skip_ws()
-        if self.pos != len(self.text) and self.text[self.pos] != "#":
-            self.fail(f"trailing characters after value: {self.text[self.pos:]!r}")
-        return value
-
-    def parse_value(self):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] == "#":
-            self.fail("missing value")
-        ch = self.text[self.pos]
-        if ch == "{":
-            return self.parse_map()
-        if ch == "[":
-            return self.parse_list()
-        if ch == '"':
-            return self.parse_quoted()
-        return self.parse_scalar()
-
-    def parse_map(self):
-        self.pos += 1  # {
-        out: dict[str, Any] = {}
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "}":
-            self.pos += 1
-            return out
-        while True:
-            self.skip_ws()
-            key = self.parse_bare_word()
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ":":
-                self.fail(f"expected ':' after map key {key!r}")
-            self.pos += 1
-            out[key] = self.parse_value()
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                self.fail("unterminated map")
-            if self.text[self.pos] == ",":
-                self.pos += 1
-                continue
-            if self.text[self.pos] == "}":
-                self.pos += 1
-                return out
-            self.fail(f"expected ',' or '}}' in map, got {self.text[self.pos]!r}")
-
-    def parse_list(self):
-        self.pos += 1  # [
-        out: list[Any] = []
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "]":
-            self.pos += 1
-            return out
-        while True:
-            out.append(self.parse_value())
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                self.fail("unterminated list")
-            if self.text[self.pos] == ",":
-                self.pos += 1
-                continue
-            if self.text[self.pos] == "]":
-                self.pos += 1
-                return out
-            self.fail(f"expected ',' or ']' in list, got {self.text[self.pos]!r}")
-
-    def parse_quoted(self):
-        end = self.text.find('"', self.pos + 1)
-        if end < 0:
-            self.fail("unterminated string")
-        value = self.text[self.pos + 1 : end]
-        self.pos = end + 1
-        return value
-
-    def parse_bare_word(self):
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_.-+/~"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            self.fail(f"expected a token at {self.text[start:]!r}")
-        return self.text[start : self.pos]
-
-    def parse_scalar(self):
-        word = self.parse_bare_word()
-        if word == "true":
-            return True
-        if word == "false":
-            return False
+def _scalar(word: str):
+    """A bare word as true/false, an int, a float, or else the word itself."""
+    if word in ("true", "false"):
+        return word == "true"
+    for number in (int, float):
         try:
-            return int(word)
+            return number(word)
         except ValueError:
             pass
-        try:
-            return float(word)
-        except ValueError:
-            pass
-        return word
+    return word
+
+
+def _parse_value(text: str, key: str, line: int):
+    """Decode ``text``, one value (a scalar, a quoted string, a ``[list]`` or a
+    ``{map}`` with bare-word keys) that a ``# comment`` may follow."""
+    tokens = [(m.lastindex, m[m.lastindex]) for m in _TOKEN.finditer(text)]
+    if tokens and tokens[-1][0] == _COMMENT:
+        tokens.pop()
+    tokens.append((None, "end of value"))
+    at = 0
+
+    def take(*marks):
+        """The next token, which must be one of ``marks`` if any are given."""
+        nonlocal at
+        group, token = tokens[at]
+        if marks and (group != _MARK or token not in marks):
+            expected = " or ".join(map(repr, marks))
+            raise TypeMismatchError(f"expected {expected}, got {token!r}", key, line)
+        at += 1
+        return group, token
+
+    def value():
+        group, token = take()
+        if group == _QUOTED:
+            return token
+        if group == _WORD:
+            return _scalar(token)
+        if token == "[":
+            return items("]", value)
+        if token == "{":
+            return dict(items("}", entry))
+        got = "an unterminated string" if token == '"' else repr(token)
+        raise TypeMismatchError(f"expected a value, got {got}", key, line)
+
+    def entry():
+        group, name = take()
+        if group != _WORD:
+            raise TypeMismatchError(f"expected a bare-word map key, got {name!r}", key, line)
+        take(":")
+        return name, value()
+
+    def items(close, item):
+        if tokens[at] == (_MARK, close):
+            take()
+            return []
+        out = [item()]
+        while take(",", close)[1] == ",":
+            out.append(item())
+        return out
+
+    decoded = value()
+    if at < len(tokens) - 1:
+        raise TypeMismatchError(f"trailing characters after value: {tokens[at][1]!r}", key, line)
+    return decoded
 
 
 # -- distribution / strategy literals -----------------------------------------
 
-# kind -> (constructor, fields). A field is (name, type) or (name, type,
-# default); a type is float, int, Distribution (a nested literal) or [type],
-# a list of that type. Fields are passed to the constructor in this order.
-_DISTRIBUTIONS = {
-    "uniform": (Uniform, (("lo", float), ("hi", float))),
-    "gaussian": (Gaussian, (("mu", float), ("sigma", float))),
-    "cauchy": (Cauchy, (("x0", float), ("scale", float))),
-    "bernoulli": (Bernoulli, (("p", float),)),
-    "smoothed_bernoulli": (SmoothedBernoulli, (("p", float),)),
-    "dirac": (Dirac, (("x", float),)),
-    "mixture": (Mixture, (("weights", [float]), ("components", [Distribution]))),
-    "affine": (Affine, (("base", Distribution), ("scale", float), ("shift", float, 0.0))),
+# A literal field's declared type, as its annotation string reads (the literal
+# classes postpone annotations), to the type _coerce checks; [t] is a list of t.
+_FIELD_TYPES = {
+    "float": float,
+    "int": int,
+    "Distribution": Distribution,
+    "tuple[float, ...]": [float],
+    "tuple[Distribution, ...]": [Distribution],
 }
 
-_STRATEGIES = {
-    "fixed": (FixedContamination, (("dist", Distribution),)),
-    "shift_median_up": (ShiftMedianUp, (("magnitude", float, 1e6),)),
-    "shift_median_down": (ShiftMedianDown, (("magnitude", float, 1e6),)),
-    "uniform_tail_shift": (UniformTailShift, (("direction", int, 1),)),
-    "below_median_coupling": (
-        BelowMedianCoupling,
-        (("threshold", float), ("flip_prob", float), ("point", float)),
-    ),
-    "atom_coupling": (
-        AtomTriggeredCoupling,
-        (("trigger", float), ("flip_prob", float), ("point", float)),
-    ),
-    "empirical_quantile": (EmpiricalQuantileShift, (("target_quantile", float, 0.9),)),
-}
+
+def _literals(**constructors) -> dict:
+    """kind -> (constructor, fields), each field (name, type) or (name, type,
+    default), in the order its class declares them."""
+    return {
+        kind: (c, tuple(_field(f) for f in dataclasses.fields(c) if f.init))
+        for kind, c in constructors.items()
+    }
+
+
+def _field(f: dataclasses.Field) -> tuple:
+    default = () if f.default is dataclasses.MISSING else (f.default,)
+    return (f.name, _FIELD_TYPES[f.type], *default)
+
+
+_DISTRIBUTIONS = _literals(
+    uniform=Uniform, gaussian=Gaussian, cauchy=Cauchy, bernoulli=Bernoulli,
+    smoothed_bernoulli=SmoothedBernoulli, dirac=Dirac, mixture=Mixture, affine=Affine
+)
+_STRATEGIES = _literals(
+    fixed=FixedContamination, shift_median_up=ShiftMedianUp, shift_median_down=ShiftMedianDown,
+    uniform_tail_shift=UniformTailShift, below_median_coupling=BelowMedianCoupling,
+    atom_coupling=AtomTriggeredCoupling, empirical_quantile=EmpiricalQuantileShift
+)
 
 
 def _literal(table: dict, what: str, spec: Any, key: str, line: int | None):
@@ -433,14 +398,6 @@ def check_seed(seed: int, line: int | None = None) -> int:
     return seed
 
 
-def check_suites(names, line: int | None = None) -> tuple[str, ...]:
-    """``names`` as a tuple if each one names a verify suite, else a ``TypeMismatchError``."""
-    unknown = [name for name in names if name not in SUITES]
-    if unknown:
-        raise TypeMismatchError(f"unknown verify suites: {', '.join(unknown)}", "suites", line)
-    return tuple(names)
-
-
 def _parse_sections(text: str):
     """Returns {section: [(key, value, line)]} with values decoded."""
     sections: dict[str, list[tuple[str, Any, int]]] = {}
@@ -463,7 +420,7 @@ def _parse_sections(text: str):
         key = key.strip()
         if key not in _KNOWN_KEYS[current]:
             raise UnknownKeyError(f"unknown key in [{current}]", key=key, line=lineno)
-        value = _ValueParser(rest.strip(), lineno, key).parse()
+        value = _parse_value(rest.strip(), key, lineno)
         sections[current].append((key, value, lineno))
     return sections
 

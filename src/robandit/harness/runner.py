@@ -35,7 +35,7 @@ from ..distributions import _median_mad
 from ..errors import ParameterOutOfRangeError, RobanditError
 from ..estimators import _BOUNDS, EstimationParams, estimate_mad_ci, estimate_median_ci
 from ..lower_bounds import LiftedInstance, lower_bound_samples, malicious_lifting, oblivious_lifting
-from .config import _KINDS, ExperimentConfig
+from .config import _KINDS, ConfigError, ExperimentConfig
 
 __all__ = [
     "mix_seed",
@@ -210,9 +210,15 @@ def run_experiment(
     """Execute one experiment; writes each of its tables to ``<name>.csv``
     (``records.csv`` always, ``aggregate.csv`` for lower-bound runs, one per
     verify artifact) and then ``summary.txt`` into the output directory,
-    which is created only after the run returns."""
-    tables, summary, exit_code = _RUNS[_KINDS[config.kind].command](config, parallelism)
+    which is created only after the run returns. A path that cannot become
+    that directory is a ``ConfigError`` before the run starts."""
     target = Path(out_dir if out_dir is not None else (config.out_dir or "out"))
+    blocker = next(path for path in (target, *target.parents) if path.exists())
+    if not blocker.is_dir():
+        raise ConfigError(
+            f"cannot make output directory {str(target)!r}: {str(blocker)!r} is not a directory"
+        )
+    tables, summary, exit_code = _RUNS[_KINDS[config.kind].command](config, parallelism)
     target.mkdir(parents=True, exist_ok=True)
     files = {}
     for name, (columns, rows) in tables.items():

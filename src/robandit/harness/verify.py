@@ -611,9 +611,18 @@ SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {
 }
 
 
+def check_suites(names, line: int | None = None) -> tuple[str, ...]:
+    """``names`` as a tuple if each one names a verify suite, else a ``TypeMismatchError``."""
+    from .config import TypeMismatchError  # config imports this module at load
+
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise TypeMismatchError(f"unknown verify suites: {', '.join(unknown)}", "suites", line)
+    return tuple(names)
+
+
 def run_suites(names=None, seed: int = 0) -> list[SuiteResult]:
     """Run the named suites (all when None), each on the stream of its place in SUITES."""
-    from .config import check_suites
     from .runner import replication_rng
 
     order = list(SUITES)

@@ -28,6 +28,7 @@ from .distributions import (
     Bernoulli,
     Dirac,
     Distribution,
+    FamilyParams,
     Mixture,
     SmoothedBernoulli,
     Uniform,
@@ -53,9 +54,7 @@ def kl_smoothed_bernoulli(p: float, q: float) -> float:
     """KL divergence between smoothed Bernoulli laws: half the Bernoulli KL."""
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
         raise ParameterOutOfRangeError("parameters must lie strictly inside (0, 1)")
-    first = 0.0 if p == 0.0 else p * math.log(p / q)
-    second = 0.0 if p == 1.0 else (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-    return 0.5 * (first + second)
+    return 0.5 * (p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q)))
 
 
 def kl_quadratic_constant(eta: float, grid: int = 200) -> float:
@@ -121,8 +120,6 @@ class LiftedInstance:
         """Family parameters valid for every hidden arm: per-arm slope bounds
         follow from the hidden cdfs' exact slope (the slope-MAD product is
         2(1 - eps) for the oblivious lifting, 2 for the malicious one)."""
-        from .distributions import FamilyParams
-
         product = 2.0 if self.model is AdversaryModel.MALICIOUS else 2.0 * (1.0 - self.eps)
         mads = [_median_mad(arm.dist)[1] for arm in self.lifted_arms]
         return FamilyParams(

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robandit as rb
 from robandit.harness import (
@@ -99,6 +101,45 @@ _BASES = {
 _FLAT_ARM = "{dist: {kind: bernoulli, p: 0.5}, strategy: {kind: shift_median_up}}"
 _MINIMAL_ARM = "{dist: {kind: uniform, lo: 0.4, hi: 1.4}, strategy: {kind: uniform_tail_shift, direction: -1}}"
 _BAI_ARM = "{dist: {kind: uniform, lo: 0.3, hi: 1.3}, strategy: {kind: uniform_tail_shift, direction: -1}}"
+
+
+# Value trees for the grammar round trip, each drawn as (text, decoded value).
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+_WORD_CHARS = "ab09_./~+-"
+# bare words that stay words: the first letter spells no bool, number, nan or inf
+_WORD = st.builds(str.__add__, st.sampled_from("abxyz_"), st.text(_WORD_CHARS, max_size=6))
+_SCALAR = st.one_of(
+    st.sampled_from(
+        [("true", True), ("false", False), ("1e6", 1e6), ("nan", math.nan), ("-inf", -math.inf),
+         ("1_000", 1000), ("+7", 7), ("2.5e-3", 2.5e-3)]
+    ),
+    st.integers(-(10**20), 10**20).map(lambda i: (str(i), i)),
+    st.floats().map(lambda x: (repr(x), x)),
+    _WORD.map(lambda w: (w, w)),
+    # a quoted string keeps blanks, marks and digits as they are
+    st.text(st.sampled_from(list("ab1 #\t,:{}[]'") + ["\xa0"]), max_size=8).map(lambda s: (f'"{s}"', s)),
+)
+
+
+def _join(items, blank, open_, close):
+    return open_ + blank + f"{blank},{blank}".join(items) + blank + close
+
+
+def _containers(inner):
+    lists = st.tuples(st.lists(inner, max_size=3), _BLANK).map(
+        lambda drawn: (_join([t for t, _ in drawn[0]], drawn[1], "[", "]"), [v for _, v in drawn[0]])
+    )
+    keys = st.text(_WORD_CHARS, min_size=1, max_size=5)
+    maps = st.tuples(st.dictionaries(keys, inner, max_size=3), _BLANK).map(
+        lambda drawn: (
+            _join([f"{k}{drawn[1]}:{drawn[1]}{t}" for k, (t, _) in drawn[0].items()], drawn[1], "{", "}"),
+            {k: v for k, (_, v) in drawn[0].items()},
+        )
+    )
+    return lists | maps
+
+
+_VALUE = st.recursive(_SCALAR, _containers, max_leaves=10)
 
 
 class TestParser:
@@ -322,6 +363,29 @@ class TestParser:
     def test_comment_after_value(self, line, value):
         """A `#` after a value starts a comment; a quoted `#` is kept."""
         assert _parse_sections(f"[output]\n{line}\n") == {"output": [("dir", value, 2)]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUE, st.sampled_from(["", " # c", "\t# a, b: {c", "#tight"]))
+    def test_value_round_trip(self, value, comment):
+        """A rendered value tree decodes to the tree, with or without a comment."""
+        text, tree = value
+        decoded = _parse_sections(f"[output]\ndir = {text}{comment}\n")
+        # repr tells True from 1 and 1 from 1.0, and equates nan with nan
+        assert repr(decoded) == repr({"output": [("dir", tree, 2)]})
+
+    @pytest.mark.parametrize(
+        "value",
+        ['"abc', "{a: 1", "[1, 2", "[1, 2,]", "{a: 1,}", "{a 1}", "{a}", '{"a": 1}', "1}", "}",
+         "# c", "", "[1,\x0c 2]", "[1,\xa02]", "1\xa02", "'q'", "a;b"],
+        ids=["unterminated-string", "unterminated-map", "unterminated-list", "list-trailing-comma",
+             "map-trailing-comma", "entry-without-colon", "key-without-value", "quoted-map-key",
+             "stray-brace-after-value", "stray-brace", "only-comment", "empty", "form-feed",
+             "nbsp-in-list", "nbsp-between-words", "single-quotes", "other-character"],
+    )
+    def test_malformed_value_rejected(self, value):
+        with pytest.raises(TypeMismatchError) as err:
+            _parse_sections(f"[output]\ndir = {value}\n")
+        assert (err.value.key, err.value.line) == ("dir", 2)
 
     def test_bai_demo_parses(self):
         config = parse_config((REPO_ROOT / "configs" / "bai_demo.cfg").read_text())
@@ -813,6 +877,32 @@ class TestCli:
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"(key {key!r}, line " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        """A --config that cannot be read, here a directory, is named in a usage error."""
+        out = tmp_path / "out"
+        assert cli.main(["bai", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert f"cannot read --config {str(tmp_path)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "flag-below-file", "config"])
+    def test_output_path_that_is_no_directory_is_usage_error(self, tmp_path, monkeypatch, capsys, source):
+        """Rejected before the experiment runs: exit 2, and nothing is written."""
+
+        def ran(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(runner, "_run_replications", ran)
+        notes = tmp_path / "notes.txt"
+        notes.write_text("kept\n")
+        cfg = tmp_path / "exp.cfg"
+        out = {"flag": notes, "flag-below-file": notes / "out", "config": None}[source]
+        cfg.write_text(MINIMAL if out else MINIMAL + f'\n[output]\ndir = "{notes}"\n')
+        args = ["bai", "--config", str(cfg)] + (["--out", str(out)] if out else [])
+        assert cli.main(args) == 2
+        assert f"{str(notes)!r} is not a directory" in capsys.readouterr().err
+        assert notes.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [cfg, notes]
 
     def test_verify_with_suites_flag(self, tmp_path):
         proc = self._run(
