@@ -64,12 +64,16 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.command == "verify" and args.suites:
+        if args.command == "verify" and args.suites is not None:
             config.suites = check_suites([s for s in args.suites.split(",") if s])
 
         env_seed = os.environ.get("ROBANDIT_SEED")
         if env_seed is not None:
-            config.seed = check_seed(int(env_seed))
+            try:
+                config.seed = int(env_seed)
+            except ValueError:
+                raise ConfigError(f"ROBANDIT_SEED must be an integer, got {env_seed!r}") from None
+            check_seed(config.seed)
         if args.seed is not None:
             config.seed = check_seed(args.seed)
 

@@ -402,7 +402,8 @@ def _parse_sections(text: str):
     """Returns {section: [(key, value, line)]} with values decoded."""
     sections: dict[str, list[tuple[str, Any, int]]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line; strip() drops the "\r" of a "\r\n"
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

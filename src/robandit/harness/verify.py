@@ -370,31 +370,35 @@ def _coverage_family() -> FamilyParams:
     return FamilyParams(t_bar=0.4, slope_bound=4.0, mad_bound=0.25, mad_ratio=2.0)
 
 
+def _replicate(rng: np.random.Generator, reps: int, *specs) -> list[list[dict[str, Any]]]:
+    """Each spec's rows on one seed drawn from ``rng``: replication i of every
+    spec runs on ``replication_rng(seed, i)``, so the specs share random numbers."""
+    from . import runner  # runner imports config, which imports this module at load
+
+    seed = int(rng.integers(2**64, dtype=np.uint64))
+    return [runner._run_replications(seed, reps, 1, spec) for spec in specs]
+
+
 def _coverage(
     rng: np.random.Generator, statistic: str, error_level: float, reps: int, truth: float
 ) -> SuiteResult:
-    """Coverage of a uniform arm's median or MAD at the advertised sample size
-    against every fixed-law oblivious strategy, within bias + error_level."""
+    """Coverage of a uniform arm's median or MAD by its reported interval at the
+    advertised sample size against every fixed-law oblivious strategy."""
+    from .runner import EstimateSpec
+
     eps = 0.1
     delta = 0.1
-    bound = _BOUNDS[statistic]
     family = _coverage_family()
     params = EstimationParams(eps0=eps, family=family, model=AdversaryModel.OBLIVIOUS)
-    n = bound.sample_size(error_level, delta, params)
-    bias = bound.bias(family.mad_ratio) * contamination_bias(
-        eps, family.slope_bound, family.mad_bound, AdversaryModel.OBLIVIOUS
-    )
-    radius = bias + error_level
+    n = _BOUNDS[statistic].sample_size(error_level, delta, params)
     allowed = delta + binomial_slack(delta, reps)
     stats: dict[str, Any] = {"n": n, "allowed": allowed}
-    passed = True
-    for name, strategy in _oblivious_strategies():
-        arm = ContaminatedArm(Uniform(0.0, 1.0), strategy, eps, AdversaryModel.OBLIVIOUS)
-        estimates = (bound.estimator(draw_batch(arm, n, rng)) for _ in range(reps))
-        rate = sum(abs(est - truth) > radius for est in estimates) / reps
-        stats[name] = rate
-        if rate > allowed:
-            passed = False
+    names, strategies = zip(*_oblivious_strategies())
+    arms = [ContaminatedArm(Uniform(0.0, 1.0), s, eps, params.model) for s in strategies]
+    specs = [EstimateSpec(a, n, statistic, delta, params, family.mad_bound, truth) for a in arms]
+    for name, rows in zip(names, _replicate(rng, reps, *specs)):
+        stats[name] = sum(not row["covered"] for row in rows) / reps
+    passed = all(stats[name] <= allowed for name in names)
     return SuiteResult(f"coverage-{statistic}", passed, stats)
 
 
@@ -409,19 +413,19 @@ def suite_coverage_mad(rng: np.random.Generator) -> SuiteResult:
 def suite_malicious_tightness(rng: np.random.Generator) -> SuiteResult:
     """The coupled attack forces a median deviation of nearly the full malicious
     bias with probability close to one at the critical sample size."""
+    from .runner import EstimateSpec
+
     eps = 0.1
     delta = 0.1
     n = math.ceil(0.5 * eps**-2 * math.log(1.0 / delta))
     arm = malicious_median_attack(Uniform(-1.0, 1.0), eps)
+    params = EstimationParams(eps0=eps, family=_coverage_family(), model=arm.model)
     # quantile spread of Uniform(-1, 1) grows at 2 per unit of level
     threshold = 2.0 * (eps - math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
     reps = 1000
-    hits = 0
-    for _ in range(reps):
-        med = empirical_median(draw_batch(arm, n, rng))
-        if abs(med - 0.0) >= threshold:
-            hits += 1
-    rate = hits / reps
+    spec = EstimateSpec(arm, n, "median", delta, params, mad_used=0.5, truth=0.0)
+    (rows,) = _replicate(rng, reps, spec)
+    rate = sum(abs(row["estimate"]) >= threshold for row in rows) / reps
     floor = 1.0 - delta - binomial_slack(delta, reps)
     return SuiteResult(
         "malicious-tightness",
@@ -446,7 +450,7 @@ def suite_pac_simple(rng: np.random.Generator) -> SuiteResult:
     report = effective_gaps(instance, family)
     spec = RaceSpec(instance, config, simple=True, best_arm=report.best_arm, gaps=tuple(report.gaps))
     reps = 200
-    rows = [spec.row(rng) for _ in range(reps)]
+    (rows,) = _replicate(rng, reps, spec)
     pulls_ok = all(row["total_pulls"] == expected for row in rows)
     rate = sum(row["success"] for row in rows) / reps
     floor = 1.0 - delta - binomial_slack(delta, reps)
@@ -470,25 +474,48 @@ def suite_pac_succelim(rng: np.random.Generator) -> SuiteResult:
     reps = 200
     floor = 1.0 - delta - binomial_slack(delta, reps)
     stats: dict[str, Any] = {"floor": floor}
-    means = []
+    instances = [_tail_shift_instance([0.0, g + 2.0 * bias], eps, best=1) for g in (0.45, 0.225)]
+    specs = [RaceSpec(instance, config, simple=False, best_arm=1) for instance in instances]
     passed = True
-    for label, gap in (("wide", 0.45), ("narrow", 0.225)):
-        start = gap + 2.0 * bias
-        instance = _tail_shift_instance([0.0, start], eps, best=1)
-        spec = RaceSpec(instance, config, simple=False, best_arm=1)
-        rows = [spec.row(rng) for _ in range(reps)]
+    for label, rows in zip(("wide", "narrow"), _replicate(rng, reps, *specs)):
         rate = sum(row["success"] for row in rows) / reps
-        mean_pulls = sum(row["total_pulls"] for row in rows) / reps
-        means.append(mean_pulls)
         stats[f"success_{label}"] = rate
-        stats[f"pulls_{label}"] = mean_pulls
+        stats[f"pulls_{label}"] = sum(row["total_pulls"] for row in rows) / reps
         if rate < floor:
             passed = False
-    ratio = means[1] / means[0]
-    stats["ratio"] = ratio
+    stats["ratio"] = ratio = stats["pulls_narrow"] / stats["pulls_wide"]
     if not 3.0 <= ratio <= 6.0:
         passed = False
     return SuiteResult("pac-succelim", passed, stats)
+
+
+@dataclass(frozen=True)
+class _QualitySpec:
+    """One uniform exploration of ``instance`` and one fresh draw from the
+    chosen arm, held against the certified threshold at each of ``t_values``."""
+
+    instance: BanditInstance
+    config: AlgoConfig
+    t_values: tuple[float, ...]
+
+    def row(self, rng: np.random.Generator) -> dict[str, Any]:
+        outcome = simple_exploration_estimates(self.instance, self.config, rng)
+        chosen = outcome.result.chosen_arm
+        fresh = float(self.instance.arms[chosen].dist.sample(1, rng)[0])
+        config, family = self.config, self.config.family
+        bias = contamination_bias(
+            config.eps0, family.slope_bound, family.mad_bound, self.instance.model
+        )
+        row: dict[str, Any] = {}
+        for t in self.t_values:
+            guarantee = quantile_guarantee(
+                outcome.medians[chosen], outcome.mads[chosen], t, config.alpha, bias,
+                family.slope_bound, family.mad_ratio, config.delta, self.instance.k, family.t_bar
+            )
+            row[f"threshold_t{t}"] = guarantee.threshold
+            row[f"floor_t{t}"] = guarantee.probability_floor
+            row[f"hit_t{t}"] = fresh >= guarantee.threshold
+        return row
 
 
 def suite_quality(rng: np.random.Generator) -> SuiteResult:
@@ -496,54 +523,26 @@ def suite_quality(rng: np.random.Generator) -> SuiteResult:
     certified thresholds at their probability floors."""
     eps = 0.05
     delta = 0.1
-    alpha = 0.2
     family = _coverage_family()
     instance = _tail_shift_instance([0.0, 0.3], eps, best=1)
-    config = AlgoConfig(alpha=alpha, delta=delta, family=family, eps0=eps)
-    bias_bound = contamination_bias(
-        eps, family.slope_bound, family.mad_bound, AdversaryModel.OBLIVIOUS
-    )
+    config = AlgoConfig(alpha=0.2, delta=delta, family=family, eps0=eps)
     reps = 500
-    t_values = (0.0, 0.05, 0.1)
-    hits = {t: 0 for t in t_values}
-    thresholds = {t: 0.0 for t in t_values}
-    floors = {}
-    for _ in range(reps):
-        outcome = simple_exploration_estimates(instance, config, rng)
-        chosen = outcome.result.chosen_arm
-        fresh = float(instance.arms[chosen].dist.sample(1, rng)[0])
-        for t in t_values:
-            guarantee = quantile_guarantee(
-                outcome.medians[chosen],
-                outcome.mads[chosen],
-                t,
-                alpha,
-                bias_bound,
-                family.slope_bound,
-                family.mad_ratio,
-                delta,
-                instance.k,
-                t_bar=family.t_bar,
-            )
-            floors[t] = guarantee.probability_floor
-            thresholds[t] += guarantee.threshold
-            if fresh >= guarantee.threshold:
-                hits[t] += 1
+    spec = _QualitySpec(instance, config, (0.0, 0.05, 0.1))
+    (rows,) = _replicate(rng, reps, spec)
     passed = True
     stats: dict[str, Any] = {}
-    rows = []
-    for t in t_values:
+    table = []
+    for t in spec.t_values:
         floor = 0.5 + t - 3.0 * delta / instance.k
         bar = floor - binomial_slack(floor, reps)
-        rate = hits[t] / reps
+        rate = sum(row[f"hit_t{t}"] for row in rows) / reps
         stats[f"rate_t{t}"] = rate
         stats[f"bar_t{t}"] = bar
         if rate < bar:
             passed = False
-        rows.append(
-            {"t": t, "threshold": thresholds[t] / reps, "probability_floor": floors[t]}
-        )
-    artifact = (["t", "threshold", "probability_floor"], rows)
+        threshold = sum(row[f"threshold_t{t}"] for row in rows) / reps
+        table.append({"t": t, "threshold": threshold, "probability_floor": rows[-1][f"floor_t{t}"]})
+    artifact = (["t", "threshold", "probability_floor"], table)
     return SuiteResult("quality", passed, stats, artifact=artifact)
 
 
@@ -612,9 +611,11 @@ SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {
 
 
 def check_suites(names, line: int | None = None) -> tuple[str, ...]:
-    """``names`` as a tuple if each one names a verify suite, else a ``TypeMismatchError``."""
+    """``names`` as a tuple if it lists one or more verify suites, else a ``TypeMismatchError``."""
     from .config import TypeMismatchError  # config imports this module at load
 
+    if not names:
+        raise TypeMismatchError("suites must name at least one verify suite", "suites", line)
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise TypeMismatchError(f"unknown verify suites: {', '.join(unknown)}", "suites", line)

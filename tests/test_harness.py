@@ -387,6 +387,19 @@ class TestParser:
             _parse_sections(f"[output]\ndir = {value}\n")
         assert (err.value.key, err.value.line) == ("dir", 2)
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("place", ["comment", "quoted"])
+    def test_only_newline_ends_a_line(self, char, place):
+        """A character ``str.splitlines`` breaks at stays inside its line, so
+        the value keeps it and later lines keep their numbers."""
+        line = f"# a{char}b" if place == "comment" else f'dir = "a{char}b"'
+        output = [] if place == "comment" else [("dir", f"a{char}b", 2)]
+        text = f"[output]\n{line}\n[experiment]\nseed = 3\n"
+        assert _parse_sections(text) == {"output": output, "experiment": [("seed", 3, 4)]}
+        with pytest.raises(UnknownKeyError) as err:
+            _parse_sections(text.replace("seed", "sed"))
+        assert err.value.line == 4
+
     def test_bai_demo_parses(self):
         config = parse_config((REPO_ROOT / "configs" / "bai_demo.cfg").read_text())
         report = rb.effective_gaps(rb.BanditInstance(config.arms), config.family())
@@ -762,11 +775,41 @@ error_level = 0.1
         with pytest.raises(TypeMismatchError, match=r"nope.*\(key 'suites', line 3\)"):
             parse_config("[experiment]\nkind = verify\nsuites = [kl, nope]\n")
 
+    def test_empty_suite_list_rejected(self):
+        with pytest.raises(TypeMismatchError, match=r"at least one.*\(key 'suites', line 3\)"):
+            parse_config("[experiment]\nkind = verify\nsuites = []\n")
+
     def test_suite_stream_does_not_depend_on_selection(self):
         full = {result.name: result.detail() for result in run_suites(seed=1)}
-        alone = run_suites(["tail-shift"], seed=1)[0].detail()
-        after_kl = run_suites(["kl", "tail-shift"], seed=1)[1].detail()
-        assert alone == after_kl == full["tail-shift"]
+        for name in ("tail-shift", "quality"):
+            alone = run_suites([name], seed=1)[0].detail()
+            after_kl = run_suites(["kl", name], seed=1)[1].detail()
+            assert alone == after_kl == full[name]
+
+    @pytest.mark.parametrize(
+        "name, cells",
+        [("coverage-median", 5), ("coverage-mad", 5), ("malicious-tightness", 1),
+         ("pac-simple", 1), ("pac-succelim", 2), ("quality", 1)],
+    )
+    def test_monte_carlo_suite_cells_replay_alone(self, monkeypatch, name, cells):
+        """Each cell of a Monte Carlo suite is one engine call, all on one
+        seed; its spec survives pickle, and the engine run on that seed alone
+        returns the cell's rows."""
+        calls = []
+        engine = runner._run_replications
+
+        def capture(seed, replications, parallelism, spec):
+            rows = engine(seed, replications, parallelism, spec)
+            calls.append((seed, replications, spec, rows))
+            return rows
+
+        monkeypatch.setattr(runner, "_run_replications", capture)
+        assert run_suites([name], seed=1)[0].passed
+        assert len(calls) == cells
+        assert len({seed for seed, *_ in calls}) == 1
+        for seed, replications, spec, rows in calls:
+            assert pickle.loads(pickle.dumps(spec)) == spec
+            assert engine(seed, replications, 1, spec) == rows
 
 
 def _cli_env(**overrides):
@@ -923,6 +966,20 @@ class TestCli:
         assert "unknown verify suites: nope" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_suite_list_is_usage_error(self, tmp_path, capsys, source):
+        """An empty list is an error, not a request for every suite."""
+        out = tmp_path / "out"
+        if source == "flag":
+            args = ["verify", "--suites", ","]
+        else:
+            cfg = tmp_path / "verify.cfg"
+            cfg.write_text("[experiment]\nkind = verify\nsuites = []\n")
+            args = ["verify", "--config", str(cfg)]
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert "suites must name at least one verify suite (key 'suites'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(MINIMAL)
@@ -972,6 +1029,15 @@ class TestCli:
             proc = self._run(*args, ROBANDIT_SEED=seed)
         assert proc.returncode == 2
         assert "seed must be a 64-bit unsigned integer" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+    def test_non_integer_env_seed_rejected(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(MINIMAL)
+        proc = self._run("bai", "--config", str(cfg), "--out", str(tmp_path / "out"), ROBANDIT_SEED="abc")
+        assert proc.returncode == 2
+        assert "ROBANDIT_SEED must be an integer" in proc.stderr
         assert not (tmp_path / "out").exists()
 
 
