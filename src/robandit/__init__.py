@@ -93,6 +93,5 @@ from .lower_bounds import (
     oblivious_lifting,
 )
 from .quality import QualityGuarantee, lower_tail_bound, quantile_guarantee
-from .harness.runner import HardnessReport, hardness_probe
 
 __version__ = "0.1.0"

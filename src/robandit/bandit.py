@@ -79,22 +79,14 @@ class BanditInstance:
         return self.arms[0].model
 
 
-# r * radius**2 / log(3 / share) of the racing loop's round radius, by
-# threshold variant, from the family's slope and MAD bounds.
-_RADIUS_SCALE2 = {
-    "squared-slope": lambda f: 2.0 * (f.slope_bound * f.mad_bound) ** 2,
-    "linear-slope": lambda f: 2.0 * f.slope_bound * f.mad_bound**2,
-}
-THRESHOLD_VARIANTS = tuple(_RADIUS_SCALE2)
-
-
 @dataclass(frozen=True)
 class AlgoConfig:
     """Run parameters shared by the bandit algorithms.
 
-    ``threshold_variant`` selects the elimination-radius constant for the
-    contaminated racing loop: "squared-slope" (default, consistent with the
-    sample-size formulas) or "linear-slope" for measuring the alternative.
+    The contaminated racing loop's radius after round r, at that round's
+    confidence share s (``elimination_round_delta``), satisfies
+    r * radius**2 / log(3 / s) = 2 (S M)**2, with S the family's slope bound
+    and M its MAD bound, as in the sample-size formulas.
     """
 
     alpha: float
@@ -103,7 +95,6 @@ class AlgoConfig:
     eps0: float
     max_rounds: int = 10**6
     early_stop: bool = False
-    threshold_variant: str = "squared-slope"
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -112,8 +103,6 @@ class AlgoConfig:
             raise ParameterOutOfRangeError(f"alpha must be nonnegative, got {self.alpha}")
         if self.max_rounds < 1:
             raise ParameterOutOfRangeError("max_rounds must be positive")
-        if self.threshold_variant not in THRESHOLD_VARIANTS:
-            raise ParameterOutOfRangeError(f"unknown threshold variant {self.threshold_variant!r}")
 
     def estimation_params(self, model: AdversaryModel) -> EstimationParams:
         return EstimationParams(eps0=self.eps0, family=self.family, model=model)
@@ -506,7 +495,7 @@ class _Race:
         k = instance.k
         params = config.estimation_params(instance.model)
         floor_scale = _BOUNDS["median"].floor_scale(params)
-        radius_scale2 = _RADIUS_SCALE2[config.threshold_variant](config.family)
+        radius_scale2 = 2.0 * (config.family.slope_bound * config.family.mad_bound) ** 2
         self.stop_radius = config.alpha / 2.0 if config.early_stop else None
         self.schedule = _round_schedule(
             floor_scale, radius_scale2, k, config.delta, self.stop_radius, config.max_rounds

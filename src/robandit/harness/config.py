@@ -48,7 +48,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from ..bandit import THRESHOLD_VARIANTS, BanditInstance, effective_gaps
+from ..bandit import BanditInstance, effective_gaps
 from ..contamination import (
     AtomTriggeredCoupling,
     BelowMedianCoupling,
@@ -292,12 +292,6 @@ _ALGORITHM = {
     "mad_source": (str, "true", lambda v: v in ("true", "bound"), "must be true or bound"),
     "early_stop": (bool, False, None, None),
     "max_rounds": (int, 10**6, lambda v: v >= 1, "must be at least 1"),
-    "threshold_variant": (
-        str,
-        "squared-slope",
-        lambda v: v in THRESHOLD_VARIANTS,
-        "must be one of " + ", ".join(THRESHOLD_VARIANTS),
-    ),
     "c_eta": (float, 1.0, lambda v: v > 0.0, "must be positive"),
 }
 
@@ -313,7 +307,7 @@ class _Kind(NamedTuple):
 _FAMILY = frozenset({"t_bar", "slope_bound", "mad_bound"})
 _ESTIMATE = _FAMILY | {"delta", "eps0", "error_level"}
 _RACE = _FAMILY | {"alpha", "delta", "eps0"}
-_RACING = frozenset({"early_stop", "max_rounds", "threshold_variant", "mad_ratio"})
+_RACING = frozenset({"early_stop", "max_rounds", "mad_ratio"})
 _NONE = frozenset()
 _MAD_SOURCE = frozenset({"mad_source"})
 

@@ -31,10 +31,10 @@ from ..bandit import (
     run_simple,
 )
 from ..contamination import ContaminatedArm, draw_batch
-from ..distributions import _median_mad
-from ..errors import ParameterOutOfRangeError, RobanditError
+from ..distributions import AdversaryModel, _median_mad
+from ..errors import RobanditError
 from ..estimators import _BOUNDS, EstimationParams, estimate_mad_ci, estimate_median_ci
-from ..lower_bounds import LiftedInstance, lower_bound_samples, malicious_lifting, oblivious_lifting
+from ..lower_bounds import lower_bound_samples, malicious_lifting, oblivious_lifting
 from .config import _KINDS, ConfigError, ExperimentConfig
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "EstimateSpec",
     "run_experiment",
     "wilson_interval",
-    "HardnessReport",
-    "hardness_probe",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -258,7 +256,6 @@ def _algo_config(config: ExperimentConfig) -> AlgoConfig:
         eps0=alg["eps0"],
         max_rounds=alg["max_rounds"],
         early_stop=alg["early_stop"],
-        threshold_variant=alg["threshold_variant"],
     )
 
 
@@ -298,92 +295,29 @@ def _run_gaps(config: ExperimentConfig, _parallelism: int):
     return {"records": (columns, rows)}, summary, 0
 
 
-@dataclass(frozen=True)
-class HardnessReport:
-    k: int
-    gaps: tuple[float, ...]
-    delta: float
-    lb_value: float
-    mean_pulls: float
-    mean_rounds: float
-    ratio: float
-    success_rate: float
-
-    def as_row(self) -> dict[str, float]:
-        return {
-            "k": self.k,
-            "gap": min(self.gaps) if self.gaps else 0.0,
-            "delta": self.delta,
-            "lb_value": self.lb_value,
-            "mean_pulls": self.mean_pulls,
-            "ratio": self.ratio,
-            "success_rate": self.success_rate,
-        }
-
-
-def _race_lifted(
-    lifted: LiftedInstance,
-    algo: AlgoConfig,
-    replications: int,
-    seed: int,
-    c_eta: float,
-    parallelism: int,
-) -> tuple[list[dict[str, Any]], HardnessReport]:
-    """Race every replication on the lifted instance (best arm at index 0) and
-    compare the mean pull count with the lower bound."""
-    gaps = lifted.classical_gaps
-    # a single arm has nothing to separate; the bound degenerates to zero
-    lb_value = lower_bound_samples(gaps, algo.alpha, algo.delta, c_eta) if gaps else 0.0
-    spec = RaceSpec(lifted.instance(), algo, simple=False, best_arm=0)
-    rows = _run_replications(seed, replications, parallelism, spec)
-    mean_pulls = float(np.mean([r["total_pulls"] for r in rows]))
-    report = HardnessReport(
-        k=lifted.k,
-        gaps=gaps,
-        delta=algo.delta,
-        lb_value=lb_value,
-        mean_pulls=mean_pulls,
-        mean_rounds=float(np.mean([r["rounds"] for r in rows])),
-        ratio=mean_pulls / lb_value if lb_value > 0 else math.inf,
-        success_rate=sum(1 for r in rows if r["success"]) / len(rows),
-    )
-    return rows, report
-
-
-def hardness_probe(
-    lifted: LiftedInstance,
-    config: AlgoConfig,
-    replications: int,
-    seed: int,
-    c_eta: float = 1.0,
-    parallelism: int = 1,
-) -> HardnessReport:
-    """Run the racing algorithm on a lifted instance and compare its pull count
-    with the lower bound. Reports the ratio; with an uncalibrated ``c_eta`` the
-    ratio is a trend measurement, not a certified bound. Replication i races on
-    ``replication_rng(seed, i)``, as ``robandit lb`` does, concurrently up to
-    ``parallelism``."""
-    if replications < 100:
-        raise ParameterOutOfRangeError("hardness probe needs at least 100 replications")
-    return _race_lifted(lifted, config, replications, seed, c_eta, parallelism)[1]
-
-
 def _run_lower_bound(config: ExperimentConfig, parallelism: int):
-    if config.model.value == "malicious":
-        lifted = malicious_lifting(config.p, config.eps)
-    else:
-        lifted = oblivious_lifting(config.p, config.eps)
-    rows, report = _race_lifted(
-        lifted,
-        _algo_config(config),
-        config.replications,
-        config.seed,
-        config.algorithm["c_eta"],
-        parallelism,
-    )
-    row = report.as_row()
+    """Race the lifted instance (best arm at index 0) and compare the mean
+    pull count with the lower bound; with an uncalibrated ``c_eta`` the ratio
+    is a trend measurement, not a certified bound."""
+    lifting = malicious_lifting if config.model is AdversaryModel.MALICIOUS else oblivious_lifting
+    lifted = lifting(config.p, config.eps)
+    algo = _algo_config(config)
+    gaps = lifted.classical_gaps
+    lb_value = lower_bound_samples(gaps, algo.alpha, algo.delta, config.algorithm["c_eta"])
+    spec = RaceSpec(lifted.instance(), algo, simple=False, best_arm=0)
+    rows = _run_replications(config.seed, config.replications, parallelism, spec)
     summary = _success_stats(rows) + _pull_stats(rows)
-    summary += [("lb_value", report.lb_value), ("ratio", report.ratio)]
+    stats = dict(summary)
+    row = {
+        "k": lifted.k,
+        "gap": min(gaps),
+        "delta": algo.delta,
+        "lb_value": lb_value,
+        "mean_pulls": stats["mean_total_pulls"],
+        "ratio": stats["mean_total_pulls"] / lb_value,
+        "success_rate": stats["success_rate"],
+    }
+    summary += [("lb_value", lb_value), ("ratio", row["ratio"])]
     return {"records": (list(rows[0]), rows), "aggregate": (list(row), [row])}, summary, 0
 
 

@@ -611,7 +611,8 @@ SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {
 
 
 def check_suites(names, line: int | None = None) -> tuple[str, ...]:
-    """``names`` as a tuple if it lists one or more verify suites, else a ``TypeMismatchError``."""
+    """``names`` as a tuple if it lists one or more verify suites, each once,
+    else a ``TypeMismatchError``."""
     from .config import TypeMismatchError  # config imports this module at load
 
     if not names:
@@ -619,6 +620,9 @@ def check_suites(names, line: int | None = None) -> tuple[str, ...]:
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise TypeMismatchError(f"unknown verify suites: {', '.join(unknown)}", "suites", line)
+    repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+    if repeated:
+        raise TypeMismatchError(f"repeated verify suites: {', '.join(repeated)}", "suites", line)
     return tuple(names)
 
 

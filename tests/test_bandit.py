@@ -209,16 +209,6 @@ class TestContaminatedElimination:
         r = result.rounds + 1
         assert diameter(r) <= 0.25 or result.terminated_by == "single-survivor"
 
-    def test_caption_threshold_variant_runs(self):
-        instance = tail_instance([0.0, 0.4], eps=0.05, best=1)
-        config = rb.AlgoConfig(
-            alpha=0.0, delta=0.1, family=FAMILY, eps0=0.05, threshold_variant="linear-slope"
-        )
-        result = rb.run_contaminated_successive_elimination(
-            instance, config, np.random.default_rng(11)
-        )
-        assert result.chosen_arm == 1
-
     def test_infeasible_eps_rejected(self):
         instance = tail_instance([0.0, 0.4], eps=0.05, best=1)
         config = rb.AlgoConfig(alpha=0.0, delta=0.1, family=FAMILY, eps0=0.45)
@@ -512,10 +502,7 @@ def oracle_race(instance, config, rng):
     floor_scale = 2.0 * params.median_margin() ** -2
     warmup = rb.warmup_pulls(k, config.delta, params)
     slope, mad = config.family.slope_bound, config.family.mad_bound
-    if config.threshold_variant == "squared-slope":
-        scale2 = 2.0 * (slope * mad) ** 2
-    else:
-        scale2 = 2.0 * slope * mad**2
+    scale2 = 2.0 * (slope * mad) ** 2
     trackers = [rb.RunningMedian() for _ in range(k)]
     pullers = [_OraclePuller(arm, child) for arm, child in zip(instance.arms, rng.spawn(k))]
     pulls = [warmup] * k
@@ -635,7 +622,6 @@ def race_cases(draw):
         eps0=eps,
         max_rounds=draw(st.sampled_from([2000, 2000, 2000, 60, 1])),
         early_stop=draw(st.booleans()),
-        threshold_variant=draw(st.sampled_from(["squared-slope", "linear-slope"])),
     )
     return rb.BanditInstance(arms), config, draw(st.integers(0, 2**32 - 1))
 
@@ -738,20 +724,20 @@ class TestRoundSchedule:
     """Races on the same parameters share one schedule, extended by whichever
     race needs more rounds."""
 
-    @pytest.mark.parametrize("variant", ["squared-slope", "linear-slope"])
+    @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("stop_radius, max_rounds", [(None, 40_000), (0.25, 10**6)])
-    def test_schedule_is_the_scalar_rule_bitwise(self, variant, stop_radius, max_rounds):
-        """On the lb demo's parameters, every round's pull count and width
-        equal the round-by-round loop's scalar expressions bit for bit, and
-        ``may_stop`` marks the rounds where the early stop or the round cap
-        fires."""
+    def test_schedule_is_the_scalar_rule_bitwise(self, stop_radius, max_rounds, k):
+        """On the lb demo's parameters, with its two arms and with four, every
+        round's pull count and width equal the round-by-round loop's scalar
+        expressions bit for bit, and ``may_stop`` marks the rounds where the
+        early stop or the round cap fires."""
         lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
         family = lifted.family_for(0.15)
         params = rb.AlgoConfig(alpha=0.05, delta=0.1, family=family, eps0=0.05).estimation_params(OBL)
         floor_scale = 2.0 * params.median_margin() ** -2
         slope, mad = family.slope_bound, family.mad_bound
-        s2 = 2.0 * (slope * mad) ** 2 if variant == "squared-slope" else 2.0 * slope * mad**2
-        k, delta, last = 2, 0.1, 1 << 16
+        s2 = 2.0 * (slope * mad) ** 2
+        delta, last = 0.1, 1 << 16
         schedule = bandit._RoundSchedule(floor_scale, s2, k, delta, stop_radius, max_rounds)
         cum, width, may_stop = (a.tolist() for a in schedule.cover(last))
         assert (cum[0], width[0], may_stop[0]) == (0, 0.0, False)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import robandit as rb
 from robandit.harness import (
+    ConfigError,
     FeasibilityViolationError,
     TypeMismatchError,
     UnknownKeyError,
@@ -214,7 +215,6 @@ class TestParser:
             ("minimal", "alpha = 0.3", "alpha = -1.0", "alpha"),
             ("estimate", "error_level = 0.05", "error_level = -0.1", "error_level"),
             ("minimal", "delta = 0.2", "delta = 0.2\nmax_rounds = 0", "max_rounds"),
-            ("minimal", "delta = 0.2", "delta = 0.2\nthreshold_variant = cubic", "threshold_variant"),
             ("estimate", "delta = 0.1", "delta = 0.1\nmad_source = bogus", "mad_source"),
             ("lower-bound", "c_eta = 1.0", "c_eta = 0.0", "c_eta"),
             ("minimal", "eps0 = 0.1", "eps0 = 0.5", "eps0"),
@@ -278,6 +278,14 @@ class TestParser:
             ("bai", "delta = 0.1", "delta = 0.1\nc_eta = 2.0", "c_eta"),
             ("gaps", "t_bar = 0.4", "t_bar = 0.4\ndelta = 0.1", "delta"),
             ("verify", "suites = [quality]", "suites = [quality]\n[algorithm]\ndelta = 0.1", "delta"),
+            # the racing loop has one radius, so no key selects it
+            ("bai", "delta = 0.1", "delta = 0.1\nthreshold_variant = squared-slope", "threshold_variant"),
+            (
+                "lower-bound",
+                "delta = 0.1",
+                "delta = 0.1\nthreshold_variant = squared-slope",
+                "threshold_variant",
+            ),
         ],
     )
     def test_key_the_kind_never_reads_rejected(self, base, old, new, key):
@@ -295,10 +303,8 @@ class TestParser:
         [
             ("bai", "alpha = 0.0", "alpha = 0.05\nearly_stop = true"),
             ("bai", "delta = 0.1", "delta = 0.1\nmax_rounds = 5"),
-            ("bai", "delta = 0.1", "delta = 0.1\nthreshold_variant = linear-slope"),
             ("minimal", "delta = 0.2", "delta = 0.2\nearly_stop = true\nmax_rounds = 5"),
             ("lower-bound", "delta = 0.1", "delta = 0.1\nearly_stop = true\nmax_rounds = 5"),
-            ("lower-bound", "delta = 0.1", "delta = 0.1\nthreshold_variant = linear-slope"),
             ("lower-bound", "mad_ratio = 2.0\nc_eta = 1.0\n", ""),
             ("estimate", "delta = 0.1", "delta = 0.1\nmad_source = bound"),
         ],
@@ -309,6 +315,13 @@ class TestParser:
         assert old in text
         parse_config(text)
         parse_config(text.replace(old, new))
+
+    def test_single_arm_lower_bound_rejected(self):
+        """A lower bound compares arms, so a one-arm lifting is no config."""
+        assert "p = [0.6, 0.4]" in LOWER_BOUND
+        with pytest.raises(ConfigError, match=r"at least two p values \(key 'p'\)") as err:
+            parse_config(LOWER_BOUND.replace("p = [0.6, 0.4]", "p = [0.6]"))
+        assert err.value.key == "p"
 
     @pytest.mark.parametrize(
         "literal",
@@ -480,7 +493,6 @@ class TestParser:
         algorithm = parse_config(MINIMAL).algorithm
         assert algorithm["max_rounds"] == 10**6
         assert algorithm["early_stop"] is False
-        assert algorithm["threshold_variant"] == "squared-slope"
         assert algorithm["c_eta"] == 1.0
         assert algorithm["mad_source"] == "true"
         assert "error_level" not in algorithm
@@ -615,28 +627,60 @@ class TestRunExperiment:
         assert capped.files["records"].read_bytes() == serial.files["records"].read_bytes()
 
     @pytest.mark.parametrize(
-        "text, replications, digest",
+        "text, replications, digests",
         [
-            (_demo("lb"), 4, "d0c66b6eb548a7fd614fd09ce8264f61869e636c3a589a959b3b044d386bd3e3"),
-            (_demo("prescient"), 20, "e536d46730e7ab36ae645e8f3254f0b7025a50ee439e120d655fd8e23b52bb38"),
-            (_demo("estimate"), 20, "10f2fed4abf26544f123c7eb7e3a79ceed499bf78d3687e4843039b395ada67a"),
-            (OUTPUT_CASES["estimate-mad"], 20, "36891c766e8a2026f78132fe917322f4fe4fa5a33d2a34491db6d3516a40bb9a"),
-            (MINIMAL, 20, "7dbe28314332af9e449593e8731d7b629d91a597b2be439021190cd85f981a32"),
+            (
+                _demo("lb"),
+                4,
+                {
+                    "records": "d0c66b6eb548a7fd614fd09ce8264f61869e636c3a589a959b3b044d386bd3e3",
+                    "aggregate": "3a6790b4b689f75dcb4fb5d1e25bc332ce6cb504ff3f6a877cfb8f634bec97ed",
+                    "summary": "06143653cebefccdc6498c7fafd496feb0082831f95919d33dc6522974c3ffe0",
+                },
+            ),
+            (
+                _demo("prescient"),
+                20,
+                {"records": "e536d46730e7ab36ae645e8f3254f0b7025a50ee439e120d655fd8e23b52bb38"},
+            ),
+            (
+                _demo("estimate"),
+                20,
+                {"records": "10f2fed4abf26544f123c7eb7e3a79ceed499bf78d3687e4843039b395ada67a"},
+            ),
+            (
+                OUTPUT_CASES["estimate-mad"],
+                20,
+                {"records": "36891c766e8a2026f78132fe917322f4fe4fa5a33d2a34491db6d3516a40bb9a"},
+            ),
+            (
+                MINIMAL,
+                20,
+                {"records": "7dbe28314332af9e449593e8731d7b629d91a597b2be439021190cd85f981a32"},
+            ),
             (
                 _demo("lb").replace("p = [0.6, 0.4]", "p = [0.6, 0.4, 0.4, 0.4]"),
                 10,
-                "23f239c5f3b82e3a59d62d0dd290896fa3aec496b7f4fc49e0b1bb9bd58be90a",
+                {"records": "23f239c5f3b82e3a59d62d0dd290896fa3aec496b7f4fc49e0b1bb9bd58be90a"},
             ),
             (
                 _demo("lb").replace("p = [0.6, 0.4]", "p = [0.55, 0.45]"),
                 10,
-                "cab570bb3ea6405912609bf63cfbfda2b56598953aec112fe47a8983ae3e8729",
+                {"records": "cab570bb3ea6405912609bf63cfbfda2b56598953aec112fe47a8983ae3e8729"},
             ),
-            (_demo("bai"), 20, "02413f6efbb94907dd5322936aed29de76640e2e77f0f2a244f619644003afae"),
+            (
+                _demo("bai"),
+                20,
+                {"records": "02413f6efbb94907dd5322936aed29de76640e2e77f0f2a244f619644003afae"},
+            ),
             (
                 _demo("lb").replace("model = oblivious", "model = malicious"),
                 4,
-                "38c6e7aaeee8ef40c3e0fd6ac5504e593685dffd9c2919c1709df6a6f9cd8fd3",
+                {
+                    "records": "38c6e7aaeee8ef40c3e0fd6ac5504e593685dffd9c2919c1709df6a6f9cd8fd3",
+                    "aggregate": "6198e012a6570a6e0e239406543b26cc2756a84d631920d743f712759f3cc364",
+                    "summary": "836125ac9f5b14c58386c81d35320a5effc2390e8eea86936938a028e15496ce",
+                },
             ),
         ],
         ids=[
@@ -651,18 +695,21 @@ class TestRunExperiment:
             "lb-malicious",
         ],
     )
-    def test_racing_records_are_pinned(self, tmp_path, text, replications, digest):
-        """sha256 of ``records.csv`` for racing and estimation runs: the lb and
+    def test_racing_records_are_pinned(self, tmp_path, text, replications, digests):
+        """sha256 of ``records.csv`` for racing and estimation runs, and of the
+        lifted runs' ``aggregate.csv`` and ``summary.txt`` too: the lb and
         prescient digests were recorded while the racing kernel kept every
         arm's pulls as one sorted array, the estimation and bai-simple ones
         while each experiment kind handed the replication engine a closure
         instead of a spec, the four-arm and narrow lifted ones while the
         envelope scan assumed every new pull fell on one side of the median,
-        and the oblivious tail-shift and malicious lifted ones while the
-        kernel kept its state in closures."""
+        the oblivious tail-shift and malicious lifted ones while the kernel
+        kept its state in closures, and the lifted aggregates and summaries
+        while a second entry point raced lifted instances."""
         text = re.sub(r"replications = \d+", f"replications = {replications}", text)
         result = run_experiment(parse_config(text), out_dir=tmp_path)
-        assert hashlib.sha256(result.files["records"].read_bytes()).hexdigest() == digest
+        got = {name: hashlib.sha256(result.files[name].read_bytes()).hexdigest() for name in digests}
+        assert got == digests
 
     @pytest.mark.parametrize(
         "kind", ["estimate-median", "estimate-mad", "bai-simple", "bai-succelim", "lower-bound"]
@@ -778,6 +825,13 @@ error_level = 0.1
     def test_empty_suite_list_rejected(self):
         with pytest.raises(TypeMismatchError, match=r"at least one.*\(key 'suites', line 3\)"):
             parse_config("[experiment]\nkind = verify\nsuites = []\n")
+
+    def test_repeated_suite_rejected(self):
+        """A suite named twice would run twice and write two rows of its name."""
+        with pytest.raises(TypeMismatchError, match=r"repeated verify suites: kl \(key 'suites'\)"):
+            run_suites(["kl", "quality", "kl"], seed=0)
+        with pytest.raises(TypeMismatchError, match=r"repeated.*: kl \(key 'suites', line 3\)"):
+            parse_config("[experiment]\nkind = verify\nsuites = [kl, quality, kl]\n")
 
     def test_suite_stream_does_not_depend_on_selection(self):
         full = {result.name: result.detail() for result in run_suites(seed=1)}
@@ -980,6 +1034,19 @@ class TestCli:
         assert "suites must name at least one verify suite (key 'suites'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_suite_is_usage_error(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            args, where = ["verify", "--suites", "kl,kl"], "(key 'suites')"
+        else:
+            cfg = tmp_path / "verify.cfg"
+            cfg.write_text("[experiment]\nkind = verify\nsuites = [kl, kl]\n")
+            args, where = ["verify", "--config", str(cfg)], "(key 'suites', line 3)"
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert f"repeated verify suites: kl {where}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(MINIMAL)
@@ -1016,6 +1083,17 @@ class TestCli:
         proc = subprocess.run(probe, capture_output=True, text=True, env=_cli_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_loads_no_harness(self):
+        """The library imports without the experiment harness."""
+        probe = [
+            sys.executable,
+            "-c",
+            "import sys, robandit; print([m for m in sys.modules if m.startswith('robandit.harness')])",
+        ]
+        proc = subprocess.run(probe, capture_output=True, text=True, env=_cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("source", ["flag", "env"])

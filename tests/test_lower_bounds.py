@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 import robandit as rb
+from robandit.harness import parse_config, run_experiment
 from robandit.lower_bounds import _assert_lifting
 
 
@@ -217,35 +218,45 @@ class TestLiftingSelfCheck:
             _assert_lifting(lifted, (0.0,))
 
 
-class TestHardnessProbe:
-    def test_requires_replications(self):
-        lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
-        config = rb.AlgoConfig(alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05)
-        with pytest.raises(rb.ParameterOutOfRangeError):
-            rb.hardness_probe(lifted, config, 50, seed=0)
+# A lower-bound run of 100 replications on one lifted pair; the family fields
+# are written with repr, so the config carries their exact values.
+LIFTED_RACE = """
+[experiment]
+kind = lower-bound
+replications = 100
+seed = {seed}
 
-    def test_single_arm_degenerates(self):
-        lifted = rb.oblivious_lifting([0.5], 0.05)
-        config = rb.AlgoConfig(alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05)
-        report = rb.hardness_probe(lifted, config, 100, seed=1)
-        assert report.mean_rounds == 0.0
-        assert report.success_rate == 1.0
-        assert report.lb_value == 0.0
+[instance]
+model = oblivious
+eps = 0.05
+p = [{p[0]!r}, {p[1]!r}]
 
+[algorithm]
+alpha = 0.05
+delta = 0.1
+eps0 = 0.05
+t_bar = {family.t_bar!r}
+slope_bound = {family.slope_bound!r}
+mad_bound = {family.mad_bound!r}
+mad_ratio = {family.mad_ratio!r}
+"""
+
+
+class TestLiftedRace:
     @pytest.mark.slow
-    def test_scaling_and_success(self):
-        eps = 0.05
+    def test_scaling_and_success(self, tmp_path):
+        """``robandit lb`` on two lifted pairs, each with the family of its
+        lifting: the race is PAC, pulls at least the lower bound, and the
+        narrower pair costs three to six times the pulls."""
         delta = 0.1
-        reports = []
+        summaries = []
         for seed, pair in ((5, (0.6, 0.4)), (6, (0.55, 0.45))):
-            lifted = rb.oblivious_lifting(pair, eps)
-            config = rb.AlgoConfig(
-                alpha=0.05, delta=delta, family=lifted.family_for(0.15), eps0=eps
-            )
-            report = rb.hardness_probe(lifted, config, 100, seed=seed)
-            reports.append(report)
+            family = rb.oblivious_lifting(pair, 0.05).family_for(0.15)
+            config = parse_config(LIFTED_RACE.format(seed=seed, p=pair, family=family))
+            summary = run_experiment(config, out_dir=tmp_path / str(seed)).summary
+            summaries.append(summary)
             slack = 3 * math.sqrt(delta * (1 - delta) / 100)
-            assert report.success_rate >= 1 - delta - slack
-            assert report.ratio >= 1.0
-        ratio = reports[1].mean_pulls / reports[0].mean_pulls
+            assert summary["success_rate"] >= 1 - delta - slack
+            assert summary["ratio"] >= 1.0
+        ratio = summaries[1]["mean_total_pulls"] / summaries[0]["mean_total_pulls"]
         assert 3.0 <= ratio <= 6.0
