@@ -593,6 +593,13 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
         raise ConfigError("[instance] must declare at least one arm", key="arm")
     elif kind.instance == "arm" and len(config.arms) != 1:
         raise FeasibilityViolationError("estimation experiments use exactly one arm", key="arm")
+    # eps0 is the known upper bound on the contamination level
+    if "eps0" in kind.required and config.eps > config.algorithm["eps0"]:
+        raise FeasibilityViolationError(
+            f"eps0 must be at least the instance's eps {config.eps}, got {config.algorithm['eps0']}",
+            key="eps0",
+            line=algo_lines.get("eps0"),
+        )
     if kind.statistic is not None:
         try:
             _BOUNDS[kind.statistic].margin(config.estimation_params())

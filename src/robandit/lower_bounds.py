@@ -154,10 +154,23 @@ def _hidden_median(dist: Distribution) -> float:
     return med_lo
 
 
+# Half-width of the bracket that certifies a hidden median: a quarter of the
+# absolute 1e-10 the median may stray from its target. Where m +- t rounds to
+# m, the bracket is empty and the search decides.
+_MEDIAN_BRACKET = 2.5e-11
+
+
 def _assert_lifting(lifted: LiftedInstance, median_shifts: tuple[float, ...]) -> None:
     """Construction self-checks: the observable law matches on a grid and the
     hidden medians are unique and sit exactly one bias away from the
-    observable ones."""
+    observable ones.
+
+    A hidden median is certified by one cdf call: with m = pi + shift and
+    t = _MEDIAN_BRACKET, F(m - t) < 1/2 < F(m + t) puts every median in
+    (m - t, m + t], so it is unique within _UNIQUE_TOL and within 1e-10 of m.
+    This needs a cdf that is monotone in floating point, as the hidden
+    Bernoulli + Uniform mixtures' is. Where the bracket fails, the median
+    search decides and words the rejection."""
     grid = np.linspace(-0.25, 1.25, 1001)
     for arm, law, shift, pi in zip(
         lifted.lifted_arms, lifted.observable_law, median_shifts, lifted.p
@@ -165,6 +178,10 @@ def _assert_lifting(lifted: LiftedInstance, median_shifts: tuple[float, ...]) ->
         gap = np.max(np.abs(contaminated_cdf(arm, grid) - law.cdf(grid)))
         if gap > 1e-12:
             raise LiftingError(f"observable law mismatch: sup distance {gap:.3e}")
+        m = pi + shift
+        below, above = arm.dist.cdf([m - _MEDIAN_BRACKET, m + _MEDIAN_BRACKET])
+        if below < 0.5 < above:
+            continue
         hidden_median = _hidden_median(arm.dist)
         if abs((hidden_median - pi) - shift) > 1e-10:
             raise LiftingError(

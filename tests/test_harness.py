@@ -316,6 +316,21 @@ class TestParser:
         parse_config(text)
         parse_config(text.replace(old, new))
 
+    @pytest.mark.parametrize("kind", [k for k, spec in _KINDS.items() if "eps0" in spec.required])
+    def test_eps_above_eps0_rejected(self, kind):
+        """eps0 is the known upper bound on the contamination level: an
+        instance's eps above it is rejected at eps0's line, eps equal to it parses."""
+        text = OUTPUT_CASES[kind]
+        config = parse_config(text)
+        assert config.eps == config.algorithm["eps0"]
+        eps0 = f"eps0 = {config.eps}"
+        assert eps0 in text
+        bad = text.replace(eps0, f"eps0 = {config.eps / 2}")
+        with pytest.raises(FeasibilityViolationError, match="eps0 must be at least") as err:
+            parse_config(bad)
+        assert err.value.key == "eps0"
+        assert bad.splitlines()[err.value.line - 1].startswith("eps0 =")
+
     def test_single_arm_lower_bound_rejected(self):
         """A lower bound compares arms, so a one-arm lifting is no config."""
         assert "p = [0.6, 0.4]" in LOWER_BOUND
@@ -962,6 +977,8 @@ class TestCli:
             ("bai", "bai", _BAI_ARM, _FLAT_ARM, "arm"),
             ("gaps", "gaps", _BAI_ARM, _FLAT_ARM, "arm"),
             ("lb", "lower-bound", "p = [0.6, 0.4]", f"p = [0.6, 0.4]\narm = {_FLAT_ARM}", "arm"),
+            # contamination above its known upper bound
+            ("bai", "bai", "eps = 0.1", "eps = 0.2", "eps0"),
         ],
     )
     def test_config_the_runner_cannot_run_is_usage_error(

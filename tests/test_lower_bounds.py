@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import robandit as rb
+from robandit.distributions import _median_pair
 from robandit.harness import parse_config, run_experiment
-from robandit.lower_bounds import _assert_lifting
+from robandit.lower_bounds import _MEDIAN_BRACKET, _assert_lifting
 
 
 class TestKl:
@@ -178,16 +181,43 @@ LIFTINGS = {
 }
 
 
+def _shifts(name, lifted):
+    """The hidden median shifts of a lifting, best arm first."""
+    step = LIFTINGS[name][1] * lifted.eps
+    return (step,) + (-step,) * (lifted.k - 1)
+
+
+def _no_search(*_args, **_kwargs):
+    raise AssertionError("the median search ran")
+
+
 class TestLiftingSelfCheck:
     """_assert_lifting, which every lifting runs on its own construction."""
 
     @staticmethod
     def _built(name):
-        lift, shift_per_eps = LIFTINGS[name]
-        eps = 0.05
-        lifted = lift([0.6, 0.4, 0.5], eps)
-        shifts = (shift_per_eps * eps,) + (-shift_per_eps * eps,) * (lifted.k - 1)
-        return lifted, shifts
+        lifted = LIFTINGS[name][0]([0.6, 0.4, 0.5], 0.05)
+        return lifted, _shifts(name, lifted)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from(sorted(LIFTINGS)),
+        st.lists(st.floats(1.0 / 3.0, 2.0 / 3.0), min_size=2, max_size=4),
+        st.floats(0.0, 1.0 / 15.0, exclude_min=True, exclude_max=True),
+    )
+    def test_bracket_alone_certifies_valid_liftings(self, name, p, eps):
+        """Every valid construction passes on the one-call bracket, without the
+        median search; the search's medians lie inside that bracket."""
+        assume(p.count(max(p)) == 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rb.distributions, "_search_quantile", _no_search)
+            lifted = LIFTINGS[name][0](p, eps)
+            shifts = _shifts(name, lifted)
+            _assert_lifting(lifted, shifts)
+        for arm, pi, shift in zip(lifted.lifted_arms, lifted.p, shifts):
+            m = pi + shift
+            for median in _median_pair(arm.dist):
+                assert m - _MEDIAN_BRACKET < median <= m + _MEDIAN_BRACKET
 
     @pytest.mark.parametrize("name", LIFTINGS)
     def test_wrong_median_shifts_rejected(self, name):
