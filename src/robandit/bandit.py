@@ -277,8 +277,12 @@ _BLOCK = 4096
 # Rounds covered by a race's first envelope scan; later scans start at twice
 # the previous check distance, and each further scan doubles.
 _SCAN_ROUNDS = 32
-# Sorted ranks an arm's store keeps on each side of its middle pair.
-_HALF_WIDTH = 2048
+# Sorted ranks an arm's store keeps on each side of its middle pair. Each
+# check merges about twice this many values, and the envelope scan stops at
+# the windows' reach, so a wider window lets its doubling spans run further
+# past the round that drops an arm; a narrower one makes long races check
+# more often.
+_HALF_WIDTH = 1024
 
 
 class _ArmPulls:

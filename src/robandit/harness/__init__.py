@@ -9,7 +9,6 @@ from .config import (
     parse_config,
 )
 from .runner import ExperimentResult, mix_seed, replication_rng, run_experiment, wilson_interval
-from .verify import SUITES, SuiteResult, run_suites
 
 __all__ = [
     "ConfigError",
@@ -23,7 +22,4 @@ __all__ = [
     "replication_rng",
     "run_experiment",
     "wilson_interval",
-    "SUITES",
-    "SuiteResult",
-    "run_suites",
 ]

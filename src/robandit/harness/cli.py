@@ -19,7 +19,6 @@ from pathlib import Path
 from ..errors import RobanditError
 from .config import _KINDS, ConfigError, ExperimentConfig, check_seed, parse_config
 from .runner import run_experiment
-from .verify import check_suites
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,6 +64,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
         if args.command == "verify" and args.suites is not None:
+            from .verify import check_suites
+
             config.suites = check_suites([s for s in args.suites.split(",") if s])
 
         env_seed = os.environ.get("ROBANDIT_SEED")

@@ -80,7 +80,6 @@ from ..errors import (
     RobanditError,
 )
 from ..estimators import EstimationParams, _BOUNDS
-from .verify import check_suites
 
 __all__ = [
     "ConfigError",
@@ -90,7 +89,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "check_seed",
-    "check_suites",
     "distribution_from_spec",
     "strategy_from_spec",
 ]
@@ -464,6 +462,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raw = [raw]
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
             raise TypeMismatchError("suites must be a list of names", key="suites", line=exp_lines.get("suites"))
+        from .verify import check_suites
+
         suites = check_suites(raw, exp_lines.get("suites"))
 
     out, out_lines = _section_map(sections.get("output", []))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -178,6 +177,8 @@ def _run_replications(
     workers = min(parallelism, replications, os.cpu_count() or 1)
     if workers <= 1:
         return [call(i) for i in range(replications)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(call, range(replications)))
 

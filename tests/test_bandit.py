@@ -646,7 +646,7 @@ class TestEnvelopeSkippingKernel:
     @settings(deadline=None, max_examples=40)
     @given(
         race_cases(),
-        st.sampled_from([(1, 64), (8, 256), (64, 1000), (2048, 97)]),
+        st.sampled_from([(1, 64), (8, 256), (64, 1000), (bandit._HALF_WIDTH, 97)]),
     )
     def test_windowed_kernel_matches_round_by_round_oracle(self, case, sizes):
         """The same with windows small enough that races trim, rebuild and
@@ -696,6 +696,24 @@ class TestEnvelopeSkippingKernel:
             )
         assert result.rounds > 10_000
         assert 0 < add.call_count <= 80
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_scans_little_past_the_rounds_it_races(self, seed):
+        lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
+        config = rb.AlgoConfig(
+            alpha=0.05, delta=0.1, family=lifted.family_for(0.15), eps0=0.05
+        )
+        # the scan stops at a window's reach, so a wider window lets its
+        # doubling spans run on: at 2,048 ranks a side they scanned 2.07 to
+        # 2.14 times the arm-rounds raced here, at 1,024 1.22 to 1.32
+        with mock.patch.object(
+            bandit, "_bracket", autospec=True, side_effect=bandit._bracket
+        ) as bracket:
+            result = rb.run_contaminated_successive_elimination(
+                lifted.instance(), config, np.random.default_rng(seed)
+            )
+        scanned = sum(len(c.args[3]) for c in bracket.call_args_list)
+        assert scanned <= 1.5 * 2 * result.rounds
 
     def test_early_stop_wins_when_both_stops_fire_at_one_round(self):
         """Arms that tie forever race until a stop; with the round cap one

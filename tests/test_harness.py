@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -625,15 +626,17 @@ class TestRunExperiment:
 
     def test_thread_pool_is_capped(self, tmp_path, monkeypatch):
         """The pool starts a thread per submitted call while none is idle, so
-        it gets no more workers than replications or CPUs; one runs serially."""
+        it gets no more workers than replications or CPUs; one runs serially.
+        The runner imports the pool where it starts one, so the patch is on
+        ``concurrent.futures``."""
         sizes = []
-        pool = runner.ThreadPoolExecutor
+        pool = concurrent.futures.ThreadPoolExecutor
 
         def recorded(max_workers):
             sizes.append(max_workers)
             return pool(max_workers=max_workers)
 
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
         config = parse_config(MINIMAL.replace("replications = 4", "replications = 3"))
         capped = run_experiment(config, parallelism=10**6, out_dir=tmp_path / "capped")
         serial = run_experiment(config, parallelism=1, out_dir=tmp_path / "serial")
