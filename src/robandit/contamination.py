@@ -155,6 +155,12 @@ class ContaminatedArm:
             )
         if isinstance(self.strategy, UniformTailShift) and not isinstance(self.dist, Uniform):
             raise IncompatibleStrategyError("uniform tail shift needs a uniform base distribution")
+        if isinstance(self.strategy, UniformTailShift) and self.eps:
+            # built once here, so that a stretched law that overflows fails before any pull
+            try:
+                _fixed_component(self)
+            except ParameterOutOfRangeError as exc:
+                raise ParameterOutOfRangeError(f"tail shift's stretched law: {exc}") from exc
 
 
 def _fixed_component(arm: ContaminatedArm) -> Distribution:
@@ -227,18 +233,27 @@ def segment_quantiles(y: np.ndarray, sizes, q: float) -> np.ndarray:
     of consecutive batches of one size is sorted as the rows of one matrix by a
     stable sort, so equal values keep their order and the pick is the element
     a stable sort of its batch alone would pick. A race's rounds shrink to 2
-    pulls, so the rounds of a block of pulls cost a few row sorts.
+    pulls, so the rounds of a block of pulls cost a few row sorts. A run of
+    two-value batches takes one comparison instead: the second value comes
+    first only if it is strictly smaller, as in a stable sort, so ties and
+    signed zeros pick what it picks (clean values are never NaN).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
     picks = np.empty(sizes.size, dtype=y.dtype)
-    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
-    for a, b in zip(starts, [*starts[1:], sizes.size]):
+    runs = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), sizes.size]
+    for a, b in zip(runs, runs[1:]) if sizes.size else ():
         n = int(sizes[a])
         if n:
             rows = y[ends[a] - n : ends[b - 1]].reshape(b - a, n)
             rank = min(max(math.ceil(n * q) - 1, 0), n - 1)
-            picks[a:b] = np.sort(rows, axis=1, kind="stable")[:, rank]
+            if n == 2:
+                first, second = rows[:, 0], rows[:, 1]
+                swap = second < first
+                pick = (first, second) if rank else (second, first)
+                picks[a:b] = np.where(swap, *pick)
+            else:
+                picks[a:b] = np.sort(rows, axis=1, kind="stable")[:, rank]
     return np.repeat(picks, sizes)
 
 

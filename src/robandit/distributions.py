@@ -218,12 +218,17 @@ class Uniform(Distribution):
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ParameterOutOfRangeError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ParameterOutOfRangeError(
+                f"uniform needs a finite width hi - lo, got [{self.lo}, {self.hi}]"
+            )
 
     def _cdf(self, x):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def sample(self, n, rng):
-        return rng.uniform(self.lo, self.hi, size=n)
+        # rng.uniform(lo, hi, n) bitwise, through numpy's fill kernel
+        return self.lo + (self.hi - self.lo) * rng.random(n)
 
     def _quantile_left(self, p):
         return self.lo + p * (self.hi - self.lo)
@@ -248,7 +253,8 @@ class Gaussian(Distribution):
         return _special().ndtr((x - self.mu) / self.sigma)
 
     def sample(self, n, rng):
-        return rng.normal(self.mu, self.sigma, size=n)
+        # rng.normal(mu, sigma, n) bitwise, through numpy's fill kernel
+        return self.mu + self.sigma * rng.standard_normal(n)
 
     def _quantile_left(self, p):
         return self.mu + self.sigma * float(_special().ndtri(p))

@@ -365,6 +365,18 @@ class TestSegmentQuantiles:
         got = segment_quantiles(y, with_empty, q)
         assert got.tobytes() == _lexsort_pick(y, sizes, q).tobytes()
 
+    @pytest.mark.parametrize("q", [0.1, 0.9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_pull_rounds_at_race_scale(self, q, seed):
+        """A race's rounds shrink to two pulls, picked by one comparison:
+        2,048 and more two-value batches, tied on signed zeros, after the
+        longer batches of a race's first rounds."""
+        rng = np.random.default_rng(seed)
+        sizes = [5, 4, 4, 3, 3, 3] + [2] * int(rng.integers(2048, 3072))
+        y = rng.choice(np.array([-0.0, 0.0, 1.0]), sum(sizes))
+        got = segment_quantiles(y, sizes, q)
+        assert got.tobytes() == _lexsort_pick(y, sizes, q).tobytes()
+
     @pytest.mark.parametrize("sizes", [[], [0], [0, 0, 0]])
     def test_no_values(self, sizes):
         got = segment_quantiles(np.empty(0), sizes, 0.9)

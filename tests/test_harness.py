@@ -350,11 +350,15 @@ class TestParser:
             "dist: {kind: affine, base: {kind: uniform, lo: 0.0, hi: 1.0}, scale: nan}",
             "dist: {kind: uniform, lo: 0.0, hi: 1.0},"
             " strategy: {kind: shift_median_up, magnitude: nan}",
+            # a width of 1.7e308 stretched by 1 / (1 - eps) overflows
+            "dist: {kind: uniform, lo: -8.5e307, hi: 8.5e307},"
+            " strategy: {kind: uniform_tail_shift, direction: 1}",
         ],
     )
     def test_non_finite_literal_number_rejected(self, literal):
-        """A nan or inf in a distribution or strategy literal names the arm's
-        key and line instead of failing mid-race or racing to a success."""
+        """A nan or inf in a distribution or strategy literal, or a tail
+        shift's stretched law that overflows to one, names the arm's key and
+        line instead of failing mid-race or racing to a success."""
         old = next(line for line in MINIMAL.splitlines() if line.startswith("arm ="))
         bad = MINIMAL.replace(old, "arm = {" + literal + "}")
         with pytest.raises(FeasibilityViolationError) as err:
@@ -485,6 +489,10 @@ class TestParser:
             ({"kind": "uniform", "lo": 0.0}, "distribution kind 'uniform' is missing field 'hi'"),
             ({"kind": "uniform", "lo": 1.0, "hi": 0.0}, "bad distribution literal: uniform needs lo < hi, got [1.0, 0.0]"),
             (
+                {"kind": "uniform", "lo": -1e308, "hi": 1e308},
+                "bad distribution literal: uniform needs a finite width hi - lo, got [-1e+308, 1e+308]",
+            ),
+            (
                 {"kind": "affine", "base": {"kind": "dirac", "x": 0.0, "y": 1.0}, "scale": 2.0},
                 "distribution kind 'dirac' has unknown field(s) y",
             ),
@@ -582,6 +590,20 @@ assert set(OUTPUT_CASES) == set(_KINDS)
 
 
 class TestRunExperiment:
+    def test_outputs_are_written_over_in_place(self, tmp_path):
+        """A longer file at an output's path is written over and cut to the
+        new bytes, on the same inode; a new file is made as before."""
+        path = tmp_path / "records.csv"
+        path.write_text("old,header\n" + "9,9\n" * 100)
+        inode = path.stat().st_ino
+        runner.write_csv(path, ["a", "b"], [{"a": 1, "b": 0.5}, {"a": None, "b": True}])
+        assert path.read_bytes() == b"a,b\n1,0.5\n,true\n"
+        assert path.stat().st_ino == inode
+        summary = tmp_path / "summary.txt"
+        runner.write_summary(summary, [("mean", 2.0)])
+        runner.write_summary(summary, [("n", 3)])
+        assert summary.read_bytes() == b"n = 3\n"
+
     def test_bai_simple_records(self, tmp_path):
         config = parse_config(MINIMAL)
         result = run_experiment(config, parallelism=1, out_dir=tmp_path)
@@ -982,6 +1004,8 @@ class TestCli:
             ("lb", "lower-bound", "p = [0.6, 0.4]", f"p = [0.6, 0.4]\narm = {_FLAT_ARM}", "arm"),
             # contamination above its known upper bound
             ("bai", "bai", "eps = 0.1", "eps = 0.2", "eps0"),
+            # a uniform whose width overflows
+            ("estimate", "estimate", "lo: 0.0, hi: 1.0", "lo: -1e308, hi: 1e308", "arm"),
         ],
     )
     def test_config_the_runner_cannot_run_is_usage_error(
