@@ -329,8 +329,7 @@ class _ArmPulls:
         ends = ends[ends.searchsorted(0, "right") : ends.searchsorted(y.size, "right")]
         whole = int(ends[-1]) if ends.size else 0
         fill = np.full(y.size, np.nan)
-        sizes = np.concatenate((ends[:1], ends[1:] - ends[:-1]))
-        fill[:whole] = segment_quantiles(y[:whole], sizes, self.quantile)
+        fill[:whole] = segment_quantiles(y[:whole], np.diff(ends, prepend=0), self.quantile)
         kept = self.held[: self.held.size - self.clean.size]
         self.held = np.concatenate((kept, np.where(d, fill, y)))
         self.clean, self.flags = y[whole:], d[whole:]
@@ -460,28 +459,23 @@ class _MedianWindow:
         values = values.copy()
         values.sort()
         self.pulls.append(values)
-        w, base, count = self.window, self.base, self.count
-        n = self.count = count + values.size
-        # an end with no values beyond it is open, so a whole window stays whole
-        below = values.searchsorted(w[0]) if base else 0
-        above = values.searchsorted(w[-1], "right") if base + w.size < count else values.size
+        w, base, n = self.window, self.base, self.count + values.size
+        # an end with no values beyond it is open, so a whole window stays whole;
+        # int() keeps the ranks off numpy scalars, whose arithmetic is about 4x slower
+        below = int(values.searchsorted(w[0])) if base else 0
+        above = values.searchsorted(w[-1], "right") if base + w.size < self.count else values.size
         # timsort merges the two sorted runs
         w = np.concatenate((w, values[below:above]))
         w.sort(kind="stable")
-        base += below
-        top = base + w.size  # one past the window's highest rank
-        mid, upper = (n - 1) // 2, n // 2  # the middle pair's ranks
-        start = mid - _HALF_WIDTH if mid > _HALF_WIDTH else 0
-        stop = upper + _HALF_WIDTH + 1
-        if stop > n:
-            stop = n
+        base, self.count = base + below, n
+        mid = (n - 1) // 2  # the middle pair's ranks are mid and n // 2
+        start, stop = max(mid - _HALF_WIDTH, 0), min(n // 2 + _HALF_WIDTH + 1, n)
         # a side of the middle pair with values beyond it needs _HALF_WIDTH // 2 ranks
-        if (base and mid - base < _HALF_WIDTH // 2) or (
-            top < n and top - 1 - upper < _HALF_WIDTH // 2
-        ):
-            w, base, top = self._rebuild(start, stop), start, stop
-        lo = start - base if start > base else 0
-        hi = stop - base if stop < top else w.size
+        short_below = base > 0 and mid - base < _HALF_WIDTH // 2
+        short_above = base + w.size < n and base + w.size - 1 - n // 2 < _HALF_WIDTH // 2
+        if short_below or short_above:
+            w, base = self._rebuild(start, stop), start
+        lo, hi = max(start - base, 0), min(stop - base, w.size)
         self.window, self.base = w[lo:hi], base + lo
 
     def _rebuild(self, start: int, stop: int) -> np.ndarray:

@@ -227,8 +227,7 @@ class Uniform(Distribution):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def sample(self, n, rng):
-        # rng.uniform(lo, hi, n) bitwise, through numpy's fill kernel
-        return self.lo + (self.hi - self.lo) * rng.random(n)
+        return rng.uniform(self.lo, self.hi, size=n)
 
     def _quantile_left(self, p):
         return self.lo + p * (self.hi - self.lo)
@@ -253,8 +252,7 @@ class Gaussian(Distribution):
         return _special().ndtr((x - self.mu) / self.sigma)
 
     def sample(self, n, rng):
-        # rng.normal(mu, sigma, n) bitwise, through numpy's fill kernel
-        return self.mu + self.sigma * rng.standard_normal(n)
+        return rng.normal(self.mu, self.sigma, size=n)
 
     def _quantile_left(self, p):
         return self.mu + self.sigma * float(_special().ndtri(p))

@@ -90,25 +90,15 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Make ``text`` the whole of the file at ``path``. An existing file is
-    written over in place and then cut to length, not emptied first: ext4
-    flushes a file that was truncated to zero and written again when it is
-    closed (``auto_da_alloc``), which costs a small file about 0.1 ms."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-        f.write(text)
-        f.truncate()
-
-
 def write_csv(path: Path, columns: list[str], rows: list[dict[str, Any]]) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_format_cell(row[c]) for c in columns))
-    _write_text(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_summary(path: Path, entries: list[tuple[str, Any]]) -> None:
-    _write_text(path, "".join(f"{k} = {_format_cell(v)}\n" for k, v in entries))
+    path.write_text("".join(f"{k} = {_format_cell(v)}\n" for k, v in entries))
 
 
 @dataclass(frozen=True)

@@ -258,9 +258,11 @@ def store_chunk(data, store, half):
 
 def assert_store_holds(store, pulls):
     """``store`` holds ``pulls``: the window is their sorted ranks from
-    ``base`` on and covers the middle pair, and ``pulls`` holds them all."""
+    ``base`` on and covers the middle pair, and ``pulls`` holds them all.
+    Its ranks are Python ints, not numpy scalars."""
     ordered = np.sort(pulls)
     n, w = ordered.size, store.window
+    assert type(store.base) is int and type(store.count) is int
     assert store.count == n
     assert store.base <= (n - 1) // 2 and n // 2 < store.base + w.size
     assert np.array_equal(w, ordered[store.base : store.base + w.size])

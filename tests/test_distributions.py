@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
@@ -388,58 +388,6 @@ class TestSampling:
         n = 50_000
         xs = dist.sample(n, RNG(3))
         assert rb.ks_distance(xs, dist) <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * n))
-
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _uniform_bounds(draw):
-    """lo < hi, both finite and hi - lo finite: near each other, at any scale
-    or far apart."""
-    lo, hi = sorted((draw(_FINITE), draw(_FINITE)))
-    if draw(st.booleans()):
-        hi = lo + draw(st.floats(min_value=0.0, max_value=1e3)) * max(abs(lo), 1.0)
-    assume(lo < hi and math.isfinite(hi - lo))
-    return lo, hi
-
-
-class TestFillKernelStreams:
-    """``Uniform.sample`` and ``Gaussian.sample`` draw through numpy's fill
-    kernels what ``rng.uniform`` and ``rng.normal`` draw one value at a time:
-    the same values bitwise and the same generator state after them."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(_uniform_bounds(), st.integers(0, 5000), st.integers(0, 2**32 - 1))
-    @example((0.0, 1.0), 0, 0)
-    @example((-1e308, 7e307), 2048, 1)
-    def test_uniform_is_rng_uniform(self, bounds, n, seed):
-        rng, ref = RNG(seed), RNG(seed)
-        xs = rb.Uniform(*bounds).sample(n, rng)
-        want = ref.uniform(*bounds, n)
-        assert xs.dtype == want.dtype == np.float64
-        assert xs.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        _FINITE,
-        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-        st.integers(0, 5000),
-        st.integers(0, 2**32 - 1),
-    )
-    @example(0.0, 1.0, 0, 0)
-    @example(-0.0, 5e-324, 2048, 1)
-    def test_gaussian_is_rng_normal(self, mu, sigma, n, seed):
-        rng, ref = RNG(seed), RNG(seed)
-        # at sigma near the largest float the values overflow to infinities
-        # in both; numpy's array arithmetic warns where its per-value path does not
-        with np.errstate(over="ignore"):
-            xs = rb.Gaussian(mu, sigma).sample(n, rng)
-        want = ref.normal(mu, sigma, n)
-        assert xs.dtype == want.dtype == np.float64
-        assert xs.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _searchsorted_mixture_sample(mix, n, rng):

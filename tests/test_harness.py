@@ -590,20 +590,6 @@ assert set(OUTPUT_CASES) == set(_KINDS)
 
 
 class TestRunExperiment:
-    def test_outputs_are_written_over_in_place(self, tmp_path):
-        """A longer file at an output's path is written over and cut to the
-        new bytes, on the same inode; a new file is made as before."""
-        path = tmp_path / "records.csv"
-        path.write_text("old,header\n" + "9,9\n" * 100)
-        inode = path.stat().st_ino
-        runner.write_csv(path, ["a", "b"], [{"a": 1, "b": 0.5}, {"a": None, "b": True}])
-        assert path.read_bytes() == b"a,b\n1,0.5\n,true\n"
-        assert path.stat().st_ino == inode
-        summary = tmp_path / "summary.txt"
-        runner.write_summary(summary, [("mean", 2.0)])
-        runner.write_summary(summary, [("n", 3)])
-        assert summary.read_bytes() == b"n = 3\n"
-
     def test_bai_simple_records(self, tmp_path):
         config = parse_config(MINIMAL)
         result = run_experiment(config, parallelism=1, out_dir=tmp_path)
