@@ -35,6 +35,7 @@ from .contamination import (
     UniformTailShift,
     contaminated_cdf,
     draw_batch,
+    draw_sample,
     ks_distance,
     malicious_median_attack,
     median_sandwich_bounds,

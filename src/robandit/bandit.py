@@ -28,6 +28,7 @@ from .contamination import (
     EmpiricalQuantileShift,
     draw_batch,
     draw_clean,
+    draw_sample,
     segment_quantiles,
 )
 from .distributions import AdversaryModel, FamilyParams, _median_mad, contamination_bias
@@ -197,7 +198,7 @@ def simple_exploration_estimates(
     medians = []
     mads = []
     for arm in instance.arms:
-        xs = draw_batch(arm, n, rng)
+        xs = draw_sample(arm, n, rng)
         med = empirical_median(xs)
         medians.append(med)
         mads.append(empirical_median(np.abs(xs - med)))

@@ -40,6 +40,7 @@ __all__ = [
     "BatchDraw",
     "draw_batch",
     "draw_clean",
+    "draw_sample",
     "segment_quantiles",
     "contaminated_cdf",
     "malicious_median_attack",
@@ -267,6 +268,8 @@ def draw_batch(
     A fixed law is drawn only at flagged pulls, in order, and written over the
     clean values there; in debug mode ``z`` holds them and is NaN elsewhere.
     Debug mode also asserts the order-statistic sandwich on the realized batch.
+    A consumer that reads the batch only as a multiset draws it with
+    ``draw_sample`` instead, which skips the per-pull flags.
     """
     if n < 1:
         raise ParameterOutOfRangeError(f"batch size must be at least 1, got {n}")
@@ -296,6 +299,37 @@ def draw_batch(
                 )
         return BatchDraw(x=x, y=y, d=d, z=z)
     return x
+
+
+def draw_sample(arm: ContaminatedArm, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n contaminated values for a consumer that reads them only as a multiset
+    (a median, a MAD): the same law as ``draw_batch``'s batch up to order, from
+    fewer random numbers.
+
+    At eps > 0 it draws the contaminated count s ~ Binomial(n, eps) first. A
+    fixed law then gives n - s clean values followed by s values of the law;
+    ``empirical_quantile`` gives n clean values, of which the last s are
+    replaced by the batch's ceil(nq)-th order statistic. Flags that are iid
+    Bernoulli(eps) and independent of the clean values put exactly such a
+    count at exchangeable positions, so the multiset's law is ``draw_batch``'s.
+    At eps = 0 this is ``arm.dist.sample(n, rng)`` bitwise. Coupled flags
+    depend on the clean values, so a coupled arm draws ``draw_batch``.
+    """
+    if n < 1:
+        raise ParameterOutOfRangeError(f"batch size must be at least 1, got {n}")
+    strat = arm.strategy
+    if isinstance(strat, _COUPLED):
+        return draw_batch(arm, n, rng)
+    if not arm.eps:
+        return arm.dist.sample(n, rng)
+    s = int(rng.binomial(n, arm.eps))
+    if isinstance(strat, EmpiricalQuantileShift):
+        y = arm.dist.sample(n, rng)
+        y[n - s :] = segment_quantiles(y, [n], strat.target_quantile)[n - s :]
+        return y
+    y = arm.dist.sample(n - s, rng)
+    # as in draw_batch, no law is built without a contaminated value
+    return np.concatenate((y, _fixed_component(arm).sample(s, rng))) if s else y
 
 
 def contaminated_cdf(arm: ContaminatedArm, x):

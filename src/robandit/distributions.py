@@ -66,6 +66,12 @@ _GAUSSIAN_MAD = 0.6744897501960817  # MAD of the standard normal: float(ndtri(0.
 # median of ||X| - _GAUSSIAN_MAD| for a standard normal X, the numeric search's result
 _GAUSSIAN_MAD2 = 0.3990915958297282
 
+# How far, in scale units, the unbounded laws' draws reach: a standard normal
+# lies beyond +-40 with probability below 1e-349, a standard Cauchy beyond
+# +-1e16 with probability 2 / (pi 1e16) < 1e-16.
+_GAUSSIAN_REACH = 40.0
+_CAUCHY_REACH = 1e16
+
 
 def _special():
     # Only Gaussian arms need scipy, and importing it with the package would
@@ -106,6 +112,11 @@ class Distribution:
     ``1.0 - p`` rounds away. The public methods take a scalar
     or an array, return a float for a scalar and reject a quantile level
     outside (0, 1), once for every law.
+
+    ``_reach`` gives an interval that holds every draw, or for a Gaussian or a
+    Cauchy all but the negligible share stated at ``_GAUSSIAN_REACH``. A law
+    whose reach is not finite would draw values that overflow; Gaussian,
+    Cauchy and Affine reject it when they are built.
     """
 
     def cdf(self, x):
@@ -120,6 +131,9 @@ class Distribution:
         return _on_floats(self._cdf_left, x)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        raise NotImplementedError
+
+    def _reach(self) -> tuple[float, float]:
         raise NotImplementedError
 
     def quantile_left(self, p: float) -> float:
@@ -161,6 +175,13 @@ def _at_open_level(quantile, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ParameterOutOfRangeError(f"quantile level must lie in (0, 1), got {p}")
     return quantile(p)
+
+
+def _check_reach(dist: Distribution) -> None:
+    lo, hi = dist._reach()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        kind = type(dist).__name__.lower()
+        raise ParameterOutOfRangeError(f"{kind} draws must stay finite, but reach [{lo}, {hi}]")
 
 
 def _search_quantile(dist: Distribution, p: float, strict: bool) -> float:
@@ -229,6 +250,9 @@ class Uniform(Distribution):
     def sample(self, n, rng):
         return rng.uniform(self.lo, self.hi, size=n)
 
+    def _reach(self):
+        return self.lo, self.hi
+
     def _quantile_left(self, p):
         return self.lo + p * (self.hi - self.lo)
 
@@ -241,18 +265,24 @@ class Uniform(Distribution):
 
 @dataclass(frozen=True)
 class Gaussian(Distribution):
+    """Normal law; mu +- 40 sigma (``_GAUSSIAN_REACH``) must be finite."""
+
     mu: float
     sigma: float
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ParameterOutOfRangeError(f"gaussian needs sigma > 0, got {self.sigma}")
+        _check_reach(self)
 
     def _cdf(self, x):
         return _special().ndtr((x - self.mu) / self.sigma)
 
     def sample(self, n, rng):
         return rng.normal(self.mu, self.sigma, size=n)
+
+    def _reach(self):
+        return self.mu - _GAUSSIAN_REACH * self.sigma, self.mu + _GAUSSIAN_REACH * self.sigma
 
     def _quantile_left(self, p):
         return self.mu + self.sigma * float(_special().ndtri(p))
@@ -277,18 +307,24 @@ def _tan_from_median(p: float) -> float:
 
 @dataclass(frozen=True)
 class Cauchy(Distribution):
+    """Cauchy law; x0 +- 1e16 scale (``_CAUCHY_REACH``) must be finite."""
+
     x0: float
     scale: float
 
     def __post_init__(self):
         if not self.scale > 0:
             raise ParameterOutOfRangeError(f"cauchy needs scale > 0, got {self.scale}")
+        _check_reach(self)
 
     def _cdf(self, x):
         return 0.5 + np.arctan((x - self.x0) / self.scale) / math.pi
 
     def sample(self, n, rng):
         return self.x0 + self.scale * rng.standard_cauchy(size=n)
+
+    def _reach(self):
+        return self.x0 - _CAUCHY_REACH * self.scale, self.x0 + _CAUCHY_REACH * self.scale
 
     def _quantile_left(self, p):
         return self.x0 + self.scale * _tan_from_median(p)
@@ -316,6 +352,9 @@ class Bernoulli(Distribution):
 
     def sample(self, n, rng):
         return (rng.random(n) < self.p).astype(float)
+
+    def _reach(self):
+        return 0.0, 1.0
 
     def _quantile_left(self, p):
         return 0.0 if p <= 1.0 - self.p else 1.0
@@ -349,6 +388,9 @@ class SmoothedBernoulli(Distribution):
         u = rng.random(2 * n)
         return np.where(u[:n] < 0.5, u[n:] < self.p, u[n:])
 
+    def _reach(self):
+        return 0.0, 1.0
+
     def _quantile_left(self, p):
         if p <= 0.5 * (1.0 - self.p):
             return 0.0
@@ -376,6 +418,9 @@ class Dirac(Distribution):
 
     def sample(self, n, rng):
         return np.full(n, float(self.x))
+
+    def _reach(self):
+        return float(self.x), float(self.x)
 
     def _quantile_left(self, p):
         return float(self.x)
@@ -421,10 +466,15 @@ class Mixture(Distribution):
                 out[at] = comp.sample(at.size, rng)
         return out
 
+    def _reach(self):
+        los, his = zip(*(c._reach() for c in self.components))
+        return min(los), max(his)
+
 
 @dataclass(frozen=True)
 class Affine(Distribution):
-    """The law of scale * X + shift for X drawn from ``base``; scale != 0."""
+    """The law of scale * X + shift for X drawn from ``base``; scale != 0, and
+    the image of the base's reach must be finite."""
 
     base: Distribution
     scale: float
@@ -433,6 +483,7 @@ class Affine(Distribution):
     def __post_init__(self):
         if self.scale == 0:
             raise ParameterOutOfRangeError("affine transform needs scale != 0")
+        _check_reach(self)
 
     def _cdf(self, x):
         t = (x - self.shift) / self.scale
@@ -445,6 +496,10 @@ class Affine(Distribution):
 
     def sample(self, n, rng):
         return self.scale * self.base.sample(n, rng) + self.shift
+
+    def _reach(self):
+        lo, hi = sorted(self.scale * end + self.shift for end in self.base._reach())
+        return lo, hi
 
     # A negative scale reads the base at level 1 - p, which a closed-form base
     # computes from p: 1.0 - p loses a small p, and is 1.0 for p <= 2**-54.

@@ -29,7 +29,7 @@ from ..bandit import (
     run_contaminated_successive_elimination,
     run_simple,
 )
-from ..contamination import ContaminatedArm, draw_batch
+from ..contamination import ContaminatedArm, draw_sample
 from ..distributions import AdversaryModel, _median_mad
 from ..errors import RobanditError
 from ..estimators import _BOUNDS, EstimationParams, estimate_mad_ci, estimate_median_ci
@@ -90,15 +90,17 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def write_csv(path: Path, columns: list[str], rows: list[dict[str, Any]]) -> None:
+def _csv_text(columns: list[str], rows: list[dict[str, Any]]) -> str:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_format_cell(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_summary(path: Path, entries: list[tuple[str, Any]]) -> None:
-    path.write_text("".join(f"{k} = {_format_cell(v)}\n" for k, v in entries))
+def write_csv(path: Path, text: str) -> None:
+    """Write one table formatted by ``_csv_text``; a function of its own, so
+    that a tracer that rebinds it times the table writes."""
+    path.write_text(text)
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ class EstimateSpec:
 
     def row(self, rng: np.random.Generator) -> dict[str, Any]:
         estimate_ci = estimate_median_ci if self.statistic == "median" else estimate_mad_ci
-        xs = draw_batch(self.arm, self.n, rng)
+        xs = draw_sample(self.arm, self.n, rng)
         report = estimate_ci(xs, self.delta, self.params, self.mad_used)
         return {
             "statistic": report.statistic,
@@ -209,8 +211,9 @@ def run_experiment(
     """Execute one experiment; writes each of its tables to ``<name>.csv``
     (``records.csv`` always, ``aggregate.csv`` for lower-bound runs, one per
     verify artifact) and then ``summary.txt`` into the output directory,
-    which is created only after the run returns. A path that cannot become
-    that directory is a ``ConfigError`` before the run starts."""
+    which is created only after the run returns and every file is formatted,
+    so a value the formatter refuses leaves nothing behind. A path that cannot
+    become that directory is a ``ConfigError`` before the run starts."""
     target = Path(out_dir if out_dir is not None else (config.out_dir or "out"))
     blocker = next(path for path in (target, *target.parents) if path.exists())
     if not blocker.is_dir():
@@ -218,13 +221,14 @@ def run_experiment(
             f"cannot make output directory {str(target)!r}: {str(blocker)!r} is not a directory"
         )
     tables, summary, exit_code = _RUNS[_KINDS[config.kind].command](config, parallelism)
+    texts = {name: _csv_text(*table) for name, table in tables.items()}
+    summary_file = "".join(f"{k} = {_format_cell(v)}\n" for k, v in summary)
     target.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for name, (columns, rows) in tables.items():
-        files[name] = target / f"{name}.csv"
-        write_csv(files[name], columns, rows)
+    files = {name: target / f"{name}.csv" for name in texts}
+    for name, text in texts.items():
+        write_csv(files[name], text)
     files["summary"] = target / "summary.txt"
-    write_summary(files["summary"], summary)
+    files["summary"].write_text(summary_file)
     return ExperimentResult(exit_code, files, dict(summary))
 
 

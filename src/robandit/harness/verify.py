@@ -28,6 +28,7 @@ from ..contamination import (
     UniformTailShift,
     contaminated_cdf,
     draw_batch,
+    draw_sample,
     malicious_median_attack,
     median_sandwich_bounds,
 )
@@ -357,7 +358,7 @@ def suite_tail_shift(rng: np.random.Generator) -> SuiteResult:
     arm = ContaminatedArm(
         Uniform(0.0, width), UniformTailShift(1), eps, AdversaryModel.OBLIVIOUS
     )
-    xs = draw_batch(arm, 200_000, rng)
+    xs = draw_sample(arm, 200_000, rng)
     med = empirical_median(xs)
     target = width / 2.0 + width * eps / (2.0 * (1.0 - eps))
     defect = abs(med - target)

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,6 +246,97 @@ class TestPlainDrawBatch:
         assert xs.dtype == want.dtype == np.float64
         assert xs.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+_ALL_ARMS = {name: arm for name, (arm, _) in {**_PINNED, **_RANDOM_LAW}.items()}
+_COUPLED_ARMS = ("below-median", "atom")
+
+
+class TestDrawSample:
+    """``draw_sample``: the contaminated count, then n - s clean values and s
+    law values (or n clean values with the last s replaced by the quantile
+    pick), with the multiset's law of ``draw_batch``."""
+
+    @pytest.mark.parametrize("name", sorted(set(_ALL_ARMS) - set(_COUPLED_ARMS)))
+    def test_zero_eps_is_the_clean_sample(self, name):
+        arm = dataclasses.replace(_ALL_ARMS[name], eps=0.0)
+        for n in (1, 7, 4096):
+            rng, ref = np.random.default_rng(30), np.random.default_rng(30)
+            assert rb.draw_sample(arm, n, rng).tobytes() == arm.dist.sample(n, ref).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("name", _COUPLED_ARMS)
+    def test_coupled_arms_draw_the_batch(self, name):
+        arm = _ALL_ARMS[name]
+        for n in (1, 3, 4096):
+            rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+            assert rb.draw_sample(arm, n, rng).tobytes() == rb.draw_batch(arm, n, twin).tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(_FIXED_LAW.keys() - set(_COUPLED_ARMS))),
+        st.one_of(st.integers(1, 8), st.integers(1, 5000)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fixed_law_draws_count_then_clean_then_law(self, name, n, seed):
+        arm = _FIXED_LAW[name]
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        xs = rb.draw_sample(arm, n, rng)
+        s = int(twin.binomial(n, arm.eps))
+        y = arm.dist.sample(n - s, twin)
+        z = _fixed_component(arm).sample(s, twin) if s else np.empty(0)
+        assert xs.dtype == np.float64
+        assert xs.tobytes() == np.concatenate((y, z)).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.one_of(st.integers(1, 8), st.integers(1, 5000)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_quantile_shift_overwrites_the_last_s_clean_values(self, q, n, seed):
+        arm = make_arm(rb.EmpiricalQuantileShift(q), eps=0.3, model=PRE, dist=rb.Gaussian(0.0, 1.0))
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        xs = rb.draw_sample(arm, n, rng)
+        s = int(twin.binomial(n, arm.eps))
+        want = arm.dist.sample(n, twin)
+        want[n - s :] = np.quantile(want, q, method="inverted_cdf")
+        assert xs.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("eps, n", [(0.1, 50), (0.3, 7)])
+    def test_contaminated_count_is_binomial(self, eps, n):
+        """The count of remote points over 20,000 batches: its mean and its
+        variance lie within five standard errors of n eps and n eps (1 - eps),
+        the errors from the binomial's second and fourth central moments."""
+        arm = make_arm(rb.ShiftMedianUp(1e6), eps=eps)
+        rng = np.random.default_rng(32)
+        batches = 20_000
+        counts = np.array([np.count_nonzero(rb.draw_sample(arm, n, rng) == 1e6) for _ in range(batches)])
+        mean, var = n * eps, n * eps * (1 - eps)
+        fourth = var * (1 + 3 * (n - 2) * eps * (1 - eps))
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / batches)
+        assert abs(counts.var(ddof=1) - var) <= 5 * math.sqrt((fourth - var**2) / batches)
+
+    @pytest.mark.parametrize("name", ["cauchy", "tail-up", "quantile"])
+    def test_batch_medians_and_mads_follow_draw_batch(self, name):
+        """Medians and MADs of 2,000 batches of 101 values from each sampler,
+        on separate seeds, pass a two-sample KS test at level 0.001."""
+        arm = _ALL_ARMS[name]
+        stats = []
+        for draw, seed in ((rb.draw_sample, 33), (rb.draw_batch, 34)):
+            rng = np.random.default_rng(seed)
+            batches = [draw(arm, 101, rng) for _ in range(2000)]
+            stats.append(([rb.empirical_median(b) for b in batches], [rb.empirical_mad(b) for b in batches]))
+        (sample_medians, sample_mads), (batch_medians, batch_mads) = stats
+        assert scipy.stats.ks_2samp(sample_medians, batch_medians).pvalue > 1e-3
+        assert scipy.stats.ks_2samp(sample_mads, batch_mads).pvalue > 1e-3
+
+    def test_batch_size_validation(self):
+        with pytest.raises(rb.ParameterOutOfRangeError):
+            rb.draw_sample(make_arm(rb.ShiftMedianUp()), 0, np.random.default_rng(0))
 
 
 class _Replay(rb.Distribution):

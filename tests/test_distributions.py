@@ -102,6 +102,23 @@ class TestCdf:
         with pytest.raises(rb.ParameterOutOfRangeError):
             rb.Affine(rb.Uniform(0, 1), 0.0)
 
+    def test_draws_that_would_overflow_are_rejected(self):
+        """Gaussian, Cauchy and Affine laws whose stated reach is not finite."""
+        for law in (
+            lambda: rb.Gaussian(0.0, 1e308),
+            lambda: rb.Gaussian(1.7e308, 1e307),
+            lambda: rb.Cauchy(0.0, 1e293),
+            lambda: rb.Affine(rb.Uniform(0.0, 1.0), 1e308, 1e308),
+            lambda: rb.Affine(rb.Gaussian(0.0, 1.0), -1e307),
+            lambda: rb.Affine(rb.Mixture([0.5, 0.5], [rb.Dirac(-1.0), rb.Cauchy(0.0, 1.0)]), 1e293),
+        ):
+            with pytest.raises(rb.ParameterOutOfRangeError, match="must stay finite"):
+                law()
+        # within their reach: 40 sigma and 1e16 scale
+        assert rb.Gaussian(0.0, 4e306)._reach() == (-1.6e308, 1.6e308)
+        assert rb.Cauchy(0.0, 1e292)._reach() == (-1e308, 1e308)
+        assert rb.Affine(rb.Gaussian(1.0, 2.0), -3.0, 1.0)._reach() == (-242.0, 238.0)
+
 
 class TestGaussianIsScipys:
     def test_mad_constant(self):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -493,6 +494,10 @@ class TestParser:
                 "bad distribution literal: uniform needs a finite width hi - lo, got [-1e+308, 1e+308]",
             ),
             (
+                {"kind": "gaussian", "mu": 0.0, "sigma": 1e308},
+                "bad distribution literal: gaussian draws must stay finite, but reach [-inf, inf]",
+            ),
+            (
                 {"kind": "affine", "base": {"kind": "dirac", "x": 0.0, "y": 1.0}, "scale": 2.0},
                 "distribution kind 'dirac' has unknown field(s) y",
             ),
@@ -672,12 +677,12 @@ class TestRunExperiment:
             (
                 _demo("estimate"),
                 20,
-                {"records": "10f2fed4abf26544f123c7eb7e3a79ceed499bf78d3687e4843039b395ada67a"},
+                {"records": "7b5be7a1190b3061cc0c85ab571f188b961324bd188dfeffc08fddc7cff742ec"},
             ),
             (
                 OUTPUT_CASES["estimate-mad"],
                 20,
-                {"records": "36891c766e8a2026f78132fe917322f4fe4fa5a33d2a34491db6d3516a40bb9a"},
+                {"records": "692474ffc6174ab78e5229fd76e972311db16d17b494e7c2c4f7ca49ad06f252"},
             ),
             (
                 MINIMAL,
@@ -725,13 +730,15 @@ class TestRunExperiment:
         """sha256 of ``records.csv`` for racing and estimation runs, and of the
         lifted runs' ``aggregate.csv`` and ``summary.txt`` too: the lb and
         prescient digests were recorded while the racing kernel kept every
-        arm's pulls as one sorted array, the estimation and bai-simple ones
-        while each experiment kind handed the replication engine a closure
-        instead of a spec, the four-arm and narrow lifted ones while the
-        envelope scan assumed every new pull fell on one side of the median,
-        the oblivious tail-shift and malicious lifted ones while the kernel
-        kept its state in closures, and the lifted aggregates and summaries
-        while a second entry point raced lifted instances."""
+        arm's pulls as one sorted array, the bai-simple one while each
+        experiment kind handed the replication engine a closure instead of a
+        spec, the estimation ones when estimates began to draw the
+        contaminated count instead of a flag per pull, the four-arm and
+        narrow lifted ones while the envelope scan assumed every new pull
+        fell on one side of the median, the oblivious tail-shift and
+        malicious lifted ones while the kernel kept its state in closures,
+        and the lifted aggregates and summaries while a second entry point
+        raced lifted instances."""
         text = re.sub(r"replications = \d+", f"replications = {replications}", text)
         result = run_experiment(parse_config(text), out_dir=tmp_path)
         got = {name: hashlib.sha256(result.files[name].read_bytes()).hexdigest() for name in digests}
@@ -992,6 +999,8 @@ class TestCli:
             ("bai", "bai", "eps = 0.1", "eps = 0.2", "eps0"),
             # a uniform whose width overflows
             ("estimate", "estimate", "lo: 0.0, hi: 1.0", "lo: -1e308, hi: 1e308", "arm"),
+            # a gaussian whose draws overflow
+            ("estimate", "estimate", "kind: uniform, lo: 0.0, hi: 1.0", "kind: gaussian, mu: 0.0, sigma: 1e308", "arm"),
         ],
     )
     def test_config_the_runner_cannot_run_is_usage_error(
@@ -1003,6 +1012,17 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"(key {key!r}, line " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_result_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """A non-finite value that reaches the writer fails the run (exit 1)
+        before the output directory is made."""
+        monkeypatch.setattr(runner, "draw_sample", lambda arm, n, rng: np.full(n, np.inf))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(OUTPUT_CASES["estimate-median"])
+        out = tmp_path / "out"
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "refusing to write non-finite value inf to CSV" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
