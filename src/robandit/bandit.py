@@ -99,11 +99,13 @@ class AlgoConfig:
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
-            raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.alpha < 0:
-            raise ParameterOutOfRangeError(f"alpha must be nonnegative, got {self.alpha}")
+            raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {self.delta}", "delta")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ParameterOutOfRangeError(
+                f"alpha must be nonnegative and finite, got {self.alpha}", "alpha"
+            )
         if self.max_rounds < 1:
-            raise ParameterOutOfRangeError("max_rounds must be positive")
+            raise ParameterOutOfRangeError("max_rounds must be positive", "max_rounds")
 
     def estimation_params(self, model: AdversaryModel) -> EstimationParams:
         return EstimationParams(eps0=self.eps0, family=self.family, model=model)

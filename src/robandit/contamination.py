@@ -86,8 +86,19 @@ class UniformTailShift:
             raise ParameterOutOfRangeError(f"direction must be +1 or -1, got {self.direction}")
 
 
+class _Coupling:
+    """A strategy whose flags depend on the clean draw: it flags a triggering
+    draw with probability ``flip_prob``, in [0, 1]."""
+
+    def __post_init__(self):
+        if not 0.0 <= self.flip_prob <= 1.0:
+            raise ParameterOutOfRangeError(
+                f"flip_prob must lie in [0, 1], got {self.flip_prob}", "flip_prob"
+            )
+
+
 @dataclass(frozen=True)
-class BelowMedianCoupling:
+class BelowMedianCoupling(_Coupling):
     """Contaminate only draws at or below a threshold, with a fixed replacement.
 
     With flip_prob = 2 eps and the threshold at a continuity median, the flag's
@@ -101,7 +112,7 @@ class BelowMedianCoupling:
 
 
 @dataclass(frozen=True)
-class AtomTriggeredCoupling:
+class AtomTriggeredCoupling(_Coupling):
     """Contaminate only draws that hit a specific atom, with a fixed replacement."""
 
     trigger: float
@@ -131,9 +142,6 @@ ContaminationStrategy = (
     | EmpiricalQuantileShift
 )
 
-_COUPLED = (BelowMedianCoupling, AtomTriggeredCoupling)
-
-
 @dataclass(frozen=True)
 class ContaminatedArm:
     """One bandit arm: true distribution, contamination strategy, level, model."""
@@ -145,11 +153,19 @@ class ContaminatedArm:
 
     def __post_init__(self):
         if not 0.0 <= self.eps < 0.5:
-            raise ParameterOutOfRangeError(f"eps must lie in [0, 1/2), got {self.eps}")
-        if isinstance(self.strategy, _COUPLED) and self.model is not AdversaryModel.MALICIOUS:
-            raise IncompatibleStrategyError(
-                "coupled contamination flags require the malicious adversary model"
-            )
+            raise ParameterOutOfRangeError(f"eps must lie in [0, 1/2), got {self.eps}", "eps")
+        if isinstance(self.strategy, _Coupling):
+            if self.model is not AdversaryModel.MALICIOUS:
+                raise IncompatibleStrategyError(
+                    "coupled contamination flags require the malicious adversary model"
+                )
+            # a coupling may flag an eps share of the pulls, with twice the slack
+            # that malicious_median_attack's 1e-9 check on F(median) lets through
+            rate = _flag_rate(self)
+            if rate > self.eps + 2e-9 * self.strategy.flip_prob:
+                raise ParameterOutOfRangeError(
+                    f"{type(self.strategy).__name__} flags {rate} of the pulls, above eps {self.eps}"
+                )
         if isinstance(self.strategy, EmpiricalQuantileShift) and self.model is AdversaryModel.OBLIVIOUS:
             raise IncompatibleStrategyError(
                 "batch-aware contamination requires the prescient or malicious model"
@@ -164,6 +180,14 @@ class ContaminatedArm:
                 raise ParameterOutOfRangeError(f"tail shift's stretched law: {exc}") from exc
 
 
+def _flag_rate(arm: ContaminatedArm) -> float:
+    """P(D = 1) on a coupled arm: flip_prob times the chance of a triggering draw."""
+    strat = arm.strategy
+    if isinstance(strat, BelowMedianCoupling):
+        return strat.flip_prob * arm.dist.cdf(strat.threshold)
+    return strat.flip_prob * arm.dist.atom_mass(strat.trigger)
+
+
 def _fixed_component(arm: ContaminatedArm) -> Distribution:
     """The law a contaminated pull is drawn from, for a strategy that fixes one."""
     strat = arm.strategy
@@ -173,7 +197,7 @@ def _fixed_component(arm: ContaminatedArm) -> Distribution:
         return Dirac(strat.magnitude)
     if isinstance(strat, ShiftMedianDown):
         return Dirac(-strat.magnitude)
-    if isinstance(strat, _COUPLED):
+    if isinstance(strat, _Coupling):
         return Dirac(strat.point)
     if isinstance(strat, UniformTailShift):
         base = arm.dist
@@ -318,7 +342,7 @@ def draw_sample(arm: ContaminatedArm, n: int, rng: np.random.Generator) -> np.nd
     if n < 1:
         raise ParameterOutOfRangeError(f"batch size must be at least 1, got {n}")
     strat = arm.strategy
-    if isinstance(strat, _COUPLED):
+    if isinstance(strat, _Coupling):
         return draw_batch(arm, n, rng)
     if not arm.eps:
         return arm.dist.sample(n, rng)
@@ -344,10 +368,9 @@ def _observable_cdf(arm: ContaminatedArm, xs: np.ndarray) -> np.ndarray:
         return base
     if isinstance(strat, BelowMedianCoupling):
         moved = strat.flip_prob * arm.dist._cdf(np.minimum(xs, strat.threshold))
-        total = strat.flip_prob * arm.dist.cdf(strat.threshold)
-        return base - moved + total * (xs >= strat.point)
+        return base - moved + _flag_rate(arm) * (xs >= strat.point)
     if isinstance(strat, AtomTriggeredCoupling):
-        mass = strat.flip_prob * arm.dist.atom_mass(strat.trigger)
+        mass = _flag_rate(arm)
         return base - mass * (xs >= strat.trigger) + mass * (xs >= strat.point)
     return (1.0 - arm.eps) * base + arm.eps * _fixed_component(arm)._cdf(xs)
 

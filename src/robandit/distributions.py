@@ -410,6 +410,9 @@ class SmoothedBernoulli(Distribution):
 class Dirac(Distribution):
     x: float
 
+    def __post_init__(self):
+        _check_reach(self)
+
     def _cdf(self, t):
         return np.where(t >= self.x, 1.0, 0.0)
 
@@ -438,8 +441,9 @@ class Mixture(Distribution):
         components = tuple(components)
         if len(weights) != len(components) or not components:
             raise ParameterOutOfRangeError("mixture needs matching, nonempty weights/components")
-        if any(w < 0 for w in weights):
-            raise ParameterOutOfRangeError("mixture weights must be nonnegative")
+        # a nan weight fails this test, and the sum test would miss it
+        if not all(w >= 0 for w in weights):
+            raise ParameterOutOfRangeError(f"mixture weights must be nonnegative, got {weights}")
         if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ParameterOutOfRangeError(f"mixture weights must sum to 1, got {math.fsum(weights)}")
         object.__setattr__(self, "weights", weights)
@@ -621,16 +625,18 @@ class FamilyParams:
 
     def __post_init__(self):
         for name in ("slope_bound", "mad_bound", "mad_ratio"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterOutOfRangeError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 < self.t_bar < 0.5:
-            raise ParameterOutOfRangeError(f"t_bar must lie in (0, 1/2), got {self.t_bar}")
-        if not self.slope_bound > 0:
-            raise ParameterOutOfRangeError(f"slope_bound must be positive, got {self.slope_bound}")
-        if not self.mad_bound > 0:
-            raise ParameterOutOfRangeError(f"mad_bound must be positive, got {self.mad_bound}")
-        if self.mad_ratio < 0:
-            raise ParameterOutOfRangeError(f"mad_ratio must be nonnegative, got {self.mad_ratio}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterOutOfRangeError(f"{name} must be finite, got {value}", name)
+        for name, holds, requirement in (
+            ("t_bar", 0.0 < self.t_bar < 0.5, "lie in (0, 1/2)"),
+            ("slope_bound", self.slope_bound > 0, "be positive"),
+            ("mad_bound", self.mad_bound > 0, "be positive"),
+            ("mad_ratio", self.mad_ratio >= 0, "be nonnegative"),
+        ):
+            if not holds:
+                value = getattr(self, name)
+                raise ParameterOutOfRangeError(f"{name} must {requirement}, got {value}", name)
 
 
 def eps_ceiling(t_bar: float) -> float:
@@ -700,13 +706,19 @@ def _median_levels(eps: float, model: AdversaryModel) -> tuple[float, float]:
     return (1.0 - 2.0 * eps) / (2.0 * (1.0 - eps)), 1.0 / (2.0 * (1.0 - eps))
 
 
-def median_shift_bound(dist: Distribution, eps: float) -> float:
-    """Widest median displacement achievable by mixing in an eps fraction of
-    arbitrary mass, maximized over the median set when it is not a point."""
+def median_shift_bound(
+    dist: Distribution, eps: float, model: AdversaryModel = AdversaryModel.OBLIVIOUS
+) -> float:
+    """Widest median displacement an eps adversary under ``model`` achieves:
+    by mixing in an eps fraction of arbitrary mass (oblivious, the default)
+    or by also choosing which draws to replace (malicious), maximized over
+    the median set when it is not a point."""
     if not 0.0 < eps < 0.5:
         raise ParameterOutOfRangeError(f"contamination level must lie in (0, 1/2), got {eps}")
-    lo_level, hi_level = _median_levels(eps, AdversaryModel.OBLIVIOUS)
+    lo_level, hi_level = _median_levels(eps, model)
     med_lo, med_hi = _median_pair(dist)
+    if _is_unique(med_lo, med_hi):
+        med_hi = med_lo  # one median, the point _median_mad reads
     up = dist.quantile_right(hi_level) - med_lo
     down = med_hi - dist.quantile_left(lo_level)
     return max(up, down)

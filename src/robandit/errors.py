@@ -34,7 +34,12 @@ class IncompatibleStrategyError(RobanditError):
 
 
 class ParameterOutOfRangeError(RobanditError):
-    """A construction was requested outside its validity range."""
+    """A construction was requested outside its validity range; ``key`` names
+    the rejected parameter, where one is to blame."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class LiftingError(RobanditError):

@@ -67,7 +67,7 @@ class EstimationParams:
 
     def __post_init__(self):
         if not 0.0 <= self.eps0 < 0.5:
-            raise ParameterOutOfRangeError(f"eps0 must lie in [0, 1/2), got {self.eps0}")
+            raise ParameterOutOfRangeError(f"eps0 must lie in [0, 1/2), got {self.eps0}", "eps0")
 
     def effective_eps(self) -> float:
         """Quantile-level offset the adversary can force at the configured bound."""
@@ -134,16 +134,24 @@ class _Bound:
         return math.log(self.numerators[params.model is AdversaryModel.MALICIOUS] / delta)
 
     def sample_size(self, error_level: float, delta: float, params: EstimationParams) -> int:
-        if not error_level > 0:
-            raise ParameterOutOfRangeError(f"error level must be positive, got {error_level}")
+        if not 0.0 < error_level < math.inf:
+            raise ParameterOutOfRangeError(
+                f"error level must be positive and finite, got {error_level}", "error_level"
+            )
         if not 0.0 < delta < 1.0:
-            raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
+            raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}", "delta")
         floor_scale = self.floor_scale(params)
         family = params.family
         scale = self.width(family.mad_ratio) * family.slope_bound * family.mad_bound
-        return math.ceil(
-            max(2.0 * (scale / error_level) ** 2, floor_scale) * self.log_term(delta, params)
-        )
+        try:
+            return math.ceil(
+                max(2.0 * (scale / error_level) ** 2, floor_scale) * self.log_term(delta, params)
+            )
+        except OverflowError:
+            raise ParameterOutOfRangeError(
+                f"error level {error_level} asks for more samples than a float counts",
+                "error_level",
+            ) from None
 
     def estimate_ci(
         self, xs, delta: float, params: EstimationParams, mad_used: float

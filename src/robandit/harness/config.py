@@ -29,9 +29,10 @@ Values are scalars (int, float, true/false, bare or quoted strings), lists
 ``[...]`` or tagged maps ``{key: value, ...}``; ``_TOKEN`` states what a
 token is. The ``arm`` key repeats, one line per arm. Lines starting with
 ``#`` are comments. A distribution or strategy literal's fields are its
-class's dataclass fields. Every feasibility invariant of the downstream
-modules is re-validated here so bad configs fail at parse time with the
-offending key and line.
+class's dataclass fields. The parser builds the library objects a kind
+runs, each of which states its own ranges, and reports a rejection at the
+config key and line of the parameter it names, so a bad config fails at
+parse time.
 
 ``_KINDS`` states each experiment kind once: the CLI command that runs it,
 what its ``[instance]`` declares, the estimation bound whose margin must be
@@ -48,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from ..bandit import BanditInstance, effective_gaps
+from ..bandit import AlgoConfig, BanditInstance, effective_gaps
 from ..contamination import (
     AtomTriggeredCoupling,
     BelowMedianCoupling,
@@ -80,6 +81,7 @@ from ..errors import (
     RobanditError,
 )
 from ..estimators import EstimationParams, _BOUNDS
+from ..lower_bounds import _check_lift_params, lower_bound_samples
 
 __all__ = [
     "ConfigError",
@@ -276,21 +278,22 @@ def strategy_from_spec(spec: Any, key: str = "strategy", line: int | None = None
 
 # -- config assembly -----------------------------------------------------------
 
-# [algorithm] key -> (type, default or None, range test or None, requirement).
-# parse_config fills in each default the config leaves out.
+# [algorithm] key -> (type, default or None). parse_config fills in each
+# default the config leaves out; the library objects the kind runs state the
+# ranges.
 _ALGORITHM = {
-    "alpha": (float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
-    "delta": (float, None, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "eps0": (float, None, lambda v: 0.0 <= v < 0.5, "must lie in [0, 1/2)"),
-    "t_bar": (float, None, lambda v: 0.0 < v < 0.5, "must lie in (0, 1/2)"),
-    "slope_bound": (float, None, lambda v: v > 0.0, "must be positive"),
-    "mad_bound": (float, None, lambda v: v > 0.0, "must be positive"),
-    "mad_ratio": (float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
-    "error_level": (float, None, lambda v: v > 0.0, "must be positive"),
-    "mad_source": (str, "true", lambda v: v in ("true", "bound"), "must be true or bound"),
-    "early_stop": (bool, False, None, None),
-    "max_rounds": (int, 10**6, lambda v: v >= 1, "must be at least 1"),
-    "c_eta": (float, 1.0, lambda v: v > 0.0, "must be positive"),
+    "alpha": (float, 0.0),
+    "delta": (float, None),
+    "eps0": (float, None),
+    "t_bar": (float, None),
+    "slope_bound": (float, None),
+    "mad_bound": (float, None),
+    "mad_ratio": (float, 0.0),
+    "error_level": (float, None),
+    "mad_source": (str, "true"),
+    "early_stop": (bool, False),
+    "max_rounds": (int, 10**6),
+    "c_eta": (float, 1.0),
 }
 
 
@@ -343,18 +346,17 @@ class ExperimentConfig:
     suites: tuple[str, ...] = ()
 
     def family(self) -> FamilyParams:
-        alg = self.algorithm
-        return FamilyParams(
-            t_bar=alg["t_bar"],
-            slope_bound=alg["slope_bound"],
-            mad_bound=alg["mad_bound"],
-            mad_ratio=alg["mad_ratio"],
-        )
+        keys = ("t_bar", "slope_bound", "mad_bound", "mad_ratio")
+        return FamilyParams(**{key: self.algorithm[key] for key in keys})
 
     def estimation_params(self) -> EstimationParams:
         return EstimationParams(
             eps0=self.algorithm["eps0"], family=self.family(), model=self.model
         )
+
+    def algo_config(self) -> AlgoConfig:
+        keys = ("alpha", "delta", "eps0", "max_rounds", "early_stop")
+        return AlgoConfig(family=self.family(), **{key: self.algorithm[key] for key in keys})
 
 
 def _coerce(value, want, key, line):
@@ -470,24 +472,19 @@ def parse_config(text: str) -> ExperimentConfig:
     out_dir = _coerce(out["dir"], str, "dir", out_lines.get("dir")) if "dir" in out else None
 
     algo, algo_lines = _section_map(sections.get("algorithm", []))
-    algorithm = {key: spec[1] for key, spec in _ALGORITHM.items() if spec[1] is not None}
+    algorithm = {key: default for key, (_, default) in _ALGORITHM.items() if default is not None}
     algo_reads = _KINDS[kind].required | _KINDS[kind].optional
     for key, value in algo.items():
         if key not in algo_reads:
             raise UnknownKeyError(
                 f"{kind} reads no [algorithm] key {key!r}", key=key, line=algo_lines[key]
             )
-        want, _, in_range, requirement = _ALGORITHM[key]
         if key == "mad_source" and value is True:
             value = "true"  # the value parser reads a bare true as a bool
-        algorithm[key] = _coerce(value, want, key, algo_lines[key])
-        if want is float and not math.isfinite(algorithm[key]):
+        algorithm[key] = _coerce(value, _ALGORITHM[key][0], key, algo_lines[key])
+        if key == "mad_source" and value not in ("true", "bound"):
             raise FeasibilityViolationError(
-                f"{key} must be finite, got {value!r}", key=key, line=algo_lines[key]
-            )
-        if in_range is not None and not in_range(algorithm[key]):
-            raise FeasibilityViolationError(
-                f"{key} {requirement}, got {value!r}", key=key, line=algo_lines[key]
+                f"mad_source must be true or bound, got {value!r}", key=key, line=algo_lines[key]
             )
     missing = _KINDS[kind].required - set(algo)
     if missing:
@@ -513,10 +510,6 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         model = _MODELS[name]
     eps = _coerce(inst.get("eps", 0.0), float, "eps", inst_lines.get("eps"))
-    if not 0.0 <= eps < 0.5:
-        raise FeasibilityViolationError(
-            f"eps must lie in [0, 1/2), got {eps}", key="eps", line=inst_lines.get("eps")
-        )
 
     p = tuple(_coerce(inst["p"], [float], "p", inst_lines["p"])) if "p" in inst else ()
 
@@ -533,6 +526,8 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             arms.append(ContaminatedArm(dist=dist, strategy=strategy, eps=eps, model=model))
         except (IncompatibleStrategyError, ParameterOutOfRangeError) as exc:
+            if isinstance(exc, ParameterOutOfRangeError) and exc.key == "eps":
+                raise FeasibilityViolationError(str(exc), "eps", inst_lines.get("eps")) from exc
             raise FeasibilityViolationError(str(exc), key="arm", line=lineno) from exc
         if instance == "arms" and not _median_mad(dist)[2]:
             raise FeasibilityViolationError(
@@ -556,56 +551,48 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> None:
+    """Build the library objects the kind's run builds, each of which states
+    its own ranges: a rejection is reported at the key it names and that key's
+    line (the lower bound's gaps at ``p``), a margin too small at ``eps0``.
+    Then check the rules that no object built here states."""
     kind = _KINDS[config.kind]
     if not kind.instance:
         return
     if config.model is None:
         raise ConfigError("[instance] must set a model", key="model")
-    if kind.instance == "p":
-        if len(config.p) < 2:
-            raise ConfigError("[instance] must list at least two p values", key="p")
-        # the validity ranges of lower_bound_samples and of the liftings
-        if not config.algorithm["delta"] < 3.0 / 20.0:
-            raise FeasibilityViolationError(
-                f"the lower bound needs delta < 0.15, got {config.algorithm['delta']}",
-                key="delta",
-                line=algo_lines.get("delta"),
-            )
-        if not 0.0 < config.eps < 1.0 / 15.0:
-            raise FeasibilityViolationError(
-                f"a lifted instance needs eps in (0, 1/15), got {config.eps}",
-                key="eps",
-                line=inst_lines.get("eps"),
-            )
-        if not all(1.0 / 3.0 <= v <= 2.0 / 3.0 for v in config.p):
-            raise FeasibilityViolationError(
-                f"a lifted instance needs every p in [1/3, 2/3], got {list(config.p)}",
-                key="p",
-                line=inst_lines.get("p"),
-            )
-        if config.p.count(max(config.p)) > 1:
-            raise FeasibilityViolationError(
-                f"the lower bound needs positive gaps, so one largest p; got {list(config.p)}",
-                key="p",
-                line=inst_lines.get("p"),
-            )
-    elif not config.arms:
+    if kind.instance == "p" and len(config.p) < 2:
+        raise ConfigError("[instance] must list at least two p values", key="p")
+    if kind.instance != "p" and not config.arms:
         raise ConfigError("[instance] must declare at least one arm", key="arm")
-    elif kind.instance == "arm" and len(config.arms) != 1:
+    if kind.instance == "arm" and len(config.arms) != 1:
         raise FeasibilityViolationError("estimation experiments use exactly one arm", key="arm")
+    alg = config.algorithm
+    lines = {**inst_lines, **algo_lines}
+    try:
+        config.family()
+        if kind.command == "estimate":
+            _BOUNDS[kind.statistic].sample_size(
+                alg["error_level"], alg["delta"], config.estimation_params()
+            )
+        elif kind.statistic is not None:
+            config.algo_config()
+            _BOUNDS[kind.statistic].margin(config.estimation_params())
+        if kind.instance == "p":
+            best, *rest = sorted(_check_lift_params(config.p, config.eps), reverse=True)
+            lower_bound_samples([best - v for v in rest], alg["alpha"], alg["delta"], alg["c_eta"])
+    except ParameterOutOfRangeError as exc:
+        key = "p" if exc.key == "gaps" else exc.key
+        raise FeasibilityViolationError(str(exc), key=key, line=lines.get(key)) from exc
+    except InfeasibleRegimeError as exc:
+        raise FeasibilityViolationError(str(exc), key="eps0", line=lines.get("eps0")) from exc
     # eps0 is the known upper bound on the contamination level
-    if "eps0" in kind.required and config.eps > config.algorithm["eps0"]:
+    if "eps0" in kind.required and config.eps > alg["eps0"]:
         raise FeasibilityViolationError(
-            f"eps0 must be at least the instance's eps {config.eps}, got {config.algorithm['eps0']}",
+            f"eps0 must be at least the instance's eps {config.eps}, got {alg['eps0']}",
             key="eps0",
             line=algo_lines.get("eps0"),
         )
-    if kind.statistic is not None:
-        try:
-            _BOUNDS[kind.statistic].margin(config.estimation_params())
-        except InfeasibleRegimeError as exc:
-            raise FeasibilityViolationError(str(exc), key="eps0", line=algo_lines.get("eps0")) from exc
-    if config.kind == "bai-simple" and not config.algorithm["alpha"] > 0:
+    if config.kind == "bai-simple" and not alg["alpha"] > 0:
         raise FeasibilityViolationError(
             "uniform exploration needs alpha > 0", key="alpha", line=algo_lines.get("alpha")
         )

@@ -252,22 +252,10 @@ def _run_estimate(config: ExperimentConfig, parallelism: int):
     return {"records": (list(rows[0]), rows)}, summary, 0
 
 
-def _algo_config(config: ExperimentConfig) -> AlgoConfig:
-    alg = config.algorithm
-    return AlgoConfig(
-        alpha=alg["alpha"],
-        delta=alg["delta"],
-        family=config.family(),
-        eps0=alg["eps0"],
-        max_rounds=alg["max_rounds"],
-        early_stop=alg["early_stop"],
-    )
-
-
 def _run_bai(config: ExperimentConfig, parallelism: int):
     simple = config.kind == "bai-simple"
     instance = BanditInstance(config.arms)
-    algo = _algo_config(config)
+    algo = config.algo_config()
     report = effective_gaps(instance, algo.family)
     gaps = tuple(report.gaps) if simple or algo.early_stop else None
     spec = RaceSpec(instance, algo, simple, report.best_arm, gaps)
@@ -306,7 +294,7 @@ def _run_lower_bound(config: ExperimentConfig, parallelism: int):
     is a trend measurement, not a certified bound."""
     lifting = malicious_lifting if config.model is AdversaryModel.MALICIOUS else oblivious_lifting
     lifted = lifting(config.p, config.eps)
-    algo = _algo_config(config)
+    algo = config.algo_config()
     gaps = lifted.classical_gaps
     lb_value = lower_bound_samples(gaps, algo.alpha, algo.delta, config.algorithm["c_eta"])
     spec = RaceSpec(lifted.instance(), algo, simple=False, best_arm=0)

@@ -33,9 +33,9 @@ from .distributions import (
     SmoothedBernoulli,
     Uniform,
     _is_unique,
-    _median_levels,
     _median_mad,
     _median_pair,
+    median_shift_bound,
 )
 from .errors import LiftingError, ParameterOutOfRangeError
 
@@ -78,17 +78,23 @@ def lower_bound_samples(
     quadratic KL bound and is a configuration input, not a derived value.
     """
     gaps = [float(g) for g in gaps]
-    if not gaps or any(g <= 0 for g in gaps):
-        raise ParameterOutOfRangeError("gaps must be positive")
+    if not gaps or not all(g > 0 for g in gaps):
+        raise ParameterOutOfRangeError(f"gaps must be positive, got {gaps}", "gaps")
     if not 0.0 < delta < 3.0 / 20.0:
         raise ParameterOutOfRangeError(
-            f"delta={delta} outside (0, 0.15), the validity range of the bound"
+            f"delta={delta} outside (0, 0.15), the validity range of the bound", "delta"
         )
-    if alpha < 0:
-        raise ParameterOutOfRangeError("alpha must be nonnegative")
-    if not c_eta > 0:
-        raise ParameterOutOfRangeError("c_eta must be positive")
-    total = sum(1.0 / max(g, alpha) ** 2 for g in gaps)
+    if not 0.0 <= alpha < math.inf:
+        raise ParameterOutOfRangeError(f"alpha must be nonnegative and finite, got {alpha}", "alpha")
+    if not 0.0 < c_eta < math.inf:
+        raise ParameterOutOfRangeError(f"c_eta must be positive and finite, got {c_eta}", "c_eta")
+    try:
+        total = sum(1.0 / max(g, alpha) ** 2 for g in gaps)
+    except OverflowError:
+        key = "alpha" if alpha > max(gaps) else "gaps"
+        raise ParameterOutOfRangeError(
+            f"{key} {max(alpha, *gaps)} squares past the floats", key
+        ) from None
     return (c_eta / 4.0) * total * math.log(1.0 / (2.4 * delta))
 
 
@@ -133,11 +139,11 @@ class LiftedInstance:
 def _check_lift_params(p, eps: float) -> list[float]:
     values = [float(v) for v in p]
     if len(values) < 1:
-        raise ParameterOutOfRangeError("need at least one arm parameter")
+        raise ParameterOutOfRangeError("need at least one arm parameter", "p")
     if any(not 1.0 / 3.0 <= v <= 2.0 / 3.0 for v in values):
-        raise ParameterOutOfRangeError("arm parameters must lie in [1/3, 2/3]")
+        raise ParameterOutOfRangeError(f"arm parameters must lie in [1/3, 2/3], got {values}", "p")
     if not 0.0 < eps < 1.0 / 15.0:
-        raise ParameterOutOfRangeError(f"eps must lie in (0, 1/15), got {eps}")
+        raise ParameterOutOfRangeError(f"eps must lie in (0, 1/15), got {eps}", "eps")
     return values
 
 
@@ -253,13 +259,6 @@ def malicious_lifting(p, eps: float) -> LiftedInstance:
     return _lift(p, eps, AdversaryModel.MALICIOUS, hidden_arm)
 
 
-def _exact_bias(dist: Distribution, eps: float, model: AdversaryModel) -> float:
-    """Tight per-arm bias from the arm's own quantiles, not the family bound."""
-    median = _hidden_median(dist)
-    lo, hi = _median_levels(eps, model)
-    return max(dist.quantile_right(hi) - median, median - dist.quantile_left(lo))
-
-
 def lifted_effective_gaps(lifted: LiftedInstance) -> tuple[float, ...]:
     """Effective gaps of the hidden arms using their exact per-arm biases.
 
@@ -267,6 +266,6 @@ def lifted_effective_gaps(lifted: LiftedInstance) -> tuple[float, ...]:
     spends the entire bias budget moving the medians apart.
     """
     medians = [_hidden_median(arm.dist) for arm in lifted.lifted_arms]
-    biases = [_exact_bias(arm.dist, lifted.eps, lifted.model) for arm in lifted.lifted_arms]
+    biases = [median_shift_bound(arm.dist, lifted.eps, lifted.model) for arm in lifted.lifted_arms]
     pessimistic = medians[0] - biases[0]
     return tuple(pessimistic - (medians[i] + biases[i]) for i in range(1, lifted.k))

@@ -18,20 +18,16 @@ from .estimators import _BOUNDS
 __all__ = ["QualityGuarantee", "lower_tail_bound", "quantile_guarantee"]
 
 
-def _check_t(t: float, t_bar: float | None) -> None:
+def lower_tail_bound(
+    median: float, mad: float, slope_bound: float, t: float, t_bar: float | None = None
+) -> float:
+    """Threshold below the median that is exceeded with probability >= 1/2 + t."""
     if t < 0.0:
         raise ParameterOutOfRangeError(f"t must be nonnegative, got {t}")
     if t_bar is not None and t > t_bar:
         raise ParameterOutOfRangeError(f"t={t} exceeds the family half-width t_bar={t_bar}")
     if t >= 0.5:
         raise ParameterOutOfRangeError(f"t must stay below 1/2, got {t}")
-
-
-def lower_tail_bound(
-    median: float, mad: float, slope_bound: float, t: float, t_bar: float | None = None
-) -> float:
-    """Threshold below the median that is exceeded with probability >= 1/2 + t."""
-    _check_t(t, t_bar)
     return median - t * slope_bound * mad
 
 
@@ -67,14 +63,13 @@ def quantile_guarantee(
     the run and the bias, leaving a guarantee that holds with the run's own
     confidence budget (failure share 3 delta / k).
     """
-    _check_t(t, t_bar)
+    clean = lower_tail_bound(median_hat, mad_hat, slope_bound, t, t_bar)
     if k < 1:
         raise ParameterOutOfRangeError("k must be at least 1")
     if not 0.0 < delta < 1.0:
         raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
     if alpha < 0 or bias_bound < 0:
         raise ParameterOutOfRangeError("alpha and bias_bound must be nonnegative")
-    clean = median_hat - t * slope_bound * mad_hat
     discount = (0.5 + 2.0 * mad_ratio * t * slope_bound) * alpha
     discount += (1.0 + _BOUNDS["mad"].bias(mad_ratio) * slope_bound * t) * bias_bound
     floor = 0.5 + t - 3.0 * delta / k

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robandit as rb
-from robandit.contamination import _fixed_component, draw_clean, segment_quantiles
+from robandit.contamination import _fixed_component, _flag_rate, draw_clean, segment_quantiles
 
 OBL = rb.AdversaryModel.OBLIVIOUS
 PRE = rb.AdversaryModel.PRESCIENT
@@ -43,8 +43,43 @@ class TestCompatibility:
             make_arm(rb.UniformTailShift(1), dist=rb.Gaussian(0, 1))
 
     def test_eps_range(self):
-        with pytest.raises(rb.ParameterOutOfRangeError):
+        with pytest.raises(rb.ParameterOutOfRangeError) as err:
             make_arm(rb.ShiftMedianUp(), eps=0.5)
+        assert err.value.key == "eps"
+
+    @pytest.mark.parametrize("coupling", [rb.BelowMedianCoupling, rb.AtomTriggeredCoupling])
+    @pytest.mark.parametrize("flip_prob", [-0.1, 1.0000000000000002, 7.0, math.nan, math.inf])
+    def test_flip_prob_outside_unit_interval_rejected(self, coupling, flip_prob):
+        with pytest.raises(rb.ParameterOutOfRangeError, match=r"flip_prob must lie in \[0, 1\]") as err:
+            coupling(0.5, flip_prob, 1.0)
+        assert err.value.key == "flip_prob"
+        coupling(0.5, 1.0, 1.0)
+        coupling(0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "strategy, dist, eps",
+        [
+            (rb.BelowMedianCoupling(0.5, 0.9, 5.0), rb.Uniform(0.0, 1.0), 0.0),
+            (rb.BelowMedianCoupling(0.5, 0.2, 0.7), rb.Uniform(0.0, 1.0), 0.099),
+            (rb.AtomTriggeredCoupling(1.0, 0.3, 0.0), rb.Bernoulli(0.5), 0.1),
+        ],
+        ids=["45-percent-at-eps-0", "below-median", "atom"],
+    )
+    def test_coupling_that_flags_more_than_eps_rejected(self, strategy, dist, eps):
+        """A coupled arm's flag rate, flip_prob F(threshold) or flip_prob
+        P(Y = trigger), may not exceed its eps."""
+        with pytest.raises(rb.ParameterOutOfRangeError, match="of the pulls, above eps"):
+            make_arm(strategy, eps=eps, model=MAL, dist=dist)
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.01, 0.1, 0.3, 0.49])
+    @pytest.mark.parametrize("dist", [rb.Uniform(-1.0, 1.0), rb.Gaussian(0.3, 2.0), rb.Cauchy(1.0, 0.5)])
+    def test_couplings_at_their_eps_build(self, dist, eps):
+        """The worst-case attack and both liftings flag exactly an eps share."""
+        arm = rb.malicious_median_attack(dist, eps)
+        assert _flag_rate(arm) == pytest.approx(eps, rel=1e-8)
+        if eps < 1 / 15:
+            for lifting in (rb.oblivious_lifting, rb.malicious_lifting):
+                lifting([0.6, 0.4, 0.5], eps)
 
 
 class TestDrawBatch:

@@ -92,6 +92,16 @@ class TestCdf:
         with pytest.raises(rb.ParameterOutOfRangeError):
             rb.Mixture([-0.1, 1.1], [rb.Uniform(0, 1), rb.Uniform(1, 2)])
 
+    def test_mixture_nan_weight_rejected(self):
+        """A nan weight passes the sum-to-1 test (|nan - 1| > tol is False)."""
+        with pytest.raises(rb.ParameterOutOfRangeError, match="nonnegative"):
+            rb.Mixture([math.nan, 1.0], [rb.Dirac(0.0), rb.Dirac(1.0)])
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_dirac_off_the_floats_rejected(self, x):
+        with pytest.raises(rb.ParameterOutOfRangeError, match="dirac draws must stay finite"):
+            rb.Dirac(x)
+
     def test_parameter_validation(self):
         with pytest.raises(rb.ParameterOutOfRangeError):
             rb.Uniform(1.0, 1.0)
@@ -692,6 +702,16 @@ class TestBiasBounds:
 
     def test_shift_vanishes_with_eps(self):
         assert rb.median_shift_bound(rb.Gaussian(0, 1), 1e-9) < 1e-8
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
+    def test_shift_under_each_model(self, eps):
+        """The malicious adversary moves a uniform median by eps, the oblivious
+        one by eps / (2 (1 - eps)), and oblivious is the default."""
+        uniform = rb.Uniform(0.0, 1.0)
+        shift = lambda model: rb.median_shift_bound(uniform, eps, model)
+        assert shift(rb.AdversaryModel.MALICIOUS) == pytest.approx(eps, abs=1e-12)
+        assert shift(rb.AdversaryModel.OBLIVIOUS) == pytest.approx(eps / (2 * (1 - eps)), abs=1e-12)
+        assert shift(rb.AdversaryModel.OBLIVIOUS) == rb.median_shift_bound(uniform, eps)
 
     def test_shift_rejects_bad_eps(self):
         for eps in (0.0, 0.5, -0.1, 0.7):

@@ -106,6 +106,17 @@ _MINIMAL_ARM = "{dist: {kind: uniform, lo: 0.4, hi: 1.4}, strategy: {kind: unifo
 _BAI_ARM = "{dist: {kind: uniform, lo: 0.3, hi: 1.3}, strategy: {kind: uniform_tail_shift, direction: -1}}"
 
 
+def _malicious_coupling(flip_prob: float) -> tuple[str, str]:
+    """(old, new) that turn the estimate demo's arm into a malicious
+    below-median coupling at ``flip_prob``."""
+    return (
+        "model = oblivious\neps = 0.1\narm = {dist: {kind: uniform, lo: 0.0, hi: 1.0}, "
+        "strategy: {kind: shift_median_up, magnitude: 1e6}}",
+        "model = malicious\neps = 0.1\narm = {dist: {kind: uniform, lo: 0.0, hi: 1.0}, "
+        f"strategy: {{kind: below_median_coupling, threshold: 0.5, flip_prob: {flip_prob}, point: 5.0}}}}",
+    )
+
+
 # Value trees for the grammar round trip, each drawn as (text, decoded value).
 _BLANK = st.sampled_from(["", " ", "\t", " \t "])
 _WORD_CHARS = "ab09_./~+-"
@@ -594,6 +605,111 @@ OUTPUT_CASES = {
 assert set(OUTPUT_CASES) == set(_KINDS)
 
 
+# The [algorithm] keys a library object range-checks, and values at their
+# boundaries (0, 1/2, 1, 3/20 and their neighbours), signed zeros,
+# infinities, nan and extremes.
+_RANGED = {
+    "alpha", "delta", "eps0", "t_bar", "slope_bound", "mad_bound", "mad_ratio", "error_level", "c_eta",
+    "max_rounds",
+}
+_EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-300, 1e300, -1.0,
+    *(x for edge in (0.5, 1.0, 0.15) for x in (edge, math.nextafter(edge, 0), math.nextafter(edge, 2))),
+]
+_RANGED_PAIRS = [
+    (kind, key)
+    for kind, spec in _KINDS.items()
+    for key in sorted((spec.required | spec.optional) & _RANGED)
+]
+
+
+def _library_rejection(config) -> str | None:
+    """The key the library objects that ``config``'s kind runs reject, built
+    here from their constructors (a margin they find infeasible is eps0's), or
+    the key of a rule no library object states; None if all accept."""
+    alg = config.algorithm
+    kind = _KINDS[config.kind]
+    try:
+        family = rb.FamilyParams(alg["t_bar"], alg["slope_bound"], alg["mad_bound"], alg["mad_ratio"])
+        if kind.statistic is None:
+            return None
+        params = rb.EstimationParams(alg["eps0"], family, config.model)
+        if kind.command == "estimate":
+            size = rb.sample_size_median if kind.statistic == "median" else rb.sample_size_mad
+            size(alg["error_level"], alg["delta"], params)
+        else:
+            rb.AlgoConfig(alg["alpha"], alg["delta"], family, alg["eps0"], alg["max_rounds"])
+            params.median_margin()
+        if config.p:
+            gaps = rb.oblivious_lifting(config.p, config.eps).classical_gaps
+            rb.lower_bound_samples(gaps, alg["alpha"], alg["delta"], alg["c_eta"])
+    except rb.ParameterOutOfRangeError as exc:
+        return exc.key
+    except rb.InfeasibleRegimeError:
+        return "eps0"
+    if config.eps > alg["eps0"]:
+        return "eps0"
+    if config.kind == "bai-simple" and not alg["alpha"] > 0:
+        return "alpha"
+    if config.kind == "bai-succelim" and not (alg["early_stop"] and alg["alpha"] > 0):
+        if rb.effective_gaps(rb.BanditInstance(config.arms), family).infeasible_arms:
+            return "alpha"
+    return None
+
+
+_FAMILY = rb.FamilyParams(0.4, 4.0, 0.25)
+_PARAMS = rb.EstimationParams(0.1, _FAMILY, rb.AdversaryModel.OBLIVIOUS)
+
+
+class TestLibraryStatesTheRanges:
+    @pytest.mark.parametrize("kind, key", _RANGED_PAIRS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_parser_accepts_exactly_what_the_library_accepts(self, kind, key, data):
+        """Each range-checked [algorithm] key a kind reads, set to a boundary
+        value, a signed zero, an infinity, nan or any other number: the config
+        parses exactly when the library objects accept the value, and
+        otherwise fails at the key they name and its line."""
+        if _ALGORITHM[key][0] is int:
+            value = data.draw(st.integers(-2, 2) | st.sampled_from([10**6, 2**63]))
+        else:
+            value = data.draw(st.sampled_from(_EDGE_FLOATS) | st.floats())
+        base = OUTPUT_CASES[kind]
+        lines = [line for line in base.splitlines() if not line.startswith(f"{key} =")]
+        at = lines.index("[algorithm]") + 1
+        text = "\n".join([*lines[:at], f"{key} = {value!r}", *lines[at:]])
+        config = parse_config(base)
+        want = _library_rejection(
+            dataclasses.replace(config, algorithm={**config.algorithm, key: value})
+        )
+        if want is None:
+            assert repr(parse_config(text).algorithm[key]) == repr(value)
+            return
+        with pytest.raises(FeasibilityViolationError) as err:
+            parse_config(text)
+        assert err.value.key == want
+        assert text.splitlines()[err.value.line - 1].startswith(f"{want} =")
+
+    @pytest.mark.parametrize(
+        "build, key, message",
+        [
+            (lambda: rb.AlgoConfig(math.inf, 0.1, _FAMILY, 0.1), "alpha", "finite"),
+            (lambda: rb.lower_bound_samples([0.2], 0.0, 0.1, c_eta=math.inf), "c_eta", "finite"),
+            (lambda: rb.sample_size_median(math.inf, 0.1, _PARAMS), "error_level", "finite"),
+            # a sample count or a squared alpha past the floats
+            (lambda: rb.sample_size_median(1e-200, 0.1, _PARAMS), "error_level", "more samples"),
+            (lambda: rb.lower_bound_samples([0.2], 1e300, 0.1), "alpha", "squares past"),
+        ],
+        ids=["alpha", "c_eta", "error_level", "error_level-overflow", "alpha-overflow"],
+    )
+    def test_value_the_parser_alone_stopped_rejected_with_its_key(self, build, key, message):
+        """Values the parser used to stop itself, or that failed mid-run with
+        an OverflowError: the library rejects them, naming the key."""
+        with pytest.raises(rb.ParameterOutOfRangeError, match=message) as err:
+            build()
+        assert err.value.key == key
+
+
 class TestRunExperiment:
     def test_bai_simple_records(self, tmp_path):
         config = parse_config(MINIMAL)
@@ -1001,6 +1117,9 @@ class TestCli:
             ("estimate", "estimate", "lo: 0.0, hi: 1.0", "lo: -1e308, hi: 1e308", "arm"),
             # a gaussian whose draws overflow
             ("estimate", "estimate", "kind: uniform, lo: 0.0, hi: 1.0", "kind: gaussian, mu: 0.0, sigma: 1e308", "arm"),
+            # a coupling whose flip probability is no probability, or that flags above eps
+            ("estimate", "estimate", *_malicious_coupling(7.0), "arm"),
+            ("estimate", "estimate", *_malicious_coupling(0.9), "arm"),
         ],
     )
     def test_config_the_runner_cannot_run_is_usage_error(
