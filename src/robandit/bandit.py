@@ -33,7 +33,14 @@ from .contamination import (
 )
 from .distributions import AdversaryModel, FamilyParams, _median_mad, contamination_bias
 from .errors import NonUniqueMedianError, ParameterOutOfRangeError
-from .estimators import EstimationParams, _BOUNDS, empirical_median, sample_size_median
+from .estimators import (
+    _BOUNDS,
+    _MAX_DRAWS,
+    EstimationParams,
+    _empirical_median_mad,
+    _past_cap,
+    sample_size_median,
+)
 
 __all__ = [
     "BanditInstance",
@@ -197,13 +204,9 @@ def simple_exploration_estimates(
         raise ParameterOutOfRangeError("uniform exploration needs alpha > 0")
     params = config.estimation_params(instance.model)
     n = sample_size_median(config.alpha / 2.0, config.delta / instance.k, params)
-    medians = []
-    mads = []
-    for arm in instance.arms:
-        xs = draw_sample(arm, n, rng)
-        med = empirical_median(xs)
-        medians.append(med)
-        mads.append(empirical_median(np.abs(xs - med)))
+    medians, mads = zip(
+        *(_empirical_median_mad(draw_sample(arm, n, rng)) for arm in instance.arms)
+    )
     chosen = int(np.argmax(medians))
     result = BanditRunResult(
         chosen_arm=chosen,
@@ -212,7 +215,7 @@ def simple_exploration_estimates(
         elimination_trace=(),
         terminated_by="single-survivor",
     )
-    return SimpleRunOutcome(result=result, medians=tuple(medians), mads=tuple(mads))
+    return SimpleRunOutcome(result=result, medians=medians, mads=mads)
 
 
 def run_simple(
@@ -272,7 +275,10 @@ class RunningMedian:
 def warmup_pulls(k: int, delta: float, params: EstimationParams) -> int:
     """Initial pulls per arm buying the median bound's validity floor for all rounds."""
     floor_scale = _BOUNDS["median"].floor_scale(params)
-    return math.ceil(floor_scale * math.log(math.pi**2 * k / (2.0 * delta)))
+    count = floor_scale * math.log(math.pi**2 * k / (2.0 * delta))
+    if count > _MAX_DRAWS:
+        raise _past_cap(count)
+    return math.ceil(count)
 
 
 # Pulls an arm draws at once from its generator.

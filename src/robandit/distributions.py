@@ -279,7 +279,11 @@ class Gaussian(Distribution):
         return _special().ndtr((x - self.mu) / self.sigma)
 
     def sample(self, n, rng):
-        return rng.normal(self.mu, self.sigma, size=n)
+        # rng.normal's stream, drawn through standard_normal's fill kernel
+        x = rng.standard_normal(n)
+        x *= self.sigma
+        x += self.mu
+        return x
 
     def _reach(self):
         return self.mu - _GAUSSIAN_REACH * self.sigma, self.mu + _GAUSSIAN_REACH * self.sigma

@@ -21,6 +21,7 @@ from .errors import (
     EmptyInputError,
     InfeasibleRegimeError,
     ParameterOutOfRangeError,
+    RobanditError,
     TooFewSamplesError,
 )
 
@@ -36,25 +37,41 @@ __all__ = [
 ]
 
 
+def _middle(a: np.ndarray) -> float:
+    """Middle order statistic of ``a``, which it partitions in place; the
+    average of the middle two for even lengths."""
+    mid = a.size // 2
+    if a.size % 2:
+        a.partition(mid)
+        return float(a[mid])
+    a.partition((mid - 1, mid))
+    return float(0.5 * (a[mid - 1] + a[mid]))
+
+
 def empirical_median(xs) -> float:
     """Middle order statistic; the average of the middle two for even lengths."""
-    a = np.asarray(xs, dtype=float)
-    n = a.size
-    if n == 0:
+    a = np.array(xs, dtype=float)
+    if a.size == 0:
         raise EmptyInputError("empirical median needs at least one sample")
-    mid = n // 2
-    if n % 2:
-        return float(np.partition(a, mid)[mid])
-    part = np.partition(a, [mid - 1, mid])
-    return float(0.5 * (part[mid - 1] + part[mid]))
+    return _middle(a)
+
+
+def _empirical_median_mad(xs) -> tuple[float, float]:
+    """The empirical median and MAD of ``xs``, both selected from one private
+    copy: partitioned for the median, then overwritten with the absolute
+    deviations and partitioned again."""
+    a = np.array(xs, dtype=float)
+    if a.size == 0:
+        raise EmptyInputError("empirical MAD needs at least one sample")
+    med = _middle(a)
+    np.subtract(a, med, out=a)
+    np.abs(a, out=a)
+    return med, _middle(a)
 
 
 def empirical_mad(xs) -> float:
     """Empirical median of absolute deviations from the empirical median."""
-    a = np.asarray(xs, dtype=float)
-    if a.size == 0:
-        raise EmptyInputError("empirical MAD needs at least one sample")
-    return empirical_median(np.abs(a - empirical_median(a)))
+    return _empirical_median_mad(xs)[1]
 
 
 @dataclass(frozen=True)
@@ -112,6 +129,24 @@ class RobustEstimateReport:
         return self.estimate - radius, self.estimate + radius
 
 
+# The most values an estimate batch or a race warm-up may draw per arm:
+# 2**27 float64 values fill 1 GiB.
+_MAX_DRAWS = 2**27
+
+
+def _past_cap(count: float, error_level: float | None = None) -> RobanditError:
+    """The error for ``count`` samples per arm, past ``_MAX_DRAWS``: at the
+    error level that asks for them, if given, else at the quantile margin."""
+    subject = "the quantile margin" if error_level is None else f"error level {error_level}"
+    message = (
+        f"{subject} asks for more samples per arm than the {_MAX_DRAWS} an arm may draw "
+        f"({count:.4g})"
+    )
+    if error_level is None:
+        return InfeasibleRegimeError(message)
+    return ParameterOutOfRangeError(message, "error_level")
+
+
 @dataclass(frozen=True)
 class _Bound:
     """One statistic's concentration bound; the median and MAD differ only here.
@@ -128,7 +163,10 @@ class _Bound:
     estimator: Callable[[np.ndarray], float]
 
     def floor_scale(self, params: EstimationParams) -> float:
-        return 2.0 * self.margin(params) ** -2
+        try:
+            return 2.0 * self.margin(params) ** -2
+        except OverflowError:
+            raise _past_cap(math.inf) from None
 
     def log_term(self, delta: float, params: EstimationParams) -> float:
         return math.log(self.numerators[params.model is AdversaryModel.MALICIOUS] / delta)
@@ -144,14 +182,13 @@ class _Bound:
         family = params.family
         scale = self.width(family.mad_ratio) * family.slope_bound * family.mad_bound
         try:
-            return math.ceil(
-                max(2.0 * (scale / error_level) ** 2, floor_scale) * self.log_term(delta, params)
-            )
+            spread = 2.0 * (scale / error_level) ** 2
         except OverflowError:
-            raise ParameterOutOfRangeError(
-                f"error level {error_level} asks for more samples than a float counts",
-                "error_level",
-            ) from None
+            spread = math.inf
+        count = max(spread, floor_scale) * self.log_term(delta, params)
+        if count > _MAX_DRAWS:
+            raise _past_cap(count, None if spread <= floor_scale else error_level)
+        return math.ceil(count)
 
     def estimate_ci(
         self, xs, delta: float, params: EstimationParams, mad_used: float

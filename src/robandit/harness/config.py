@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from ..bandit import AlgoConfig, BanditInstance, effective_gaps
+from ..bandit import AlgoConfig, BanditInstance, effective_gaps, warmup_pulls
 from ..contamination import (
     AtomTriggeredCoupling,
     BelowMedianCoupling,
@@ -553,7 +553,8 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> None:
     """Build the library objects the kind's run builds, each of which states
     its own ranges: a rejection is reported at the key it names and that key's
-    line (the lower bound's gaps at ``p``), a margin too small at ``eps0``.
+    line (the lower bound's gaps at ``p``), a margin too small, or whose race
+    warm-up would draw past the cap, at ``eps0``.
     Then check the rules that no object built here states."""
     kind = _KINDS[config.kind]
     if not kind.instance:
@@ -574,9 +575,12 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
             _BOUNDS[kind.statistic].sample_size(
                 alg["error_level"], alg["delta"], config.estimation_params()
             )
-        elif kind.statistic is not None:
+        elif config.kind == "bai-simple":
             config.algo_config()
             _BOUNDS[kind.statistic].margin(config.estimation_params())
+        elif kind.statistic is not None:
+            k = len(config.p) or len(config.arms)
+            warmup_pulls(k, config.algo_config().delta, config.estimation_params())
         if kind.instance == "p":
             best, *rest = sorted(_check_lift_params(config.p, config.eps), reverse=True)
             lower_bound_samples([best - v for v in rest], alg["alpha"], alg["delta"], alg["c_eta"])

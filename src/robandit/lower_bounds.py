@@ -95,7 +95,12 @@ def lower_bound_samples(
         raise ParameterOutOfRangeError(
             f"{key} {max(alpha, *gaps)} squares past the floats", key
         ) from None
-    return (c_eta / 4.0) * total * math.log(1.0 / (2.4 * delta))
+    bound = (c_eta / 4.0) * total * math.log(1.0 / (2.4 * delta))
+    if not 0.0 < bound < math.inf:
+        raise ParameterOutOfRangeError(
+            f"c_eta={c_eta} makes the bound {bound}, not positive and finite", "c_eta"
+        )
+    return bound
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,16 @@ class TestContaminatedElimination:
         params = rb.EstimationParams(eps0=0.1, family=FAMILY, model=OBL)
         assert rb.warmup_pulls(2, 0.1, params) == 78
 
+    @pytest.mark.parametrize("t_bar", [0.0264, 1e-200], ids=["past-cap", "overflow"])
+    def test_warmup_past_the_cap_is_infeasible(self, t_bar):
+        """A quantile margin of about 8.4e-5 asks for 1.3e9 warm-up pulls per
+        arm, and one of 1e-200 for more than a float holds: both infeasible."""
+        family = rb.FamilyParams(t_bar=t_bar, slope_bound=5.43, mad_bound=0.35, mad_ratio=2.0)
+        eps0 = 0.05 if t_bar > 0.02 else 0.0
+        params = rb.EstimationParams(eps0=eps0, family=family, model=OBL)
+        with pytest.raises(rb.InfeasibleRegimeError, match="more samples per arm than the 134217728"):
+            rb.warmup_pulls(2, 0.1, params)
+
     def test_single_arm_warmup_only(self):
         instance = tail_instance([0.0], eps=0.1, best=0)
         config = rb.AlgoConfig(alpha=0.1, delta=0.1, family=FAMILY, eps0=0.1)

@@ -416,6 +416,16 @@ class TestSampling:
         xs = dist.sample(n, RNG(3))
         assert rb.ks_distance(xs, dist) <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * n))
 
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (2.0, 3.0), (-1e3, 1e-3), (0.3, 7.7)])
+    @pytest.mark.parametrize("n", [1, 2, 4096, 19087])
+    def test_gaussian_draws_numpys_normal_stream(self, mu, sigma, n):
+        """Drawn through standard_normal's fill kernel, scaled, then shifted:
+        bitwise what rng.normal draws, leaving the generator where it does."""
+        rng, twin = RNG(11), RNG(11)
+        xs = rb.Gaussian(mu, sigma).sample(n, rng)
+        assert xs.tobytes() == twin.normal(mu, sigma, n).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 def _searchsorted_mixture_sample(mix, n, rng):
     """``Mixture.sample`` as it was before it compared the uniforms with the

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +116,57 @@ class TestEmpiricalMad:
         shuffled = list(xs)
         np.random.default_rng(seed).shuffle(shuffled)
         assert rb.empirical_mad(shuffled) == rb.empirical_mad(xs)
+
+
+def _two_step_middle(a: np.ndarray) -> float:
+    """The middle order statistic(s) of ``a`` from a partitioned copy."""
+    mid = a.size // 2
+    if a.size % 2:
+        return float(np.partition(a, mid)[mid])
+    part = np.partition(a, [mid - 1, mid])
+    return float(0.5 * (part[mid - 1] + part[mid]))
+
+
+# Batches with heavy ties among a few atoms (signed zeros, +-1e300 among
+# them), or of any floats up to +-1e300.
+_ATOMS = [0.0, -0.0, 1.0, -2.5, 1e300, -1e300]
+_BATCHES = st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=300) | st.lists(
+    st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=300
+)
+
+
+_TWO_ARMS = rb.BanditInstance(
+    [rb.ContaminatedArm(rb.Uniform(0.0, 1.0), rb.FixedContamination(rb.Dirac(0.0)), 0.0, OBL)] * 2
+)
+
+
+class TestOneCopySelection:
+    @settings(max_examples=300, deadline=None)
+    @given(values=_BATCHES, form=st.sampled_from(["ndarray", "list", "strided view"]))
+    @example(values=[-0.0, 0.0], form="ndarray")
+    @example(values=[1e300, -1e300, 0.0, -0.0], form="strided view")
+    def test_median_and_mad_match_two_step_selection_bitwise(self, values, form):
+        """From one private copy, partitioned, overwritten with |x - median|
+        and partitioned again: bitwise the median and MAD of separate
+        partitioned copies, the caller's input left as it was."""
+        x = np.array(values)
+        med = _two_step_middle(x)
+        want = (med.hex(), _two_step_middle(np.abs(x - med)).hex())
+        backing = np.zeros(2 * x.size)
+        backing[1::2] = x
+        xs = {"ndarray": x.copy(), "list": list(values), "strided view": backing[1::2]}[form]
+        assert (rb.empirical_median(xs).hex(), rb.empirical_mad(xs).hex()) == want
+        # every arm's draws are xs
+        with mock.patch("robandit.bandit.draw_sample", lambda arm, n, rng: xs):
+            outcome = rb.simple_exploration_estimates(
+                _TWO_ARMS, rb.AlgoConfig(0.2, 0.1, FAMILY, 0.0), np.random.default_rng(0)
+            )
+        assert [(m.hex(), d.hex()) for m, d in zip(outcome.medians, outcome.mads)] == [want] * 2
+        if form == "list":
+            assert xs == values
+        else:
+            assert xs.tobytes() == x.tobytes()
+            assert backing[::2].tobytes() == bytes(8 * x.size)
 
 
 class TestSampleSizes:
@@ -274,13 +326,30 @@ def _check_level_args(error_level: float, delta: float) -> None:
         raise ParameterOutOfRangeError(f"delta must lie in (0, 1), got {delta}")
 
 
+# Values an arm may draw: 1 GiB of float64.
+MAX_DRAWS = 2**27
+
+
+def _capped_count(error_level, spread, floor, log_term):
+    """ceil(2 max(spread, floor) log_term), unless that passes the cap: then
+    the error_level's fault if the spread term is the larger, else the margin's."""
+    n = 2.0 * max(spread, floor) * log_term
+    if n <= MAX_DRAWS:
+        return math.ceil(n)
+    tail = f"asks for more samples per arm than the {MAX_DRAWS} an arm may draw ({n:.4g})"
+    if spread > floor:
+        raise ParameterOutOfRangeError(f"error level {error_level} {tail}", "error_level")
+    raise rb.InfeasibleRegimeError(f"the quantile margin {tail}")
+
+
 def reference_sample_size_median(error_level, delta, params):
     _check_level_args(error_level, delta)
     margin = params.median_margin()
     scale = params.family.slope_bound * params.family.mad_bound
     numerator = 3.0 if params.model is AdversaryModel.MALICIOUS else 2.0
-    n = 2.0 * max((scale / error_level) ** 2, margin**-2) * math.log(numerator / delta)
-    return math.ceil(n)
+    return _capped_count(
+        error_level, (scale / error_level) ** 2, margin**-2, math.log(numerator / delta)
+    )
 
 
 def reference_sample_size_mad(error_level, delta, params):
@@ -289,8 +358,9 @@ def reference_sample_size_mad(error_level, delta, params):
     ratio = params.family.mad_ratio
     scale = 4.0 * ratio * params.family.slope_bound * params.family.mad_bound
     numerator = 6.0 if params.model is AdversaryModel.MALICIOUS else 4.0
-    n = 2.0 * max((scale / error_level) ** 2, margin**-2) * math.log(numerator / delta)
-    return math.ceil(n)
+    return _capped_count(
+        error_level, (scale / error_level) ** 2, margin**-2, math.log(numerator / delta)
+    )
 
 
 def reference_estimate_median_ci(xs, delta, params, mad_used):

@@ -95,6 +95,7 @@ _BASES = {
     "minimal": MINIMAL,
     "estimate": _demo("estimate"),
     "lower-bound": LOWER_BOUND,
+    "lb": _demo("lb"),
     "bai": _demo("bai"),
     "gaps": _demo("gaps"),
     "verify": "[experiment]\nkind = verify\nsuites = [quality]\n",
@@ -269,6 +270,38 @@ class TestParser:
         parse_config(text)
         bad = text.replace(old, new)
         with pytest.raises(FeasibilityViolationError) as err:
+            parse_config(bad)
+        assert err.value.key == key
+        assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
+
+    @pytest.mark.parametrize(
+        "base, edits, key",
+        [
+            # 59,914,645,472 draws per replication
+            ("estimate", [("error_level = 0.05", "error_level = 1e-5")], "error_level"),
+            # a margin of 8.4e-5 above eps_eff: 1,295,100,154 warm-up pulls per arm
+            ("lb", [("t_bar = 0.15", "t_bar = 0.0264")], "eps0"),
+            # a margin of 1e-200, whose squared inverse overflows
+            (
+                "estimate",
+                [
+                    ("eps = 0.1", "eps = 0.0"),
+                    ("eps0 = 0.1", "eps0 = 0.0"),
+                    ("t_bar = 0.4", "t_bar = 1e-200"),
+                ],
+                "eps0",
+            ),
+        ],
+        ids=["estimate-error-level", "lb-warm-up", "estimate-margin-overflow"],
+    )
+    def test_draw_count_past_the_cap_rejected(self, base, edits, key):
+        """A config whose estimate batch or race warm-up would draw more than
+        2**27 values per arm fails at parse time, at its key and line."""
+        bad = _BASES[base]
+        for old, new in edits:
+            assert old in bad
+            bad = bad.replace(old, new)
+        with pytest.raises(FeasibilityViolationError, match="more samples per arm") as err:
             parse_config(bad)
         assert err.value.key == key
         assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
@@ -640,6 +673,8 @@ def _library_rejection(config) -> str | None:
         else:
             rb.AlgoConfig(alg["alpha"], alg["delta"], family, alg["eps0"], alg["max_rounds"])
             params.median_margin()
+            if config.kind != "bai-simple":
+                rb.warmup_pulls(len(config.p) or len(config.arms), alg["delta"], params)
         if config.p:
             gaps = rb.oblivious_lifting(config.p, config.eps).classical_gaps
             rb.lower_bound_samples(gaps, alg["alpha"], alg["delta"], alg["c_eta"])
@@ -1120,6 +1155,9 @@ class TestCli:
             # a coupling whose flip probability is no probability, or that flags above eps
             ("estimate", "estimate", *_malicious_coupling(7.0), "arm"),
             ("estimate", "estimate", *_malicious_coupling(0.9), "arm"),
+            # a lower bound that underflows to 0 or overflows
+            ("lb", "lb", "c_eta = 1.0", "c_eta = 5e-324", "c_eta"),
+            ("lb", "lb", "c_eta = 1.0", "c_eta = 1e308", "c_eta"),
         ],
     )
     def test_config_the_runner_cannot_run_is_usage_error(

@@ -86,6 +86,14 @@ class TestLowerBoundSamples:
         with pytest.raises(rb.ParameterOutOfRangeError):
             rb.lower_bound_samples([0.1, 0.0], alpha=0.0, delta=0.1)
 
+    @pytest.mark.parametrize("c_eta, bound", [(5e-324, "0.0"), (1e308, "inf")])
+    def test_bound_that_is_not_positive_and_finite_rejected_at_c_eta(self, c_eta, bound):
+        """A positive, finite c_eta whose bound underflows to 0 or overflows:
+        the runner would divide by the one and could not write the other."""
+        with pytest.raises(rb.ParameterOutOfRangeError, match=f"the bound {bound},") as err:
+            rb.lower_bound_samples([0.2], alpha=0.05, delta=0.1, c_eta=c_eta)
+        assert err.value.key == "c_eta"
+
 
 class TestObliviousLifting:
     def test_observable_cdf_value(self):
