@@ -398,6 +398,10 @@ def malicious_median_attack(dist: Distribution, eps: float) -> ContaminatedArm:
 
 @dataclass(frozen=True)
 class MarginalReport:
+    """``verify_marginals``' verdict, with the flag frequency and the clean
+    KS statistic beside the bands they were judged by, so a failing check
+    shows how far it missed."""
+
     passed: bool
     n: int
     d_frequency: float
@@ -407,7 +411,11 @@ class MarginalReport:
 
 
 def ks_distance(values, dist: Distribution) -> float:
-    """sup_x |empirical cdf - F|, tie-aware so atoms are handled correctly."""
+    """sup_x |empirical cdf - F|, tie-aware so atoms are handled correctly.
+
+    For checking a sampler against a law: ``verify_marginals`` judges the
+    clean values with it, and the tests judge the samplers, the observed
+    laws and the replication generators. No command calls it."""
     xs = np.asarray(values, dtype=float)
     n = xs.size
     if n == 0:
@@ -424,7 +432,11 @@ def verify_marginals(
     arm: ContaminatedArm, n: int, rng: np.random.Generator, delta: float = 0.01
 ) -> MarginalReport:
     """Draw a debug batch and check the contamination-flag frequency and the
-    clean-sample KS distance against their concentration bands."""
+    clean-sample KS distance against their concentration bands.
+
+    For whoever adds a strategy or changes the generator the runs draw from:
+    the tests certify each adversary's flag marginal and the replication
+    streams with it. No command or verify suite calls it."""
     if n < 1:
         raise ParameterOutOfRangeError(f"batch size must be at least 1, got {n}")
     band = math.sqrt(math.log(2.0 / delta) / (2.0 * n))

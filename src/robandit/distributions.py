@@ -644,7 +644,11 @@ class FamilyParams:
 
 
 def eps_ceiling(t_bar: float) -> float:
-    """Largest contamination level controllable with neighborhood half-width t_bar."""
+    """Largest contamination level controllable with neighborhood half-width t_bar.
+
+    For a user choosing ``t_bar`` for a known contamination level; the library
+    checks feasibility through the margins of ``EstimationParams`` and does
+    not call it."""
     return 2.0 * t_bar / (1.0 + 2.0 * t_bar)
 
 

@@ -80,7 +80,7 @@ from ..errors import (
     ParameterOutOfRangeError,
     RobanditError,
 )
-from ..estimators import EstimationParams, _BOUNDS
+from ..estimators import EstimationParams, _BOUNDS, sample_size_median
 from ..lower_bounds import _check_lift_params, lower_bound_samples
 
 __all__ = [
@@ -553,8 +553,9 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> None:
     """Build the library objects the kind's run builds, each of which states
     its own ranges: a rejection is reported at the key it names and that key's
-    line (the lower bound's gaps at ``p``), a margin too small, or whose race
-    warm-up would draw past the cap, at ``eps0``.
+    line (the lower bound's gaps at ``p``, uniform exploration's sample count
+    at ``alpha``), a margin too small, or whose race warm-up would draw past
+    the cap, at ``eps0``.
     Then check the rules that no object built here states."""
     kind = _KINDS[config.kind]
     if not kind.instance:
@@ -576,8 +577,21 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
                 alg["error_level"], alg["delta"], config.estimation_params()
             )
         elif config.kind == "bai-simple":
-            config.algo_config()
-            _BOUNDS[kind.statistic].margin(config.estimation_params())
+            algo = config.algo_config()
+            if not algo.alpha > 0:
+                raise FeasibilityViolationError(
+                    "uniform exploration needs alpha > 0", key="alpha", line=lines.get("alpha")
+                )
+            params = config.estimation_params()
+            # each arm's draws in uniform exploration, at error level alpha / 2
+            try:
+                sample_size_median(algo.alpha / 2.0, algo.delta / len(config.arms), params)
+            except ParameterOutOfRangeError as exc:
+                if exc.key != "error_level":
+                    raise
+                raise FeasibilityViolationError(
+                    f"uniform exploration at alpha {algo.alpha}: {exc}", "alpha", lines.get("alpha")
+                ) from exc
         elif kind.statistic is not None:
             k = len(config.p) or len(config.arms)
             warmup_pulls(k, config.algo_config().delta, config.estimation_params())
@@ -595,10 +609,6 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
             f"eps0 must be at least the instance's eps {config.eps}, got {alg['eps0']}",
             key="eps0",
             line=algo_lines.get("eps0"),
-        )
-    if config.kind == "bai-simple" and not alg["alpha"] > 0:
-        raise FeasibilityViolationError(
-            "uniform exploration needs alpha > 0", key="alpha", line=algo_lines.get("alpha")
         )
     if config.kind == "bai-succelim":
         _validate_race_terminates(config, algo_lines)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import robandit as rb
 from robandit.contamination import _fixed_component, _flag_rate, draw_clean, segment_quantiles
+from robandit.harness import replication_rng
 
 OBL = rb.AdversaryModel.OBLIVIOUS
 PRE = rb.AdversaryModel.PRESCIENT
@@ -592,6 +593,38 @@ class TestVerifyMarginals:
         arm = make_arm(rb.ShiftMedianUp(), eps=0.0)
         with pytest.raises(rb.ParameterOutOfRangeError):
             rb.verify_marginals(arm, n, np.random.default_rng(20))
+
+
+class TestReplicationStream:
+    """The generators every run draws from (``replication_rng``, and for a
+    race each arm's spawned child) give each arm its laws: the flag frequency
+    and the clean values pass ``verify_marginals``, and ``draw_sample``
+    follows the observed law (1 - eps) F + eps G within the DKW band."""
+
+    N = 20_000
+    DELTA = 1e-3
+
+    @staticmethod
+    def arms():
+        bulk = rb.ContaminatedArm(
+            rb.Gaussian(0.0, 1.0), rb.FixedContamination(rb.Cauchy(5.0, 2.0)), 0.05, OBL
+        )
+        lifted = rb.oblivious_lifting([0.6, 0.4], 0.05).instance().arms
+        # (arm, index of the spawned child it races on, or None for an estimate)
+        return [(bulk, None), (lifted[0], 0), (lifted[1], 1)]
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 57, 4096])
+    def test_marginals_and_observed_law(self, index):
+        band = math.sqrt(math.log(2.0 / self.DELTA) / (2.0 * self.N))
+        for arm, child in self.arms():
+            rng = replication_rng(11, index)
+            assert isinstance(rng.bit_generator, np.random.SFC64)
+            if child is not None:
+                rng = rng.spawn(2)[child]
+            report = rb.verify_marginals(arm, self.N, rng, delta=self.DELTA)
+            assert report.passed, report
+            observed = rb.Mixture((1.0 - arm.eps, arm.eps), (arm.dist, _fixed_component(arm)))
+            assert rb.ks_distance(rb.draw_sample(arm, self.N, rng), observed) <= band
 
 
 class TestSandwich:

@@ -291,12 +291,19 @@ class TestParser:
                 ],
                 "eps0",
             ),
+            # 2.951e11 draws per arm in uniform exploration, at error level alpha / 2
+            (
+                "bai",
+                [("kind = bai-succelim", "kind = bai-simple"), ("alpha = 0.0", "alpha = 1e-5")],
+                "alpha",
+            ),
         ],
-        ids=["estimate-error-level", "lb-warm-up", "estimate-margin-overflow"],
+        ids=["estimate-error-level", "lb-warm-up", "estimate-margin-overflow", "bai-simple-alpha"],
     )
     def test_draw_count_past_the_cap_rejected(self, base, edits, key):
-        """A config whose estimate batch or race warm-up would draw more than
-        2**27 values per arm fails at parse time, at its key and line."""
+        """A config whose estimate batch, uniform exploration or race warm-up
+        would draw more than 2**27 values per arm fails at parse time, at its
+        key and line."""
         bad = _BASES[base]
         for old, new in edits:
             assert old in bad
@@ -675,6 +682,13 @@ def _library_rejection(config) -> str | None:
             params.median_margin()
             if config.kind != "bai-simple":
                 rb.warmup_pulls(len(config.p) or len(config.arms), alg["delta"], params)
+            elif alg["alpha"] > 0:
+                try:
+                    rb.sample_size_median(alg["alpha"] / 2, alg["delta"] / len(config.arms), params)
+                except rb.ParameterOutOfRangeError as exc:
+                    if exc.key == "error_level":
+                        return "alpha"
+                    raise
         if config.p:
             gaps = rb.oblivious_lifting(config.p, config.eps).classical_gaps
             rb.lower_bound_samples(gaps, alg["alpha"], alg["delta"], alg["c_eta"])
@@ -815,25 +829,25 @@ class TestRunExperiment:
                 _demo("lb"),
                 4,
                 {
-                    "records": "d0c66b6eb548a7fd614fd09ce8264f61869e636c3a589a959b3b044d386bd3e3",
-                    "aggregate": "3a6790b4b689f75dcb4fb5d1e25bc332ce6cb504ff3f6a877cfb8f634bec97ed",
-                    "summary": "06143653cebefccdc6498c7fafd496feb0082831f95919d33dc6522974c3ffe0",
+                    "records": "9efb3db7ea105020a07f2b91aba2f222aaf840acfbb0a99a4c7dd3cb5d511c00",
+                    "aggregate": "8a3876645cb8031ca6ba8ccec4e8078ea29f510f3ded2b1fb6fb9895db0486b4",
+                    "summary": "e1f4c480edb53c35ad825f8940f8930fa2f9ce1762e1411d1d006a9c7ff01826",
                 },
             ),
             (
                 _demo("prescient"),
                 20,
-                {"records": "e536d46730e7ab36ae645e8f3254f0b7025a50ee439e120d655fd8e23b52bb38"},
+                {"records": "d3bba1e88acd4ef862272444ec3b981b592e623a27b85707401eeab61092a407"},
             ),
             (
                 _demo("estimate"),
                 20,
-                {"records": "7b5be7a1190b3061cc0c85ab571f188b961324bd188dfeffc08fddc7cff742ec"},
+                {"records": "e1a7e6c4757e540709a926ad29dd634046435bfc204adbf9aacd88b06f625463"},
             ),
             (
                 OUTPUT_CASES["estimate-mad"],
                 20,
-                {"records": "692474ffc6174ab78e5229fd76e972311db16d17b494e7c2c4f7ca49ad06f252"},
+                {"records": "3e724773666ff1c19f17675e6ac3e2fc99b9a0279cd2d44800bb6f4f7c772f5c"},
             ),
             (
                 MINIMAL,
@@ -843,25 +857,25 @@ class TestRunExperiment:
             (
                 _demo("lb").replace("p = [0.6, 0.4]", "p = [0.6, 0.4, 0.4, 0.4]"),
                 10,
-                {"records": "23f239c5f3b82e3a59d62d0dd290896fa3aec496b7f4fc49e0b1bb9bd58be90a"},
+                {"records": "3ec466ed011cff64ed34b2f0481655a63b920fc0d17283708cac908e8787b52c"},
             ),
             (
                 _demo("lb").replace("p = [0.6, 0.4]", "p = [0.55, 0.45]"),
                 10,
-                {"records": "cab570bb3ea6405912609bf63cfbfda2b56598953aec112fe47a8983ae3e8729"},
+                {"records": "f68c8cf805969ed40fe1d0af377a128cd4a5f56b172ee3c565812fd20fd93f22"},
             ),
             (
                 _demo("bai"),
                 20,
-                {"records": "02413f6efbb94907dd5322936aed29de76640e2e77f0f2a244f619644003afae"},
+                {"records": "38dd14da8980f98cbeebec3a9ebea1530da0b47ba45904a5d67d8536972d70d8"},
             ),
             (
                 _demo("lb").replace("model = oblivious", "model = malicious"),
                 4,
                 {
-                    "records": "38c6e7aaeee8ef40c3e0fd6ac5504e593685dffd9c2919c1709df6a6f9cd8fd3",
-                    "aggregate": "6198e012a6570a6e0e239406543b26cc2756a84d631920d743f712759f3cc364",
-                    "summary": "836125ac9f5b14c58386c81d35320a5effc2390e8eea86936938a028e15496ce",
+                    "records": "9936fbebd6a1b32173edb4ea402df45073df760af7b3524094768c80b4a37956",
+                    "aggregate": "051c34f6390b86a2ce1456f18d38c3d54881adbc6b4365c8f7e112402becb969",
+                    "summary": "c4a0fc06f99dd1e8212f55cbbff7a1524124c41c86e1e8a71df85f293e18e808",
                 },
             ),
         ],
@@ -879,17 +893,11 @@ class TestRunExperiment:
     )
     def test_racing_records_are_pinned(self, tmp_path, text, replications, digests):
         """sha256 of ``records.csv`` for racing and estimation runs, and of the
-        lifted runs' ``aggregate.csv`` and ``summary.txt`` too: the lb and
-        prescient digests were recorded while the racing kernel kept every
-        arm's pulls as one sorted array, the bai-simple one while each
-        experiment kind handed the replication engine a closure instead of a
-        spec, the estimation ones when estimates began to draw the
-        contaminated count instead of a flag per pull, the four-arm and
-        narrow lifted ones while the envelope scan assumed every new pull
-        fell on one side of the median, the oblivious tail-shift and
-        malicious lifted ones while the kernel kept its state in closures,
-        and the lifted aggregates and summaries while a second entry point
-        raced lifted instances."""
+        lifted runs' ``aggregate.csv`` and ``summary.txt`` too. Every digest
+        of a drawn record was recorded when replications moved from PCG64 to
+        SFC64 generators; the bai-simple one, whose records hold no drawn
+        value, dates from when each experiment kind handed the replication
+        engine a closure instead of a spec."""
         text = re.sub(r"replications = \d+", f"replications = {replications}", text)
         result = run_experiment(parse_config(text), out_dir=tmp_path)
         got = {name: hashlib.sha256(result.files[name].read_bytes()).hexdigest() for name in digests}
@@ -1158,6 +1166,8 @@ class TestCli:
             # a lower bound that underflows to 0 or overflows
             ("lb", "lb", "c_eta = 1.0", "c_eta = 5e-324", "c_eta"),
             ("lb", "lb", "c_eta = 1.0", "c_eta = 1e308", "c_eta"),
+            # uniform exploration past the draw cap
+            ("bai", "minimal", "alpha = 0.3", "alpha = 1e-5", "alpha"),
         ],
     )
     def test_config_the_runner_cannot_run_is_usage_error(
