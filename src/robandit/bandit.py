@@ -38,6 +38,7 @@ from .estimators import (
     _MAX_DRAWS,
     EstimationParams,
     _empirical_median_mad,
+    _delta_log,
     _past_cap,
     sample_size_median,
 )
@@ -275,7 +276,7 @@ class RunningMedian:
 def warmup_pulls(k: int, delta: float, params: EstimationParams) -> int:
     """Initial pulls per arm buying the median bound's validity floor for all rounds."""
     floor_scale = _BOUNDS["median"].floor_scale(params)
-    count = floor_scale * math.log(math.pi**2 * k / (2.0 * delta))
+    count = floor_scale * _delta_log(math.pi**2 * k / (2.0 * delta), delta)
     if count > _MAX_DRAWS:
         raise _past_cap(count)
     return math.ceil(count)
@@ -371,10 +372,7 @@ class _RoundSchedule:
 
     Every entry depends only on the constructor's arguments and its round, so
     one schedule serves every race on the same parameters (``_round_schedule``
-    shares it). ``cover`` publishes the three arrays as one tuple, so a race on
-    another thread never reads arrays of different lengths. Two threads may
-    extend it at once and the later tuple is kept, possibly the shorter; each
-    caller reads the tuple ``cover`` returned to it, which reaches its round.
+    shares it).
     """
 
     def __init__(self, floor_scale, radius_scale2, k, delta, stop_radius, max_rounds):
@@ -388,11 +386,10 @@ class _RoundSchedule:
 
     def cover(self, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The arrays, made to reach round ``last``."""
-        arrays = self._arrays
-        cum, width, may_stop = arrays
+        cum, width, may_stop = self._arrays
         size = cum.size
         if last < size:
-            return arrays
+            return self._arrays
         r = np.arange(size, max(2 * size, last + 1), dtype=float)
         pulls = 1 + np.ceil(2.0 * self._floor_scale * _log((r + 1.0) / r)).astype(np.int64)
         shares = elimination_round_delta(r, self._k, self._delta)
@@ -400,13 +397,12 @@ class _RoundSchedule:
         stops = r > self._max_rounds
         if self._stop_radius is not None:
             stops |= widths <= self._stop_radius
-        arrays = (
+        self._arrays = (
             np.concatenate((cum, cum[-1] + np.cumsum(pulls))),
             np.concatenate((width, widths)),
             np.concatenate((may_stop, stops)),
         )
-        self._arrays = arrays
-        return arrays
+        return self._arrays
 
     def ends(self, warmup: int, n: int) -> np.ndarray:
         """Every round end up to pull n or the round cap, counted from the first pull."""

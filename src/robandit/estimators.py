@@ -147,6 +147,14 @@ def _past_cap(count: float, error_level: float | None = None) -> RobanditError:
     return ParameterOutOfRangeError(message, "error_level")
 
 
+def _delta_log(ratio: float, delta: float) -> float:
+    """``log(ratio)`` for a ratio that grows as 1 / delta: one past the floats
+    is delta's to answer for, not the count or bound that takes the log."""
+    if ratio == math.inf:
+        raise ParameterOutOfRangeError(f"delta={delta} is too small: log(c/delta) overflows", "delta")
+    return math.log(ratio)
+
+
 @dataclass(frozen=True)
 class _Bound:
     """One statistic's concentration bound; the median and MAD differ only here.
@@ -169,7 +177,7 @@ class _Bound:
             raise _past_cap(math.inf) from None
 
     def log_term(self, delta: float, params: EstimationParams) -> float:
-        return math.log(self.numerators[params.model is AdversaryModel.MALICIOUS] / delta)
+        return _delta_log(self.numerators[params.model is AdversaryModel.MALICIOUS] / delta, delta)
 
     def sample_size(self, error_level: float, delta: float, params: EstimationParams) -> int:
         if not 0.0 < error_level < math.inf:

@@ -8,11 +8,20 @@ SFC64 replaced PCG64 because it draws the same laws faster (Gaussian draws
 bound bulk estimation), so records written with PCG64 differ from those
 written now.
 
+At parallelism P, min(P, CPUs, replications // ``_CHUNK``) forked worker
+processes run the replications, ``_CHUNK`` at a time. A run stays in this
+process when that is one worker (P = 1, fewer than two full chunks, one CPU)
+or where the platform cannot fork; ``multiprocessing`` is imported only when a
+pool starts, and every worker has exited when the run returns. Workers are
+forked, so they start with the run's modules imported; forking is unsafe
+while other threads run, so a threaded caller should pass P = 1.
+
 Every replicating experiment kind describes one replication as a spec: a
 frozen, picklable dataclass (``RaceSpec`` or ``EstimateSpec``) whose
 ``row(rng)`` returns that replication's record. A spec holds data only; its
 ``row`` looks the racing, sampling and estimation functions up as module
-globals at call time, so a tracer that rebinds those names sees every call.
+globals at call time, so a tracer that rebinds those names sees every call of
+a serial run (forked workers record into their own copies of the tracer).
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -168,24 +178,28 @@ class EstimateSpec:
         }
 
 
+_CHUNK = 8  # replications a worker takes at a time
+
+
+def _row(seed: int, spec: RaceSpec | EstimateSpec, i: int) -> dict[str, Any]:
+    return {"replication": i, "seed": mix_seed(seed, i), **spec.row(replication_rng(seed, i))}
+
+
 def _run_replications(
     seed: int, replications: int, parallelism: int, spec: RaceSpec | EstimateSpec
 ) -> list[dict[str, Any]]:
     """``spec.row`` of every replication, in replication order, each prefixed
     with its ``replication`` index and ``seed``; the first row's keys are the
-    run's CSV columns."""
+    run's CSV columns. Forked workers, at most one per CPU and per full chunk,
+    run them unless that leaves one worker or fork is unavailable."""
+    workers = min(parallelism, os.cpu_count() or 1, replications // _CHUNK)
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [_row(seed, spec, i) for i in range(replications)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def call(i: int) -> dict[str, Any]:
-        return {"replication": i, "seed": mix_seed(seed, i), **spec.row(replication_rng(seed, i))}
-
-    # the pool starts a thread per submitted call while none is idle
-    workers = min(parallelism, replications, os.cpu_count() or 1)
-    if workers <= 1:
-        return [call(i) for i in range(replications)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(call, range(replications)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(partial(_row, seed, spec), range(replications), chunksize=_CHUNK))
 
 
 def _pull_stats(rows: list[dict[str, Any]]) -> list[tuple[str, Any]]:

@@ -548,7 +548,8 @@ def suite_quality(rng: np.random.Generator) -> SuiteResult:
 
 
 def suite_reproducibility(rng: np.random.Generator) -> SuiteResult:
-    """Identical config and seed give byte-identical CSVs at parallelism 1 and 8, racing or not."""
+    """Identical config and seed give byte-identical CSVs at parallelism 1 and 8, racing or not.
+    Its 16 replications are two chunks, so on two CPUs or more parallelism 8 forks a pool."""
     import tempfile
     from pathlib import Path
 

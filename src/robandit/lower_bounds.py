@@ -38,6 +38,7 @@ from .distributions import (
     median_shift_bound,
 )
 from .errors import LiftingError, ParameterOutOfRangeError
+from .estimators import _delta_log
 
 __all__ = [
     "kl_smoothed_bernoulli",
@@ -95,7 +96,7 @@ def lower_bound_samples(
         raise ParameterOutOfRangeError(
             f"{key} {max(alpha, *gaps)} squares past the floats", key
         ) from None
-    bound = (c_eta / 4.0) * total * math.log(1.0 / (2.4 * delta))
+    bound = (c_eta / 4.0) * total * _delta_log(1.0 / (2.4 * delta), delta)
     if not 0.0 < bound < math.inf:
         raise ParameterOutOfRangeError(
             f"c_eta={c_eta} makes the bound {bound}, not positive and finite", "c_eta"

@@ -1,8 +1,6 @@
 import hashlib
 import heapq
 import math
-import sys
-import threading
 from unittest import mock
 
 import numpy as np
@@ -831,39 +829,6 @@ class TestRoundSchedule:
         assert made[0] is made[1]
         assert made[0].cover(0)[0].size > longer.rounds
         assert again == fresh
-
-    def test_threads_extending_one_schedule_read_whole_prefixes(self):
-        """Threads extending one schedule at once each get three arrays of
-        one length that reach their round and equal a schedule built alone."""
-        args = (812.5, 7.2, 3, 0.1, 0.025, 10**6)
-        want = bandit._RoundSchedule(*args).cover(1 << 15)  # past any size the threads reach
-        shared = bandit._RoundSchedule(*args)
-        bad = []
-
-        def extend(seed):
-            try:
-                for last in np.random.default_rng(seed).integers(1, 8000, 300):
-                    got = shared.cover(int(last))
-                    size = got[0].size
-                    if not (size > last and all(a.size == size for a in got)):
-                        bad.append(("length", int(last), [a.size for a in got]))
-                    elif not all(np.array_equal(a, b[:size]) for a, b in zip(got, want)):
-                        bad.append(("values", int(last)))
-            except Exception as e:  # a thread's exception would otherwise only be printed
-                bad.append(repr(e))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=extend, args=(seed,)) for seed in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert bad == []
 
 
 def iid_arms():

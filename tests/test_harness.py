@@ -1,7 +1,7 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 import os
 import pickle
 import re
@@ -312,6 +312,19 @@ class TestParser:
             parse_config(bad)
         assert err.value.key == key
         assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
+
+    @pytest.mark.parametrize("base", ["bai", "lb", "estimate"])
+    def test_delta_whose_log_overflows_rejected_at_delta(self, base):
+        """A delta so small that log(c/delta) overflows, in the race warm-up
+        (bai, lb), the lower bound (lb) or the estimate batch, fails at delta's
+        line, not at the key of the count or bound that takes the log."""
+        text = _BASES[base]
+        bad = re.sub(r"(?m)^delta = .*$", "delta = 5e-324", text)
+        assert bad != text
+        with pytest.raises(FeasibilityViolationError, match="too small") as err:
+            parse_config(bad)
+        assert err.value.key == "delta"
+        assert bad.splitlines()[err.value.line - 1].startswith("delta =")
 
     @pytest.mark.parametrize(
         "base, old, new, key",
@@ -748,8 +761,21 @@ class TestLibraryStatesTheRanges:
             # a sample count or a squared alpha past the floats
             (lambda: rb.sample_size_median(1e-200, 0.1, _PARAMS), "error_level", "more samples"),
             (lambda: rb.lower_bound_samples([0.2], 1e300, 0.1), "alpha", "squares past"),
+            # a delta whose log(c/delta) overflows
+            (lambda: rb.warmup_pulls(2, 1e-308, _PARAMS), "delta", "too small"),
+            (lambda: rb.lower_bound_samples([0.2], 0.05, 5e-324), "delta", "too small"),
+            (lambda: rb.sample_size_median(0.1, 5e-324, _PARAMS), "delta", "too small"),
         ],
-        ids=["alpha", "c_eta", "error_level", "error_level-overflow", "alpha-overflow"],
+        ids=[
+            "alpha",
+            "c_eta",
+            "error_level",
+            "error_level-overflow",
+            "alpha-overflow",
+            "warm-up-delta",
+            "lower-bound-delta",
+            "sample-size-delta",
+        ],
     )
     def test_value_the_parser_alone_stopped_rejected_with_its_key(self, build, key, message):
         """Values the parser used to stop itself, or that failed mid-run with
@@ -757,6 +783,37 @@ class TestLibraryStatesTheRanges:
         with pytest.raises(rb.ParameterOutOfRangeError, match=message) as err:
             build()
         assert err.value.key == key
+
+
+def _spec_of(text: str, tmp_path: Path) -> runner.RaceSpec | runner.EstimateSpec:
+    """The replication spec that ``run_experiment`` hands the engine for ``text``."""
+    specs = []
+    engine = runner._run_replications
+
+    def capture(seed, replications, parallelism, spec):
+        specs.append(spec)
+        return engine(seed, 1, 1, spec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "_run_replications", capture)
+        run_experiment(parse_config(text), out_dir=tmp_path / "spec")
+    (spec,) = specs
+    return spec
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The start method of each pool the runner starts, on a host with 8 CPUs."""
+    starts = []
+    get_context = multiprocessing.get_context
+
+    def recorded(method=None):
+        starts.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    return starts
 
 
 class TestRunExperiment:
@@ -789,38 +846,104 @@ class TestRunExperiment:
         [
             (MINIMAL, ("records", "summary")),
             (LOWER_BOUND, ("records", "summary", "aggregate")),
+            (_demo("prescient"), ("records", "summary")),
             (OUTPUT_CASES["estimate-mad"], ("records", "summary")),
             (OUTPUT_CASES["bai-succelim"], ("records", "summary")),
         ],
-        ids=["bai-simple", "lower-bound", "estimate-mad", "bai-succelim"],
+        ids=["bai-simple", "lifted-race", "prescient-race", "estimate-mad", "bai-succelim"],
     )
-    def test_byte_identical_across_parallelism(self, tmp_path, text, files):
-        config = parse_config(text)
+    def test_byte_identical_across_parallelism(self, tmp_path, pool_starts, text, files):
+        """Forked workers write the serial run's files at parallelism 2 and 8:
+        16 replications are two chunks, so each starts a pool of two."""
+        config = parse_config(re.sub(r"replications = \d+", "replications = 16", text))
         blobs = []
-        for name, parallelism in (("a", 1), ("b", 8)):
-            result = run_experiment(config, parallelism=parallelism, out_dir=tmp_path / name)
+        for parallelism in (1, 2, 8):
+            result = run_experiment(config, parallelism=parallelism, out_dir=tmp_path / str(parallelism))
             blobs.append(b"".join(result.files[f].read_bytes() for f in files))
-        assert blobs[0] == blobs[1]
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert pool_starts == ["fork", "fork"]
 
-    def test_thread_pool_is_capped(self, tmp_path, monkeypatch):
-        """The pool starts a thread per submitted call while none is idle, so
-        it gets no more workers than replications or CPUs; one runs serially.
-        The runner imports the pool where it starts one, so the patch is on
-        ``concurrent.futures``."""
-        sizes = []
-        pool = concurrent.futures.ThreadPoolExecutor
+    def test_fewer_than_a_chunk_per_worker_starts_no_pool(self, tmp_path, monkeypatch):
+        """A pool starts only when two workers or more get a full chunk of
+        replications each, and never at parallelism 1, on one CPU or where
+        the platform cannot fork."""
+        def no_fork(method=None):
+            raise RuntimeError("no pool may start")
 
-        def recorded(max_workers):
-            sizes.append(max_workers)
-            return pool(max_workers=max_workers)
+        spec = _spec_of(MINIMAL, tmp_path)
+        serial = runner._run_replications(7, 64, 1, spec)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert runner._run_replications(7, 64, 1, spec) == serial
+        assert runner._run_replications(7, 15, 8, spec) == serial[:15]
+        with pytest.raises(RuntimeError, match="no pool may start"):
+            runner._run_replications(7, 16, 8, spec)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert runner._run_replications(7, 64, 8, spec) == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.delattr(os, "fork")
+        assert runner._run_replications(7, 64, 8, spec) == serial
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
-        config = parse_config(MINIMAL.replace("replications = 4", "replications = 3"))
-        capped = run_experiment(config, parallelism=10**6, out_dir=tmp_path / "capped")
-        serial = run_experiment(config, parallelism=1, out_dir=tmp_path / "serial")
-        cap = min(3, os.cpu_count() or 1)
-        assert sizes == ([cap] if cap > 1 else [])
-        assert capped.files["records"].read_bytes() == serial.files["records"].read_bytes()
+    def test_no_worker_outlives_the_run(self, tmp_path, pool_starts):
+        """Every forked worker has exited when ``run_experiment`` returns."""
+        config = parse_config(MINIMAL.replace("replications = 4", "replications = 32"))
+        run_experiment(config, parallelism=2, out_dir=tmp_path)
+        assert pool_starts == ["fork"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            lambda: rb.ParameterOutOfRangeError("raised in a worker", "delta"),
+            lambda: FeasibilityViolationError("raised in a worker", "alpha", 3),
+        ],
+        ids=["library", "config"],
+    )
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, pool_starts, error):
+        """An error raised in a worker reaches the caller with its type, key
+        and line, and the pool's workers are gone."""
+        spec = _spec_of(MINIMAL, tmp_path)
+        parent, run_simple = os.getpid(), runner.run_simple
+
+        def fail_in_worker(*args):
+            if os.getpid() != parent:
+                raise error()
+            return run_simple(*args)
+
+        monkeypatch.setattr(runner, "run_simple", fail_in_worker)
+        assert len(runner._run_replications(7, 16, 1, spec)) == 16
+        want = error()
+        with pytest.raises(type(want), match="raised in a worker") as err:
+            runner._run_replications(7, 16, 2, spec)
+        assert pool_starts == ["fork"]
+        assert (err.value.key, getattr(err.value, "line", None)) == (want.key, getattr(want, "line", None))
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_the_run(self, tmp_path, monkeypatch, pool_starts):
+        """A worker that dies mid-run fails it at once instead of leaving the
+        caller waiting for its chunk."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        spec = _spec_of(MINIMAL, tmp_path)
+        parent, run_simple = os.getpid(), runner.run_simple
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_simple(*args)
+
+        monkeypatch.setattr(runner, "run_simple", die_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            runner._run_replications(7, 16, 2, spec)
+        assert pool_starts == ["fork"]
+        assert multiprocessing.active_children() == []
+
+    def test_reproducibility_suite_forks(self, monkeypatch, pool_starts):
+        """The suite's parallelism-8 runs of 16 replications each start a pool
+        on two CPUs."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert SUITES["reproducibility"](np.random.default_rng(0)).passed
+        assert pool_starts == ["fork", "fork"]
 
     @pytest.mark.parametrize(
         "text, replications, digests",
@@ -906,19 +1029,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "kind", ["estimate-median", "estimate-mad", "bai-simple", "bai-succelim", "lower-bound"]
     )
-    def test_replication_spec_survives_pickle(self, tmp_path, monkeypatch, kind):
+    def test_replication_spec_survives_pickle(self, tmp_path, kind):
         """Each replicating kind hands the engine one spec; a pickled copy
         equals it and gives the same row on an equal stream."""
-        specs = []
-        engine = runner._run_replications
-
-        def capture(seed, replications, parallelism, spec):
-            specs.append(spec)
-            return engine(seed, replications, parallelism, spec)
-
-        monkeypatch.setattr(runner, "_run_replications", capture)
-        run_experiment(parse_config(OUTPUT_CASES[kind]), out_dir=tmp_path)
-        (spec,) = specs
+        spec = _spec_of(OUTPUT_CASES[kind], tmp_path)
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec
         assert copy.row(replication_rng(3, 0)) == spec.row(replication_rng(3, 0))
