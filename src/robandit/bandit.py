@@ -54,6 +54,8 @@ __all__ = [
     "SimpleRunOutcome",
     "run_contaminated_successive_elimination",
     "elimination_round_delta",
+    "exploration_pulls",
+    "race_schedule",
     "warmup_pulls",
     "RunningMedian",
 ]
@@ -197,14 +199,10 @@ def simple_exploration_estimates(
 ) -> SimpleRunOutcome:
     """Uniform exploration, retaining per-arm empirical medians and MADs.
 
-    Every arm is pulled exactly the number of times needed to certify accuracy
-    alpha/2 at confidence delta/k, so the total pull count is a deterministic
-    function of the configuration.
+    Every arm is pulled ``exploration_pulls`` times, so the total pull count
+    is a deterministic function of the configuration.
     """
-    if not config.alpha > 0:
-        raise ParameterOutOfRangeError("uniform exploration needs alpha > 0")
-    params = config.estimation_params(instance.model)
-    n = sample_size_median(config.alpha / 2.0, config.delta / instance.k, params)
+    n = exploration_pulls(instance.k, config, instance.model)
     medians, mads = zip(
         *(_empirical_median_mad(draw_sample(arm, n, rng)) for arm in instance.arms)
     )
@@ -217,6 +215,24 @@ def simple_exploration_estimates(
         terminated_by="single-survivor",
     )
     return SimpleRunOutcome(result=result, medians=medians, mads=mads)
+
+
+def exploration_pulls(k: int, config: AlgoConfig, model: AdversaryModel) -> int:
+    """Pulls per arm in uniform exploration of ``k`` arms: enough to certify
+    accuracy alpha/2 at confidence delta/k. A rejection names ``alpha`` or
+    the stated ``delta``, not the error level or share drawn from them."""
+    if not config.alpha > 0:
+        raise ParameterOutOfRangeError("uniform exploration needs alpha > 0", "alpha")
+    try:
+        return sample_size_median(config.alpha / 2.0, config.delta / k, config.estimation_params(model))
+    except ParameterOutOfRangeError as exc:
+        if exc.key not in ("error_level", "delta"):
+            raise
+        message = f"uniform exploration at alpha {config.alpha}: {exc}"
+        if exc.key == "delta":
+            message = f"delta={config.delta} is too small: its share per arm leaves no sample size"
+        key = "alpha" if exc.key == "error_level" else "delta"
+        raise ParameterOutOfRangeError(message, key) from exc
 
 
 def run_simple(
@@ -372,7 +388,8 @@ class _RoundSchedule:
 
     Every entry depends only on the constructor's arguments and its round, so
     one schedule serves every race on the same parameters (``_round_schedule``
-    shares it).
+    shares it). No array reaches past round ``max_rounds + 1``, the last the
+    race reads and the last ``race_schedule`` checks.
     """
 
     def __init__(self, floor_scale, radius_scale2, k, delta, stop_radius, max_rounds):
@@ -380,23 +397,23 @@ class _RoundSchedule:
         self._radius_scale2 = radius_scale2
         self._k = k
         self._delta = delta
-        self._stop_radius = stop_radius
-        self._max_rounds = max_rounds
+        self.stop_radius = stop_radius
+        self.max_rounds = max_rounds
         self._arrays = (np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=bool))
 
     def cover(self, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The arrays, made to reach round ``last``."""
+        """The arrays, made to reach round ``last`` or round ``max_rounds + 1``."""
         cum, width, may_stop = self._arrays
         size = cum.size
-        if last < size:
+        if min(last, self.max_rounds + 1) < size:
             return self._arrays
-        r = np.arange(size, max(2 * size, last + 1), dtype=float)
+        r = np.arange(size, min(max(2 * size, last + 1), self.max_rounds + 2), dtype=float)
         pulls = 1 + np.ceil(2.0 * self._floor_scale * _log((r + 1.0) / r)).astype(np.int64)
         shares = elimination_round_delta(r, self._k, self._delta)
         widths = 2.0 * np.sqrt(self._radius_scale2 * _log(3.0 / shares) / r)
-        stops = r > self._max_rounds
-        if self._stop_radius is not None:
-            stops |= widths <= self._stop_radius
+        stops = r > self.max_rounds
+        if self.stop_radius is not None:
+            stops |= widths <= self.stop_radius
         self._arrays = (
             np.concatenate((cum, cum[-1] + np.cumsum(pulls))),
             np.concatenate((width, widths)),
@@ -407,13 +424,40 @@ class _RoundSchedule:
     def ends(self, warmup: int, n: int) -> np.ndarray:
         """Every round end up to pull n or the round cap, counted from the first pull."""
         cum = self.cover(0)[0]
-        while cum[-1] < n - warmup and cum.size <= self._max_rounds:
+        while cum[-1] < n - warmup and cum.size <= self.max_rounds:
             cum = self.cover(cum.size)[0]
         return warmup + cum
 
 
 # The schedule shared by every race on the same parameters.
 _round_schedule = functools.lru_cache(maxsize=8)(_RoundSchedule)
+
+
+def race_schedule(k: int, config: AlgoConfig, model: AdversaryModel) -> tuple[_RoundSchedule, int]:
+    """The round schedule of a race on ``k`` arms under ``model`` and its
+    warm-up pulls per arm, drawing nothing. A radius grows with its round's
+    log term, so one whose log term at round ``max_rounds + 1`` overflows is
+    rejected at ``delta``, and one whose scale 2 (S M)**2, alone or times that
+    log term, overflows at the larger of ``slope_bound`` and ``mad_bound``."""
+    params = config.estimation_params(model)
+    warmup = warmup_pulls(k, config.delta, params)
+    share = elimination_round_delta(config.max_rounds + 1.0, k, config.delta)
+    log_term = math.log(3.0 / share) if share else math.inf
+    if log_term == math.inf:
+        message = f"delta={config.delta} is too small for a radius up to round {config.max_rounds + 1}"
+        raise ParameterOutOfRangeError(message, "delta")
+    slope, mad = config.family.slope_bound, config.family.mad_bound
+    try:
+        radius_scale2 = 2.0 * (slope * mad) ** 2
+    except OverflowError:
+        radius_scale2 = math.inf
+    if radius_scale2 * log_term == math.inf:
+        message = f"slope_bound={slope} and mad_bound={mad} make the race's radius overflow"
+        raise ParameterOutOfRangeError(message, "slope_bound" if slope >= mad else "mad_bound")
+    stop_radius = config.alpha / 2.0 if config.early_stop else None
+    floor_scale = _BOUNDS["median"].floor_scale(params)
+    args = (floor_scale, radius_scale2, k, config.delta, stop_radius, config.max_rounds)
+    return _round_schedule(*args), warmup
 
 
 def _bracket(
@@ -504,14 +548,7 @@ class _Race:
 
     def __init__(self, instance: BanditInstance, config: AlgoConfig, rng: np.random.Generator):
         k = instance.k
-        params = config.estimation_params(instance.model)
-        floor_scale = _BOUNDS["median"].floor_scale(params)
-        radius_scale2 = 2.0 * (config.family.slope_bound * config.family.mad_bound) ** 2
-        self.stop_radius = config.alpha / 2.0 if config.early_stop else None
-        self.schedule = _round_schedule(
-            floor_scale, radius_scale2, k, config.delta, self.stop_radius, config.max_rounds
-        )
-        warmup = warmup_pulls(k, config.delta, params)
+        self.schedule, warmup = race_schedule(k, config, instance.model)
         ends = functools.partial(self.schedule.ends, warmup)
         self.streams = [_ArmPulls(a, g, ends) for a, g in zip(instance.arms, rng.spawn(k))]
         self.stores = [_MedianWindow(s.rounds(warmup)) for s in self.streams]
@@ -537,7 +574,7 @@ class _Race:
         held = [self.streams[i].held for i in self.survivors]
         first, span, base = self.r + 1, self.span, cum[self.r]
         while True:
-            last = first + span
+            last = min(first + span, self.schedule.max_rounds)
             cum, width, may_stop = self.schedule.cover(last + 1)
             m = cum[first : last + 1] - base
             ok = int(m.searchsorted(reach, "right"))
@@ -575,7 +612,7 @@ class _Race:
     def result(self) -> BanditRunResult:
         width = self.schedule.cover(self.r + 1)[1][self.r + 1]
         # the early stop wins when both stops fire at one round
-        early = self.stop_radius is not None and width <= self.stop_radius
+        early = self.schedule.stop_radius is not None and width <= self.schedule.stop_radius
         stop = "early-stop" if early else "round-cap"
         terminated_by = "single-survivor" if len(self.survivors) == 1 else stop
         chosen = max(self.survivors, key=lambda i: (self.stores[i].median(), -i))

@@ -29,16 +29,16 @@ Values are scalars (int, float, true/false, bare or quoted strings), lists
 ``[...]`` or tagged maps ``{key: value, ...}``; ``_TOKEN`` states what a
 token is. The ``arm`` key repeats, one line per arm. Lines starting with
 ``#`` are comments. A distribution or strategy literal's fields are its
-class's dataclass fields. The parser builds the library objects a kind
-runs, each of which states its own ranges, and reports a rejection at the
-config key and line of the parameter it names, so a bad config fails at
-parse time.
+class's dataclass fields. The parser validates a config by building its
+run's spec with the runner's own set-up (``runner.spec_of``), whose library
+objects each state their own ranges, and reports a rejection at the config
+key and line of the parameter it names, so a bad config fails at parse time.
 
 ``_KINDS`` states each experiment kind once: the CLI command that runs it,
-what its ``[instance]`` declares, the estimation bound whose margin must be
-feasible, and the ``[algorithm]`` keys it requires and those it also reads; a
-config that sets any other ``[algorithm]`` key is rejected. The CLI's
-subcommands and the runner's dispatch are read from it.
+what its ``[instance]`` declares, the statistic it estimates or races on,
+and the ``[algorithm]`` keys it requires and those it also reads; a config
+that sets any other ``[algorithm]`` key is rejected. The CLI's subcommands
+and the runner's dispatch are read from it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from ..bandit import AlgoConfig, BanditInstance, effective_gaps, warmup_pulls
+from ..bandit import AlgoConfig
 from ..contamination import (
     AtomTriggeredCoupling,
     BelowMedianCoupling,
@@ -80,8 +80,7 @@ from ..errors import (
     ParameterOutOfRangeError,
     RobanditError,
 )
-from ..estimators import EstimationParams, _BOUNDS, sample_size_median
-from ..lower_bounds import _check_lift_params, lower_bound_samples
+from ..estimators import EstimationParams
 
 __all__ = [
     "ConfigError",
@@ -300,7 +299,7 @@ _ALGORITHM = {
 class _Kind(NamedTuple):
     command: str  # the CLI subcommand that runs the kind
     instance: str  # what [instance] declares: "arms", one "arm", "p" or ""
-    statistic: str | None  # the _BOUNDS entry whose margin must be feasible
+    statistic: str | None  # what it estimates or races on: "median", "mad" or None
     required: frozenset[str]  # the [algorithm] keys the config must set
     optional: frozenset[str]  # the other [algorithm] keys it reads, if set
 
@@ -551,12 +550,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> None:
-    """Build the library objects the kind's run builds, each of which states
-    its own ranges: a rejection is reported at the key it names and that key's
-    line (the lower bound's gaps at ``p``, uniform exploration's sample count
-    at ``alpha``), a margin too small, or whose race warm-up would draw past
-    the cap, at ``eps0``.
-    Then check the rules that no object built here states."""
+    """Check the rules no library object states, then build the run's spec as
+    the run does (``runner.spec_of``), each object built stating its own
+    ranges. A rejection is reported at the key it names and that key's line
+    (the lower bound's gaps at ``p``), an infeasible margin or warm-up at ``eps0``."""
+    from .runner import spec_of  # runner imports this module at load
+
     kind = _KINDS[config.kind]
     if not kind.instance:
         return
@@ -568,65 +567,18 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
         raise ConfigError("[instance] must declare at least one arm", key="arm")
     if kind.instance == "arm" and len(config.arms) != 1:
         raise FeasibilityViolationError("estimation experiments use exactly one arm", key="arm")
-    alg = config.algorithm
     lines = {**inst_lines, **algo_lines}
     try:
-        config.family()
-        if kind.command == "estimate":
-            _BOUNDS[kind.statistic].sample_size(
-                alg["error_level"], alg["delta"], config.estimation_params()
-            )
-        elif config.kind == "bai-simple":
-            algo = config.algo_config()
-            if not algo.alpha > 0:
-                raise FeasibilityViolationError(
-                    "uniform exploration needs alpha > 0", key="alpha", line=lines.get("alpha")
-                )
-            params = config.estimation_params()
-            # each arm's draws in uniform exploration, at error level alpha / 2
-            try:
-                sample_size_median(algo.alpha / 2.0, algo.delta / len(config.arms), params)
-            except ParameterOutOfRangeError as exc:
-                if exc.key != "error_level":
-                    raise
-                raise FeasibilityViolationError(
-                    f"uniform exploration at alpha {algo.alpha}: {exc}", "alpha", lines.get("alpha")
-                ) from exc
-        elif kind.statistic is not None:
-            k = len(config.p) or len(config.arms)
-            warmup_pulls(k, config.algo_config().delta, config.estimation_params())
-        if kind.instance == "p":
-            best, *rest = sorted(_check_lift_params(config.p, config.eps), reverse=True)
-            lower_bound_samples([best - v for v in rest], alg["alpha"], alg["delta"], alg["c_eta"])
+        spec_of(config)
     except ParameterOutOfRangeError as exc:
         key = "p" if exc.key == "gaps" else exc.key
         raise FeasibilityViolationError(str(exc), key=key, line=lines.get(key)) from exc
     except InfeasibleRegimeError as exc:
         raise FeasibilityViolationError(str(exc), key="eps0", line=lines.get("eps0")) from exc
     # eps0 is the known upper bound on the contamination level
-    if "eps0" in kind.required and config.eps > alg["eps0"]:
+    if "eps0" in kind.required and config.eps > config.algorithm["eps0"]:
         raise FeasibilityViolationError(
-            f"eps0 must be at least the instance's eps {config.eps}, got {alg['eps0']}",
+            f"eps0 must be at least the instance's eps {config.eps}, got {config.algorithm['eps0']}",
             key="eps0",
             line=algo_lines.get("eps0"),
-        )
-    if config.kind == "bai-succelim":
-        _validate_race_terminates(config, algo_lines)
-
-
-def _validate_race_terminates(config: ExperimentConfig, algo_lines) -> None:
-    """Reject a race that may only end at the round cap: without an early stop
-    at alpha > 0, an arm whose effective gap is not positive need never be
-    dropped, and the race keeps every pull up to ``max_rounds``."""
-    alg = config.algorithm
-    if alg["early_stop"] and alg["alpha"] > 0:
-        return
-    report = effective_gaps(BanditInstance(config.arms), config.family())
-    if report.infeasible_arms:
-        raise FeasibilityViolationError(
-            f"arms {list(report.infeasible_arms)} have effective gap <= 0 against arm "
-            f"{report.best_arm}, so the race may run to max_rounds; "
-            "set early_stop = true with alpha > 0",
-            key="alpha",
-            line=algo_lines.get("alpha"),
         )

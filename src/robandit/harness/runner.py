@@ -39,12 +39,14 @@ from ..bandit import (
     AlgoConfig,
     BanditInstance,
     effective_gaps,
+    exploration_pulls,
+    race_schedule,
     run_contaminated_successive_elimination,
     run_simple,
 )
 from ..contamination import ContaminatedArm, draw_sample
 from ..distributions import AdversaryModel, _median_mad
-from ..errors import RobanditError
+from ..errors import ParameterOutOfRangeError, RobanditError
 from ..estimators import _BOUNDS, EstimationParams, estimate_mad_ci, estimate_median_ci
 from ..lower_bounds import lower_bound_samples, malicious_lifting, oblivious_lifting
 from .config import _KINDS, ConfigError, ExperimentConfig
@@ -55,6 +57,7 @@ __all__ = [
     "ExperimentResult",
     "RaceSpec",
     "EstimateSpec",
+    "spec_of",
     "run_experiment",
     "wilson_interval",
 ]
@@ -249,41 +252,65 @@ def run_experiment(
     return ExperimentResult(exit_code, files, dict(summary))
 
 
+def spec_of(config: ExperimentConfig) -> tuple[RaceSpec | EstimateSpec | None, dict[str, Any]]:
+    """The replication spec of ``config``'s run (none for gaps) and the set-up
+    figures it reports, built as the run builds them, drawing nothing. A race
+    with an arm whose effective gap is not positive and no early stop at
+    alpha > 0 may run to the round cap, and is rejected at ``alpha``."""
+    kind = _KINDS[config.kind]
+    if kind.command == "gaps":
+        return None, {"report": effective_gaps(BanditInstance(config.arms), config.family())}
+    if kind.command == "estimate":
+        arm, params, delta = config.arms[0], config.estimation_params(), config.algorithm["delta"]
+        n = _BOUNDS[kind.statistic].sample_size(config.algorithm["error_level"], delta, params)
+        median, mad, _, _ = _median_mad(arm.dist)
+        truth = median if kind.statistic == "median" else mad
+        mad_used = params.family.mad_bound if config.algorithm["mad_source"] == "bound" else mad
+        spec = EstimateSpec(arm, n, kind.statistic, delta, params, mad_used, truth)
+        return spec, {"mean_total_pulls": float(n), "median_total_pulls": float(n), "true_value": truth}
+    algo = config.algo_config()
+    if kind.command == "lb":
+        lifting = malicious_lifting if config.model is AdversaryModel.MALICIOUS else oblivious_lifting
+        lifted = lifting(config.p, config.eps)
+        gaps = lifted.classical_gaps
+        lb_value = lower_bound_samples(gaps, algo.alpha, algo.delta, config.algorithm["c_eta"])
+        spec = RaceSpec(lifted.instance(), algo, simple=False, best_arm=0)
+        facts = {"k": lifted.k, "gap": min(gaps), "delta": algo.delta, "lb_value": lb_value}
+    else:
+        simple = config.kind == "bai-simple"
+        instance = BanditInstance(config.arms)
+        report = effective_gaps(instance, algo.family)
+        if not (simple or algo.early_stop and algo.alpha > 0) and report.infeasible_arms:
+            raise ParameterOutOfRangeError(
+                f"arms {list(report.infeasible_arms)} have effective gap <= 0 against arm "
+                f"{report.best_arm}, so the race may run to max_rounds; "
+                "set early_stop = true with alpha > 0",
+                "alpha",
+            )
+        gaps = tuple(report.gaps) if simple or algo.early_stop else None
+        spec = RaceSpec(instance, algo, simple, report.best_arm, gaps)
+        facts = {"best_arm": report.best_arm}
+    set_up = exploration_pulls if spec.simple else race_schedule
+    set_up(spec.instance.k, algo, spec.instance.model)
+    return spec, facts
+
+
 def _run_estimate(config: ExperimentConfig, parallelism: int):
-    arm = config.arms[0]
-    params = config.estimation_params()
-    delta = config.algorithm["delta"]
-    median, mad, _, _ = _median_mad(arm.dist)
-    statistic = _KINDS[config.kind].statistic
-    truth = median if statistic == "median" else mad
-    n = _BOUNDS[statistic].sample_size(config.algorithm["error_level"], delta, params)
-    mad_used = config.family().mad_bound if config.algorithm["mad_source"] == "bound" else mad
-    spec = EstimateSpec(arm, n, statistic, delta, params, mad_used, truth)
+    spec, facts = spec_of(config)
     rows = _run_replications(config.seed, config.replications, parallelism, spec)
-    summary = _success_stats(rows, key="covered")
-    summary += [
-        ("mean_total_pulls", float(n)),
-        ("median_total_pulls", float(n)),
-        ("true_value", truth),
-    ]
+    summary = _success_stats(rows, key="covered") + list(facts.items())
     return {"records": (list(rows[0]), rows)}, summary, 0
 
 
 def _run_bai(config: ExperimentConfig, parallelism: int):
-    simple = config.kind == "bai-simple"
-    instance = BanditInstance(config.arms)
-    algo = config.algo_config()
-    report = effective_gaps(instance, algo.family)
-    gaps = tuple(report.gaps) if simple or algo.early_stop else None
-    spec = RaceSpec(instance, algo, simple, report.best_arm, gaps)
+    spec, facts = spec_of(config)
     rows = _run_replications(config.seed, config.replications, parallelism, spec)
-    summary = _success_stats(rows) + _pull_stats(rows)
-    summary.append(("best_arm", report.best_arm))
+    summary = _success_stats(rows) + _pull_stats(rows) + list(facts.items())
     return {"records": (list(rows[0]), rows)}, summary, 0
 
 
 def _run_gaps(config: ExperimentConfig, _parallelism: int):
-    report = effective_gaps(BanditInstance(config.arms), config.family())
+    report = spec_of(config)[1]["report"]
     rows = [
         {
             "arm": i,
@@ -309,25 +336,14 @@ def _run_lower_bound(config: ExperimentConfig, parallelism: int):
     """Race the lifted instance (best arm at index 0) and compare the mean
     pull count with the lower bound; with an uncalibrated ``c_eta`` the ratio
     is a trend measurement, not a certified bound."""
-    lifting = malicious_lifting if config.model is AdversaryModel.MALICIOUS else oblivious_lifting
-    lifted = lifting(config.p, config.eps)
-    algo = config.algo_config()
-    gaps = lifted.classical_gaps
-    lb_value = lower_bound_samples(gaps, algo.alpha, algo.delta, config.algorithm["c_eta"])
-    spec = RaceSpec(lifted.instance(), algo, simple=False, best_arm=0)
+    spec, facts = spec_of(config)
     rows = _run_replications(config.seed, config.replications, parallelism, spec)
     summary = _success_stats(rows) + _pull_stats(rows)
     stats = dict(summary)
-    row = {
-        "k": lifted.k,
-        "gap": min(gaps),
-        "delta": algo.delta,
-        "lb_value": lb_value,
-        "mean_pulls": stats["mean_total_pulls"],
-        "ratio": stats["mean_total_pulls"] / lb_value,
-        "success_rate": stats["success_rate"],
-    }
-    summary += [("lb_value", lb_value), ("ratio", row["ratio"])]
+    ratio = stats["mean_total_pulls"] / facts["lb_value"]
+    row = {**facts, "mean_pulls": stats["mean_total_pulls"], "ratio": ratio}
+    row["success_rate"] = stats["success_rate"]
+    summary += [("lb_value", facts["lb_value"]), ("ratio", ratio)]
     return {"records": (list(rows[0]), rows), "aggregate": (list(row), [row])}, summary, 0
 
 

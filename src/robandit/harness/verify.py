@@ -17,6 +17,7 @@ from ..bandit import (
     BanditInstance,
     effective_gaps,
     elimination_round_delta,
+    exploration_pulls,
     simple_exploration_estimates,
 )
 from ..contamination import (
@@ -53,7 +54,6 @@ from ..estimators import (
     _BOUNDS,
     empirical_mad,
     empirical_median,
-    sample_size_median,
 )
 from ..lower_bounds import (
     kl_smoothed_bernoulli,
@@ -446,8 +446,7 @@ def suite_pac_simple(rng: np.random.Generator) -> SuiteResult:
     family = _coverage_family()
     instance = _tail_shift_instance([0.0, 0.3, 0.6], eps, best=2)
     config = AlgoConfig(alpha=alpha, delta=delta, family=family, eps0=eps)
-    params = config.estimation_params(instance.model)
-    expected = instance.k * sample_size_median(alpha / 2.0, delta / instance.k, params)
+    expected = instance.k * exploration_pulls(instance.k, config, instance.model)
     report = effective_gaps(instance, family)
     spec = RaceSpec(instance, config, simple=True, best_arm=report.best_arm, gaps=tuple(report.gaps))
     reps = 200

@@ -142,17 +142,6 @@ class LiftedInstance:
         )
 
 
-def _check_lift_params(p, eps: float) -> list[float]:
-    values = [float(v) for v in p]
-    if len(values) < 1:
-        raise ParameterOutOfRangeError("need at least one arm parameter", "p")
-    if any(not 1.0 / 3.0 <= v <= 2.0 / 3.0 for v in values):
-        raise ParameterOutOfRangeError(f"arm parameters must lie in [1/3, 2/3], got {values}", "p")
-    if not 0.0 < eps < 1.0 / 15.0:
-        raise ParameterOutOfRangeError(f"eps must lie in (0, 1/15), got {eps}", "eps")
-    return values
-
-
 def _best_first(values: list[float]) -> tuple[list[float], tuple[int, ...]]:
     best = max(range(len(values)), key=lambda i: (values[i], -i))
     order = [best] + [i for i in range(len(values)) if i != best]
@@ -205,7 +194,14 @@ def _lift(p, eps: float, model: AdversaryModel, hidden_arm) -> LiftedInstance:
     """Lifted instance of ``p``, best arm first: ``hidden_arm(pi, best)`` gives
     each arm's hidden law, strategy and hidden median shift, and the arm is
     observed as SmoothedBernoulli(pi). Self-checked before it is returned."""
-    values, order = _best_first(_check_lift_params(p, eps))
+    values = [float(v) for v in p]
+    if not values:
+        raise ParameterOutOfRangeError("need at least one arm parameter", "p")
+    if any(not 1.0 / 3.0 <= v <= 2.0 / 3.0 for v in values):
+        raise ParameterOutOfRangeError(f"arm parameters must lie in [1/3, 2/3], got {values}", "p")
+    if not 0.0 < eps < 1.0 / 15.0:
+        raise ParameterOutOfRangeError(f"eps must lie in (0, 1/15), got {eps}", "eps")
+    values, order = _best_first(values)
     arms = []
     shifts = []
     for rank, pi in enumerate(values):

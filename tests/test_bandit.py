@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import heapq
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -758,7 +760,8 @@ class TestRoundSchedule:
         """On the lb demo's parameters, with its two arms and with four, every
         round's pull count and width equal the round-by-round loop's scalar
         expressions bit for bit, and ``may_stop`` marks the rounds where the
-        early stop or the round cap fires."""
+        early stop or the round cap fires. No round past ``max_rounds + 1``,
+        the last a race reads, is computed."""
         lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
         family = lifted.family_for(0.15)
         params = rb.AlgoConfig(alpha=0.05, delta=0.1, family=family, eps0=0.05).estimation_params(OBL)
@@ -769,6 +772,8 @@ class TestRoundSchedule:
         schedule = bandit._RoundSchedule(floor_scale, s2, k, delta, stop_radius, max_rounds)
         cum, width, may_stop = (a.tolist() for a in schedule.cover(last))
         assert (cum[0], width[0], may_stop[0]) == (0, 0.0, False)
+        last = min(last, max_rounds + 1)
+        assert len(cum) == last + 1
         bad_pulls, bad_width, bad_stop = [], [], []
         for r in range(1, last + 1):
             if cum[r] - cum[r - 1] != 1 + math.ceil(2.0 * floor_scale * math.log((r + 1.0) / r)):
@@ -779,24 +784,46 @@ class TestRoundSchedule:
             if may_stop[r] != (r > max_rounds or (stop_radius is not None and w <= stop_radius)):
                 bad_stop.append(r)
         assert (bad_pulls, bad_width, bad_stop) == ([], [], [])
-        assert 1 < may_stop.index(True) < last
+        assert 1 < may_stop.index(True) <= last
 
     @pytest.mark.parametrize("max_rounds", [10**6, 100])
     @pytest.mark.parametrize("n", [0, 299, 300, 301, 1_000, 40_000, 123_456])
     def test_ends_reach_pull_n_by_the_smallest_doubling(self, n, max_rounds):
         """A fresh schedule asked for the round ends up to pull n covers the
-        fewest rounds, by doubling, whose ends reach n or pass the round cap;
-        its ends are those of a longer schedule."""
+        fewest rounds, by doubling, whose ends reach n or pass the round cap,
+        but none past round max_rounds + 1; its ends are those of a longer
+        schedule."""
         args, warmup = (812.5, 7.2, 2, 0.1, None, max_rounds), 300
         cum = bandit._RoundSchedule(*args).cover(1 << 16)[0]
         size = 1
-        while cum[size - 1] < n - warmup and size <= max_rounds:
+        while size <= max_rounds and cum[size - 1] < n - warmup:
             size *= 2
+        size = min(size, max_rounds + 2)
         schedule = bandit._RoundSchedule(*args)
         ends = schedule.ends(warmup, n)
         assert schedule.cover(0)[0].size == ends.size == size
         assert ends[-1] >= n or size > max_rounds
         assert np.array_equal(ends, warmup + cum[:size])
+
+    def test_race_computes_no_width_past_its_cap(self):
+        """At delta = 1e-305 the radius's log term overflows between rounds 6
+        and 34, the first scan's reach. Arms that tie forever, capped at 5
+        rounds, race to the cap without computing a width past round 6, so
+        numpy warns of no overflow; at a cap of 63 rounds the race is
+        rejected at delta."""
+        instance = rb.BanditInstance(
+            rb.ContaminatedArm(rb.Dirac(0.0), rb.FixedContamination(rb.Dirac(0.0)), 0.05, OBL)
+            for _ in range(2)
+        )
+        config = rb.AlgoConfig(alpha=0.0, delta=1e-305, family=FAMILY, eps0=0.05, max_rounds=5)
+        bandit._round_schedule.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = rb.run_contaminated_successive_elimination(instance, config, np.random.default_rng(0))
+        assert (result.terminated_by, result.rounds) == ("round-cap", 5)
+        with pytest.raises(rb.ParameterOutOfRangeError, match="too small") as err:
+            bandit.race_schedule(2, dataclasses.replace(config, max_rounds=63), OBL)
+        assert err.value.key == "delta"
 
     @settings(deadline=None, max_examples=20)
     @given(race_cases())

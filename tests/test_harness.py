@@ -26,6 +26,7 @@ from robandit.harness import (
     run_experiment,
     wilson_interval,
 )
+from robandit.bandit import exploration_pulls, race_schedule
 from robandit.harness import cli, runner
 from robandit.harness.config import (
     _ALGORITHM,
@@ -313,18 +314,49 @@ class TestParser:
         assert err.value.key == key
         assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
 
-    @pytest.mark.parametrize("base", ["bai", "lb", "estimate"])
+    @pytest.mark.parametrize("base", ["bai", "lb", "estimate", "minimal"])
     def test_delta_whose_log_overflows_rejected_at_delta(self, base):
         """A delta so small that log(c/delta) overflows, in the race warm-up
-        (bai, lb), the lower bound (lb) or the estimate batch, fails at delta's
-        line, not at the key of the count or bound that takes the log."""
+        (bai, lb), the lower bound (lb) or the estimate batch, or whose share
+        delta / k in uniform exploration (minimal, a bai-simple) underflows to
+        0, fails at delta's line, not at the key of the count or bound that
+        takes the log, and the message quotes the delta the config states."""
         text = _BASES[base]
         bad = re.sub(r"(?m)^delta = .*$", "delta = 5e-324", text)
         assert bad != text
-        with pytest.raises(FeasibilityViolationError, match="too small") as err:
+        with pytest.raises(FeasibilityViolationError, match="delta=5e-324 is too small") as err:
             parse_config(bad)
         assert err.value.key == "delta"
         assert bad.splitlines()[err.value.line - 1].startswith("delta =")
+
+    @pytest.mark.parametrize(
+        "base, old, new, key",
+        [
+            # log(3 / share) overflows by round max_rounds + 1: numpy warned of
+            # it mid-run and the first rounds raced at infinite widths
+            ("bai", "delta = 0.1", "delta = 1e-300", "delta"),
+            ("lb", "delta = 0.1", "delta = 1e-300", "delta"),
+            # 2 (S M)**2 overflows: an OverflowError mid-run
+            ("bai", "mad_bound = 0.25", "mad_bound = 1e300", "mad_bound"),
+            ("lb", "slope_bound = 5.43", "slope_bound = 1e200", "slope_bound"),
+            # 2 (S M)**2 is inf: infinite widths, so the race ran to the round cap
+            ("bai", "mad_bound = 0.25", "mad_bound = 3e153", "mad_bound"),
+        ],
+    )
+    def test_race_whose_radius_overflows_rejected(self, base, old, new, key):
+        """A race whose radius would overflow at some round up to max_rounds
+        + 1 fails at parse time: at delta where the round's log term is
+        infinite, else at the larger of slope_bound and mad_bound. A delta
+        whose log term stays finite over fewer rounds parses."""
+        text = _BASES[base]
+        assert old in text
+        bad = text.replace(old, new)
+        with pytest.raises(FeasibilityViolationError, match="too small|overflow") as err:
+            parse_config(bad)
+        assert err.value.key == key
+        assert bad.splitlines()[err.value.line - 1].startswith(f"{key} =")
+        if key == "delta":
+            parse_config(bad.replace(new, f"{new}\nmax_rounds = 5"))
 
     @pytest.mark.parametrize(
         "base, old, new, key",
@@ -676,10 +708,32 @@ _RANGED_PAIRS = [
 ]
 
 
+def _radius_rejection(k: int, alg: dict) -> str | None:
+    """The key at which a race on ``k`` arms is rejected because its radius
+    overflows by round max_rounds + 1, the last it reads: ``delta`` where
+    log(3 / share) is infinite there, else the larger of ``slope_bound`` and
+    ``mad_bound`` (slope_bound on a tie) where 2 (S M)**2 times it is; None
+    if the radius stays finite."""
+    n = alg["max_rounds"] + 1.0
+    share = 6.0 * alg["delta"] / (math.pi**2 * k * n * n)
+    if share == 0.0 or 3.0 / share == math.inf:
+        return "delta"
+    slope, mad = alg["slope_bound"], alg["mad_bound"]
+    try:
+        radius2 = 2.0 * (slope * mad) ** 2 * math.log(3.0 / share)
+    except OverflowError:
+        radius2 = math.inf
+    if radius2 == math.inf:
+        return "slope_bound" if slope >= mad else "mad_bound"
+    return None
+
+
 def _library_rejection(config) -> str | None:
     """The key the library objects that ``config``'s kind runs reject, built
     here from their constructors (a margin they find infeasible is eps0's), or
-    the key of a rule no library object states; None if all accept."""
+    the key of a rule no library object states; None if all accept. A race
+    is checked in the order its run is set up: its lifting and lower bound,
+    or its effective gaps, then its pull count, or its warm-up and radius."""
     alg = config.algorithm
     kind = _KINDS[config.kind]
     try:
@@ -692,35 +746,43 @@ def _library_rejection(config) -> str | None:
             size(alg["error_level"], alg["delta"], params)
         else:
             rb.AlgoConfig(alg["alpha"], alg["delta"], family, alg["eps0"], alg["max_rounds"])
+            k = len(config.p) or len(config.arms)
+            if config.p:
+                gaps = rb.oblivious_lifting(config.p, config.eps).classical_gaps
+                rb.lower_bound_samples(gaps, alg["alpha"], alg["delta"], alg["c_eta"])
+            elif config.kind == "bai-succelim" and not (alg["early_stop"] and alg["alpha"] > 0):
+                if rb.effective_gaps(rb.BanditInstance(config.arms), family).infeasible_arms:
+                    return "alpha"
             params.median_margin()
-            if config.kind != "bai-simple":
-                rb.warmup_pulls(len(config.p) or len(config.arms), alg["delta"], params)
-            elif alg["alpha"] > 0:
+            if config.kind == "bai-simple":
+                if not alg["alpha"] > 0:
+                    return "alpha"
                 try:
-                    rb.sample_size_median(alg["alpha"] / 2, alg["delta"] / len(config.arms), params)
+                    rb.sample_size_median(alg["alpha"] / 2, alg["delta"] / k, params)
                 except rb.ParameterOutOfRangeError as exc:
-                    if exc.key == "error_level":
-                        return "alpha"
+                    # uniform exploration reports its error level at alpha
+                    # and its share of delta at the stated delta
+                    if exc.key in ("error_level", "delta"):
+                        return "alpha" if exc.key == "error_level" else "delta"
                     raise
-        if config.p:
-            gaps = rb.oblivious_lifting(config.p, config.eps).classical_gaps
-            rb.lower_bound_samples(gaps, alg["alpha"], alg["delta"], alg["c_eta"])
+            else:
+                rb.warmup_pulls(k, alg["delta"], params)
+                key = _radius_rejection(k, alg)
+                if key is not None:
+                    return key
     except rb.ParameterOutOfRangeError as exc:
         return exc.key
     except rb.InfeasibleRegimeError:
         return "eps0"
     if config.eps > alg["eps0"]:
         return "eps0"
-    if config.kind == "bai-simple" and not alg["alpha"] > 0:
-        return "alpha"
-    if config.kind == "bai-succelim" and not (alg["early_stop"] and alg["alpha"] > 0):
-        if rb.effective_gaps(rb.BanditInstance(config.arms), family).infeasible_arms:
-            return "alpha"
     return None
 
 
 _FAMILY = rb.FamilyParams(0.4, 4.0, 0.25)
-_PARAMS = rb.EstimationParams(0.1, _FAMILY, rb.AdversaryModel.OBLIVIOUS)
+_OBL = rb.AdversaryModel.OBLIVIOUS
+_PARAMS = rb.EstimationParams(0.1, _FAMILY, _OBL)
+_HUGE_MAD = rb.FamilyParams(0.4, 4.0, 1e300)
 
 
 class TestLibraryStatesTheRanges:
@@ -765,6 +827,10 @@ class TestLibraryStatesTheRanges:
             (lambda: rb.warmup_pulls(2, 1e-308, _PARAMS), "delta", "too small"),
             (lambda: rb.lower_bound_samples([0.2], 0.05, 5e-324), "delta", "too small"),
             (lambda: rb.sample_size_median(0.1, 5e-324, _PARAMS), "delta", "too small"),
+            # a race's radius past the floats, and uniform exploration's share of delta
+            (lambda: race_schedule(2, rb.AlgoConfig(0.0, 1e-300, _FAMILY, 0.1), _OBL), "delta", "too small"),
+            (lambda: race_schedule(2, rb.AlgoConfig(0.0, 0.1, _HUGE_MAD, 0.1), _OBL), "mad_bound", "overflow"),
+            (lambda: exploration_pulls(2, rb.AlgoConfig(0.1, 5e-324, _FAMILY, 0.1), _OBL), "delta", "5e-324"),
         ],
         ids=[
             "alpha",
@@ -775,6 +841,9 @@ class TestLibraryStatesTheRanges:
             "warm-up-delta",
             "lower-bound-delta",
             "sample-size-delta",
+            "radius-delta",
+            "radius-scale",
+            "exploration-delta",
         ],
     )
     def test_value_the_parser_alone_stopped_rejected_with_its_key(self, build, key, message):
