@@ -96,15 +96,16 @@ __all__ = [
 
 class ConfigError(RobanditError):
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
-        where = ""
-        if key is not None:
-            where += f" (key {key!r}"
-            where += f", line {line})" if line is not None else ")"
-        elif line is not None:
-            where += f" (line {line})"
-        super().__init__(message + where)
+        super().__init__(message)
         self.key = key
         self.line = line
+        self.stated: str | None = None  # that line as the config states it, set by parse_config
+
+    def __str__(self) -> str:
+        where = [f"key {self.key!r}"] if self.key is not None else []
+        if self.line is not None:
+            where.append(f"line {self.line}: {self.stated}" if self.stated else f"line {self.line}")
+        return super().__str__() + (f" ({', '.join(where)})" if where else "")
 
 
 class UnknownKeyError(ConfigError):
@@ -314,7 +315,7 @@ _MAD_SOURCE = frozenset({"mad_source"})
 _KINDS = {
     "estimate-median": _Kind("estimate", "arm", "median", _ESTIMATE, _MAD_SOURCE),
     "estimate-mad": _Kind("estimate", "arm", "mad", _ESTIMATE | {"mad_ratio"}, _MAD_SOURCE),
-    "bai-simple": _Kind("bai", "arms", "median", _RACE, _RACING),
+    "bai-simple": _Kind("bai", "arms", "median", _RACE, frozenset({"mad_ratio"})),
     "bai-succelim": _Kind("bai", "arms", "median", _RACE, _RACING),
     "gaps": _Kind("gaps", "arms", None, _FAMILY, _NONE),
     "lower-bound": _Kind("lb", "p", "median", _RACE, _RACING | {"c_eta"}),
@@ -434,6 +435,17 @@ def _section_map(entries: list[tuple[str, Any, int]], repeatable: set[str] = fro
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """The config ``text`` states; a ``ConfigError`` that names a key and a
+    line quotes that line as ``text`` states it."""
+    try:
+        return _parse_config(text)
+    except ConfigError as exc:
+        if exc.key is not None and exc.line is not None:
+            exc.stated = text.split("\n")[exc.line - 1].strip()
+        raise
+
+
+def _parse_config(text: str) -> ExperimentConfig:
     sections = _parse_sections(text)
 
     exp, exp_lines = _section_map(sections.get("experiment", []))

@@ -16,12 +16,14 @@ pool starts, and every worker has exited when the run returns. Workers are
 forked, so they start with the run's modules imported; forking is unsafe
 while other threads run, so a threaded caller should pass P = 1.
 
-Every replicating experiment kind describes one replication as a spec: a
-frozen, picklable dataclass (``RaceSpec`` or ``EstimateSpec``) whose
-``row(rng)`` returns that replication's record. A spec holds data only; its
-``row`` looks the racing, sampling and estimation functions up as module
-globals at call time, so a tracer that rebinds those names sees every call of
-a serial run (forked workers record into their own copies of the tracer).
+Every replicating kind runs one path: ``spec_of`` builds a spec, a frozen,
+picklable dataclass (``RaceSpec`` or ``EstimateSpec``) whose ``row(rng)``
+returns one replication's record and which names the record's success and
+pull columns; ``_run_replications`` runs it for every replication; and one
+summary reads those columns. A spec holds data only; its ``row`` looks the
+racing, sampling and estimation functions up as module globals at call time,
+so a tracer that rebinds those names sees every call of a serial run (forked
+workers record into their own copies of the tracer).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -138,6 +140,8 @@ class RaceSpec:
     simple: bool
     best_arm: int
     gaps: tuple[float | None, ...] | None = None
+    success: ClassVar[str] = "success"  # the record's success and pull columns
+    pulls: ClassVar[str] = "total_pulls"
 
     def row(self, rng: np.random.Generator) -> dict[str, Any]:
         run = run_simple if self.simple else run_contaminated_successive_elimination
@@ -165,6 +169,8 @@ class EstimateSpec:
     params: EstimationParams
     mad_used: float
     truth: float
+    success: ClassVar[str] = "covered"
+    pulls: ClassVar[str] = "n"
 
     def row(self, rng: np.random.Generator) -> dict[str, Any]:
         estimate_ci = estimate_median_ci if self.statistic == "median" else estimate_mad_ci
@@ -205,17 +211,17 @@ def _run_replications(
         return list(pool.map(partial(_row, seed, spec), range(replications), chunksize=_CHUNK))
 
 
-def _pull_stats(rows: list[dict[str, Any]]) -> list[tuple[str, Any]]:
-    pulls = [row["total_pulls"] for row in rows]
+def _pull_stats(rows: list[dict[str, Any]], column: str) -> list[tuple[str, Any]]:
+    pulls = [row[column] for row in rows]
     return [
         ("mean_total_pulls", float(np.mean(pulls))),
         ("median_total_pulls", float(np.median(pulls))),
     ]
 
 
-def _success_stats(rows: list[dict[str, Any]], key: str = "success") -> list[tuple[str, Any]]:
+def _success_stats(rows: list[dict[str, Any]], column: str) -> list[tuple[str, Any]]:
     n = len(rows)
-    wins = sum(1 for row in rows if row[key])
+    wins = sum(1 for row in rows if row[column])
     lo, hi = wilson_interval(wins, n)
     return [
         ("replications", n),
@@ -256,7 +262,8 @@ def spec_of(config: ExperimentConfig) -> tuple[RaceSpec | EstimateSpec | None, d
     """The replication spec of ``config``'s run (none for gaps) and the set-up
     figures it reports, built as the run builds them, drawing nothing. A race
     with an arm whose effective gap is not positive and no early stop at
-    alpha > 0 may run to the round cap, and is rejected at ``alpha``."""
+    alpha > 0 may run to the round cap, and is rejected at ``alpha``; a lower
+    bound for a model without a lifting is rejected at ``model``."""
     kind = _KINDS[config.kind]
     if kind.command == "gaps":
         return None, {"report": effective_gaps(BanditInstance(config.arms), config.family())}
@@ -266,10 +273,15 @@ def spec_of(config: ExperimentConfig) -> tuple[RaceSpec | EstimateSpec | None, d
         median, mad, _, _ = _median_mad(arm.dist)
         truth = median if kind.statistic == "median" else mad
         mad_used = params.family.mad_bound if config.algorithm["mad_source"] == "bound" else mad
-        spec = EstimateSpec(arm, n, kind.statistic, delta, params, mad_used, truth)
-        return spec, {"mean_total_pulls": float(n), "median_total_pulls": float(n), "true_value": truth}
+        return EstimateSpec(arm, n, kind.statistic, delta, params, mad_used, truth), {"true_value": truth}
     algo = config.algo_config()
     if kind.command == "lb":
+        if config.model is AdversaryModel.PRESCIENT:
+            raise ParameterOutOfRangeError(
+                "a lower bound has a lifting for the oblivious and malicious models only; "
+                "the oblivious lifting also bounds a prescient adversary",
+                "model",
+            )
         lifting = malicious_lifting if config.model is AdversaryModel.MALICIOUS else oblivious_lifting
         lifted = lifting(config.p, config.eps)
         gaps = lifted.classical_gaps
@@ -295,18 +307,17 @@ def spec_of(config: ExperimentConfig) -> tuple[RaceSpec | EstimateSpec | None, d
     return spec, facts
 
 
-def _run_estimate(config: ExperimentConfig, parallelism: int):
+def _replicated(config: ExperimentConfig, parallelism: int):
+    """The records of ``config``'s spec, the summary of their success and pull
+    columns, and the set-up figures ``spec_of`` reports."""
     spec, facts = spec_of(config)
     rows = _run_replications(config.seed, config.replications, parallelism, spec)
-    summary = _success_stats(rows, key="covered") + list(facts.items())
-    return {"records": (list(rows[0]), rows)}, summary, 0
+    return rows, _success_stats(rows, spec.success) + _pull_stats(rows, spec.pulls), facts
 
 
-def _run_bai(config: ExperimentConfig, parallelism: int):
-    spec, facts = spec_of(config)
-    rows = _run_replications(config.seed, config.replications, parallelism, spec)
-    summary = _success_stats(rows) + _pull_stats(rows) + list(facts.items())
-    return {"records": (list(rows[0]), rows)}, summary, 0
+def _run_replicating(config: ExperimentConfig, parallelism: int):
+    rows, summary, facts = _replicated(config, parallelism)
+    return {"records": (list(rows[0]), rows)}, summary + list(facts.items()), 0
 
 
 def _run_gaps(config: ExperimentConfig, _parallelism: int):
@@ -336,9 +347,7 @@ def _run_lower_bound(config: ExperimentConfig, parallelism: int):
     """Race the lifted instance (best arm at index 0) and compare the mean
     pull count with the lower bound; with an uncalibrated ``c_eta`` the ratio
     is a trend measurement, not a certified bound."""
-    spec, facts = spec_of(config)
-    rows = _run_replications(config.seed, config.replications, parallelism, spec)
-    summary = _success_stats(rows) + _pull_stats(rows)
+    rows, summary, facts = _replicated(config, parallelism)
     stats = dict(summary)
     ratio = stats["mean_total_pulls"] / facts["lb_value"]
     row = {**facts, "mean_pulls": stats["mean_total_pulls"], "ratio": ratio}
@@ -362,8 +371,8 @@ def _run_verify(config: ExperimentConfig, _parallelism: int):
 
 # command -> the run of every kind that command runs
 _RUNS: dict[str, Callable[[ExperimentConfig, int], tuple[dict, list, int]]] = {
-    "estimate": _run_estimate,
-    "bai": _run_bai,
+    "estimate": _run_replicating,
+    "bai": _run_replicating,
     "gaps": _run_gaps,
     "lb": _run_lower_bound,
     "verify": _run_verify,

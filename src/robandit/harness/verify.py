@@ -7,7 +7,9 @@ SuiteResult with the measured statistics; the acceptance tests and the
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -62,6 +64,7 @@ from ..lower_bounds import (
     oblivious_lifting,
 )
 from ..quality import quantile_guarantee
+from . import config, runner
 
 __all__ = ["SuiteResult", "SUITES", "run_suites", "binomial_slack"]
 
@@ -374,8 +377,6 @@ def _coverage_family() -> FamilyParams:
 def _replicate(rng: np.random.Generator, reps: int, *specs) -> list[list[dict[str, Any]]]:
     """Each spec's rows on one seed drawn from ``rng``: replication i of every
     spec runs on ``replication_rng(seed, i)``, so the specs share random numbers."""
-    from . import runner  # runner imports config, which imports this module at load
-
     seed = int(rng.integers(2**64, dtype=np.uint64))
     return [runner._run_replications(seed, reps, 1, spec) for spec in specs]
 
@@ -385,8 +386,6 @@ def _coverage(
 ) -> SuiteResult:
     """Coverage of a uniform arm's median or MAD by its reported interval at the
     advertised sample size against every fixed-law oblivious strategy."""
-    from .runner import EstimateSpec
-
     eps = 0.1
     delta = 0.1
     family = _coverage_family()
@@ -396,7 +395,7 @@ def _coverage(
     stats: dict[str, Any] = {"n": n, "allowed": allowed}
     names, strategies = zip(*_oblivious_strategies())
     arms = [ContaminatedArm(Uniform(0.0, 1.0), s, eps, params.model) for s in strategies]
-    specs = [EstimateSpec(a, n, statistic, delta, params, family.mad_bound, truth) for a in arms]
+    specs = [runner.EstimateSpec(a, n, statistic, delta, params, family.mad_bound, truth) for a in arms]
     for name, rows in zip(names, _replicate(rng, reps, *specs)):
         stats[name] = sum(not row["covered"] for row in rows) / reps
     passed = all(stats[name] <= allowed for name in names)
@@ -414,8 +413,6 @@ def suite_coverage_mad(rng: np.random.Generator) -> SuiteResult:
 def suite_malicious_tightness(rng: np.random.Generator) -> SuiteResult:
     """The coupled attack forces a median deviation of nearly the full malicious
     bias with probability close to one at the critical sample size."""
-    from .runner import EstimateSpec
-
     eps = 0.1
     delta = 0.1
     n = math.ceil(0.5 * eps**-2 * math.log(1.0 / delta))
@@ -424,7 +421,7 @@ def suite_malicious_tightness(rng: np.random.Generator) -> SuiteResult:
     # quantile spread of Uniform(-1, 1) grows at 2 per unit of level
     threshold = 2.0 * (eps - math.sqrt(math.log(1.0 / delta) / (2.0 * n)))
     reps = 1000
-    spec = EstimateSpec(arm, n, "median", delta, params, mad_used=0.5, truth=0.0)
+    spec = runner.EstimateSpec(arm, n, "median", delta, params, mad_used=0.5, truth=0.0)
     (rows,) = _replicate(rng, reps, spec)
     rate = sum(abs(row["estimate"]) >= threshold for row in rows) / reps
     floor = 1.0 - delta - binomial_slack(delta, reps)
@@ -438,17 +435,15 @@ def suite_malicious_tightness(rng: np.random.Generator) -> SuiteResult:
 def suite_pac_simple(rng: np.random.Generator) -> SuiteResult:
     """Uniform exploration returns an alpha-suboptimal arm at the advertised
     rate with a deterministic pull count."""
-    from .runner import RaceSpec
-
     eps = 0.1
     alpha = 0.1
     delta = 0.1
     family = _coverage_family()
     instance = _tail_shift_instance([0.0, 0.3, 0.6], eps, best=2)
-    config = AlgoConfig(alpha=alpha, delta=delta, family=family, eps0=eps)
-    expected = instance.k * exploration_pulls(instance.k, config, instance.model)
+    algo = AlgoConfig(alpha=alpha, delta=delta, family=family, eps0=eps)
+    expected = instance.k * exploration_pulls(instance.k, algo, instance.model)
     report = effective_gaps(instance, family)
-    spec = RaceSpec(instance, config, simple=True, best_arm=report.best_arm, gaps=tuple(report.gaps))
+    spec = runner.RaceSpec(instance, algo, simple=True, best_arm=report.best_arm, gaps=tuple(report.gaps))
     reps = 200
     (rows,) = _replicate(rng, reps, spec)
     pulls_ok = all(row["total_pulls"] == expected for row in rows)
@@ -464,18 +459,16 @@ def suite_pac_simple(rng: np.random.Generator) -> SuiteResult:
 def suite_pac_succelim(rng: np.random.Generator) -> SuiteResult:
     """Racing run is PAC and its pull count scales like the inverse squared
     effective gap: halving the gap multiplies mean pulls by roughly four."""
-    from .runner import RaceSpec
-
     eps = 0.05
     delta = 0.1
     family = _coverage_family()
     bias = contamination_bias(eps, family.slope_bound, family.mad_bound, AdversaryModel.OBLIVIOUS)
-    config = AlgoConfig(alpha=0.0, delta=delta, family=family, eps0=eps)
+    algo = AlgoConfig(alpha=0.0, delta=delta, family=family, eps0=eps)
     reps = 200
     floor = 1.0 - delta - binomial_slack(delta, reps)
     stats: dict[str, Any] = {"floor": floor}
     instances = [_tail_shift_instance([0.0, g + 2.0 * bias], eps, best=1) for g in (0.45, 0.225)]
-    specs = [RaceSpec(instance, config, simple=False, best_arm=1) for instance in instances]
+    specs = [runner.RaceSpec(instance, algo, simple=False, best_arm=1) for instance in instances]
     passed = True
     for label, rows in zip(("wide", "narrow"), _replicate(rng, reps, *specs)):
         rate = sum(row["success"] for row in rows) / reps
@@ -495,22 +488,22 @@ class _QualitySpec:
     chosen arm, held against the certified threshold at each of ``t_values``."""
 
     instance: BanditInstance
-    config: AlgoConfig
+    algo: AlgoConfig
     t_values: tuple[float, ...]
 
     def row(self, rng: np.random.Generator) -> dict[str, Any]:
-        outcome = simple_exploration_estimates(self.instance, self.config, rng)
+        outcome = simple_exploration_estimates(self.instance, self.algo, rng)
         chosen = outcome.result.chosen_arm
         fresh = float(self.instance.arms[chosen].dist.sample(1, rng)[0])
-        config, family = self.config, self.config.family
+        algo, family = self.algo, self.algo.family
         bias = contamination_bias(
-            config.eps0, family.slope_bound, family.mad_bound, self.instance.model
+            algo.eps0, family.slope_bound, family.mad_bound, self.instance.model
         )
         row: dict[str, Any] = {}
         for t in self.t_values:
             guarantee = quantile_guarantee(
-                outcome.medians[chosen], outcome.mads[chosen], t, config.alpha, bias,
-                family.slope_bound, family.mad_ratio, config.delta, self.instance.k, family.t_bar
+                outcome.medians[chosen], outcome.mads[chosen], t, algo.alpha, bias,
+                family.slope_bound, family.mad_ratio, algo.delta, self.instance.k, family.t_bar
             )
             row[f"threshold_t{t}"] = guarantee.threshold
             row[f"floor_t{t}"] = guarantee.probability_floor
@@ -525,9 +518,9 @@ def suite_quality(rng: np.random.Generator) -> SuiteResult:
     delta = 0.1
     family = _coverage_family()
     instance = _tail_shift_instance([0.0, 0.3], eps, best=1)
-    config = AlgoConfig(alpha=0.2, delta=delta, family=family, eps0=eps)
+    algo = AlgoConfig(alpha=0.2, delta=delta, family=family, eps0=eps)
     reps = 500
-    spec = _QualitySpec(instance, config, (0.0, 0.05, 0.1))
+    spec = _QualitySpec(instance, algo, (0.0, 0.05, 0.1))
     (rows,) = _replicate(rng, reps, spec)
     passed = True
     stats: dict[str, Any] = {}
@@ -549,12 +542,6 @@ def suite_quality(rng: np.random.Generator) -> SuiteResult:
 def suite_reproducibility(rng: np.random.Generator) -> SuiteResult:
     """Identical config and seed give byte-identical CSVs at parallelism 1 and 8, racing or not.
     Its 16 replications are two chunks, so on two CPUs or more parallelism 8 forks a pool."""
-    import tempfile
-    from pathlib import Path
-
-    from .config import parse_config
-    from .runner import run_experiment
-
     text = """
 [experiment]
 kind = {kind}
@@ -579,11 +566,11 @@ mad_ratio = 2.0
     identical, sizes = True, {}
     with tempfile.TemporaryDirectory() as tmp:
         for kind in ("bai-simple", "bai-succelim"):
-            config = parse_config(text.format(kind=kind))
+            experiment = config.parse_config(text.format(kind=kind))
             blobs = []
             for run, parallelism in enumerate((1, 8, 1)):
                 out_dir = Path(tmp, kind, str(run))
-                files = run_experiment(config, parallelism=parallelism, out_dir=out_dir).files
+                files = runner.run_experiment(experiment, parallelism=parallelism, out_dir=out_dir).files
                 blobs.append(files["records"].read_bytes() + files["summary"].read_bytes())
             identical = identical and blobs[0] == blobs[1] == blobs[2]
             sizes[f"bytes_{kind[4:]}"] = len(blobs[0])
@@ -614,23 +601,19 @@ SUITES: dict[str, Callable[[np.random.Generator], SuiteResult]] = {
 def check_suites(names, line: int | None = None) -> tuple[str, ...]:
     """``names`` as a tuple if it lists one or more verify suites, each once,
     else a ``TypeMismatchError``."""
-    from .config import TypeMismatchError  # config imports this module at load
-
     if not names:
-        raise TypeMismatchError("suites must name at least one verify suite", "suites", line)
+        raise config.TypeMismatchError("suites must name at least one verify suite", "suites", line)
     unknown = [name for name in names if name not in SUITES]
     if unknown:
-        raise TypeMismatchError(f"unknown verify suites: {', '.join(unknown)}", "suites", line)
+        raise config.TypeMismatchError(f"unknown verify suites: {', '.join(unknown)}", "suites", line)
     repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
     if repeated:
-        raise TypeMismatchError(f"repeated verify suites: {', '.join(repeated)}", "suites", line)
+        raise config.TypeMismatchError(f"repeated verify suites: {', '.join(repeated)}", "suites", line)
     return tuple(names)
 
 
 def run_suites(names=None, seed: int = 0) -> list[SuiteResult]:
     """Run the named suites (all when None), each on the stream of its place in SUITES."""
-    from .runner import replication_rng
-
     order = list(SUITES)
     selected = order if names is None else check_suites(names)
-    return [SUITES[name](replication_rng(seed, order.index(name))) for name in selected]
+    return [SUITES[name](runner.replication_rng(seed, order.index(name))) for name in selected]

@@ -229,7 +229,7 @@ class TestParser:
             ("estimate", "delta = 0.1", "delta = 1.5", "delta"),
             ("minimal", "alpha = 0.3", "alpha = -1.0", "alpha"),
             ("estimate", "error_level = 0.05", "error_level = -0.1", "error_level"),
-            ("minimal", "delta = 0.2", "delta = 0.2\nmax_rounds = 0", "max_rounds"),
+            ("bai", "delta = 0.1", "delta = 0.1\nmax_rounds = 0", "max_rounds"),
             ("estimate", "delta = 0.1", "delta = 0.1\nmad_source = bogus", "mad_source"),
             ("lower-bound", "c_eta = 1.0", "c_eta = 0.0", "c_eta"),
             ("minimal", "eps0 = 0.1", "eps0 = 0.5", "eps0"),
@@ -359,6 +359,39 @@ class TestParser:
             parse_config(bad.replace(new, f"{new}\nmax_rounds = 5"))
 
     @pytest.mark.parametrize(
+        "base, old, new",
+        [
+            ("bai", "delta = 0.1", "delta = 1e-300"),
+            ("bai", "mad_bound = 0.25", "mad_bound = 3e153"),
+            ("lb", "slope_bound = 5.43", "slope_bound = 1e200"),
+            # a literal field whose stated value parses as inf
+            ("estimate", "hi: 1.0}", "hi: 1e400}"),
+        ],
+    )
+    def test_rejection_quotes_its_line_as_stated(self, base, old, new):
+        """A rejection at a key and a line quotes that line as the config
+        states it, not its values as Python prints them (3e+153, inf)."""
+        text = _BASES[base]
+        assert text.count(old) == 1
+        bad = text.replace(old, new)
+        with pytest.raises(FeasibilityViolationError) as err:
+            parse_config(bad)
+        stated = bad.splitlines()[err.value.line - 1]
+        assert new in stated
+        assert str(err.value).endswith(f" (key {err.value.key!r}, line {err.value.line}: {stated})")
+
+    def test_lower_bound_without_a_lifting_rejected(self):
+        """Only the oblivious and malicious models have a lifting: a prescient
+        lower bound is rejected at model instead of racing the oblivious one."""
+        bad = LOWER_BOUND.replace("model = oblivious", "model = prescient")
+        with pytest.raises(FeasibilityViolationError, match="oblivious and malicious") as err:
+            parse_config(bad)
+        assert "the oblivious lifting also bounds a prescient adversary" in str(err.value)
+        assert err.value.key == "model"
+        assert bad.splitlines()[err.value.line - 1] == "model = prescient"
+        parse_config(LOWER_BOUND.replace("model = oblivious", "model = malicious"))
+
+    @pytest.mark.parametrize(
         "base, old, new, key",
         [
             ("lower-bound", "p = [0.6, 0.4]", f"p = [0.6, 0.4]\narm = {_FLAT_ARM}", "arm"),
@@ -374,6 +407,9 @@ class TestParser:
             ("bai", "delta = 0.1", "delta = 0.1\nerror_level = 0.2", "error_level"),
             ("bai", "delta = 0.1", "delta = 0.1\nmad_source = bound", "mad_source"),
             ("bai", "delta = 0.1", "delta = 0.1\nc_eta = 2.0", "c_eta"),
+            # uniform exploration never races, so it reads no racing key
+            ("minimal", "delta = 0.2", "delta = 0.2\nearly_stop = true", "early_stop"),
+            ("minimal", "delta = 0.2", "delta = 0.2\nmax_rounds = 5", "max_rounds"),
             ("gaps", "t_bar = 0.4", "t_bar = 0.4\ndelta = 0.1", "delta"),
             ("verify", "suites = [quality]", "suites = [quality]\n[algorithm]\ndelta = 0.1", "delta"),
             # the racing loop has one radius, so no key selects it
@@ -401,7 +437,6 @@ class TestParser:
         [
             ("bai", "alpha = 0.0", "alpha = 0.05\nearly_stop = true"),
             ("bai", "delta = 0.1", "delta = 0.1\nmax_rounds = 5"),
-            ("minimal", "delta = 0.2", "delta = 0.2\nearly_stop = true\nmax_rounds = 5"),
             ("lower-bound", "delta = 0.1", "delta = 0.1\nearly_stop = true\nmax_rounds = 5"),
             ("lower-bound", "mad_ratio = 2.0\nc_eta = 1.0\n", ""),
             ("estimate", "delta = 0.1", "delta = 0.1\nmad_source = bound"),
@@ -854,22 +889,6 @@ class TestLibraryStatesTheRanges:
         assert err.value.key == key
 
 
-def _spec_of(text: str, tmp_path: Path) -> runner.RaceSpec | runner.EstimateSpec:
-    """The replication spec that ``run_experiment`` hands the engine for ``text``."""
-    specs = []
-    engine = runner._run_replications
-
-    def capture(seed, replications, parallelism, spec):
-        specs.append(spec)
-        return engine(seed, 1, 1, spec)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(runner, "_run_replications", capture)
-        run_experiment(parse_config(text), out_dir=tmp_path / "spec")
-    (spec,) = specs
-    return spec
-
-
 @pytest.fixture
 def pool_starts(monkeypatch):
     """The start method of each pool the runner starts, on a host with 8 CPUs."""
@@ -932,14 +951,14 @@ class TestRunExperiment:
         assert blobs[0] == blobs[1] == blobs[2]
         assert pool_starts == ["fork", "fork"]
 
-    def test_fewer_than_a_chunk_per_worker_starts_no_pool(self, tmp_path, monkeypatch):
+    def test_fewer_than_a_chunk_per_worker_starts_no_pool(self, monkeypatch):
         """A pool starts only when two workers or more get a full chunk of
         replications each, and never at parallelism 1, on one CPU or where
         the platform cannot fork."""
         def no_fork(method=None):
             raise RuntimeError("no pool may start")
 
-        spec = _spec_of(MINIMAL, tmp_path)
+        spec = runner.spec_of(parse_config(MINIMAL))[0]
         serial = runner._run_replications(7, 64, 1, spec)
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -968,10 +987,10 @@ class TestRunExperiment:
         ],
         ids=["library", "config"],
     )
-    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, pool_starts, error):
+    def test_worker_error_reaches_the_caller(self, monkeypatch, pool_starts, error):
         """An error raised in a worker reaches the caller with its type, key
         and line, and the pool's workers are gone."""
-        spec = _spec_of(MINIMAL, tmp_path)
+        spec = runner.spec_of(parse_config(MINIMAL))[0]
         parent, run_simple = os.getpid(), runner.run_simple
 
         def fail_in_worker(*args):
@@ -988,12 +1007,12 @@ class TestRunExperiment:
         assert (err.value.key, getattr(err.value, "line", None)) == (want.key, getattr(want, "line", None))
         assert multiprocessing.active_children() == []
 
-    def test_dead_worker_fails_the_run(self, tmp_path, monkeypatch, pool_starts):
+    def test_dead_worker_fails_the_run(self, monkeypatch, pool_starts):
         """A worker that dies mid-run fails it at once instead of leaving the
         caller waiting for its chunk."""
         from concurrent.futures.process import BrokenProcessPool
 
-        spec = _spec_of(MINIMAL, tmp_path)
+        spec = runner.spec_of(parse_config(MINIMAL))[0]
         parent, run_simple = os.getpid(), runner.run_simple
 
         def die_in_worker(*args):
@@ -1098,13 +1117,31 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "kind", ["estimate-median", "estimate-mad", "bai-simple", "bai-succelim", "lower-bound"]
     )
-    def test_replication_spec_survives_pickle(self, tmp_path, kind):
+    def test_replication_spec_survives_pickle(self, kind):
         """Each replicating kind hands the engine one spec; a pickled copy
         equals it and gives the same row on an equal stream."""
-        spec = _spec_of(OUTPUT_CASES[kind], tmp_path)
+        spec = runner.spec_of(parse_config(OUTPUT_CASES[kind]))[0]
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec
         assert copy.row(replication_rng(3, 0)) == spec.row(replication_rng(3, 0))
+
+    @pytest.mark.parametrize(
+        "kind", ["estimate-median", "estimate-mad", "bai-simple", "bai-succelim", "lower-bound"]
+    )
+    def test_run_hands_the_engine_its_spec(self, tmp_path, monkeypatch, kind):
+        """``run_experiment`` runs exactly the spec ``spec_of`` builds for its
+        config, on the config's seed and replication count."""
+        calls = []
+        engine = runner._run_replications
+
+        def capture(seed, replications, parallelism, spec):
+            calls.append((seed, replications, parallelism, spec))
+            return engine(seed, replications, parallelism, spec)
+
+        monkeypatch.setattr(runner, "_run_replications", capture)
+        config = parse_config(OUTPUT_CASES[kind])
+        run_experiment(config, out_dir=tmp_path)
+        assert calls == [(config.seed, config.replications, 1, runner.spec_of(config)[0])]
 
     def test_estimate_median_experiment(self, tmp_path):
         text = """
@@ -1194,18 +1231,18 @@ error_level = 0.1
     def test_unknown_suite_rejected(self):
         with pytest.raises(rb.RobanditError):
             run_suites(["no-such-suite"], seed=0)
-        with pytest.raises(TypeMismatchError, match=r"nope.*\(key 'suites', line 3\)"):
+        with pytest.raises(TypeMismatchError, match=r"nope \(key 'suites', line 3: suites = \[kl, nope\]\)"):
             parse_config("[experiment]\nkind = verify\nsuites = [kl, nope]\n")
 
     def test_empty_suite_list_rejected(self):
-        with pytest.raises(TypeMismatchError, match=r"at least one.*\(key 'suites', line 3\)"):
+        with pytest.raises(TypeMismatchError, match=r"at least one.*\(key 'suites', line 3: suites = \[\]\)"):
             parse_config("[experiment]\nkind = verify\nsuites = []\n")
 
     def test_repeated_suite_rejected(self):
         """A suite named twice would run twice and write two rows of its name."""
         with pytest.raises(TypeMismatchError, match=r"repeated verify suites: kl \(key 'suites'\)"):
             run_suites(["kl", "quality", "kl"], seed=0)
-        with pytest.raises(TypeMismatchError, match=r"repeated.*: kl \(key 'suites', line 3\)"):
+        with pytest.raises(TypeMismatchError, match=r"repeated.*: kl \(key 'suites', line 3: suites = \[kl, quality, kl\]\)"):
             parse_config("[experiment]\nkind = verify\nsuites = [kl, quality, kl]\n")
 
     def test_suite_stream_does_not_depend_on_selection(self):
@@ -1351,6 +1388,9 @@ class TestCli:
             ("lb", "lb", "c_eta = 1.0", "c_eta = 1e308", "c_eta"),
             # uniform exploration past the draw cap
             ("bai", "minimal", "alpha = 0.3", "alpha = 1e-5", "alpha"),
+            # a model without a lifting, and a racing key uniform exploration never reads
+            ("lb", "lower-bound", "model = oblivious", "model = prescient", "model"),
+            ("bai", "minimal", "delta = 0.2", "delta = 0.2\nmax_rounds = 5", "max_rounds"),
         ],
     )
     def test_config_the_runner_cannot_run_is_usage_error(
@@ -1442,7 +1482,7 @@ class TestCli:
         else:
             cfg = tmp_path / "verify.cfg"
             cfg.write_text("[experiment]\nkind = verify\nsuites = [kl, kl]\n")
-            args, where = ["verify", "--config", str(cfg)], "(key 'suites', line 3)"
+            args, where = ["verify", "--config", str(cfg)], "(key 'suites', line 3: suites = [kl, kl])"
         assert cli.main([*args, "--out", str(out)]) == 2
         assert f"repeated verify suites: kl {where}" in capsys.readouterr().err
         assert not out.exists()

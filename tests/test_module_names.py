@@ -5,11 +5,17 @@ NameError; the static check finds it without running anything. It is
 scope-blind: a name counts as bound if any binding of it appears anywhere in
 the module. A stale ``__all__`` entry breaks ``from module import *``; the
 export check imports each module that declares ``__all__`` and looks the names up.
+Each harness module also imports first in a fresh interpreter, so no module
+needs another to have loaded before it, and the only imports a function makes
+when it runs are the few that defer a load most runs never need.
 """
 
 import ast
 import builtins
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +98,48 @@ C, missing
     tree = ast.parse(source)
     unbound = set(_loaded_names(tree)) - _bound_names(tree) - set(dir(builtins))
     assert unbound == {"missing"}
+
+
+HARNESS = sorted((SRC / "harness").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", HARNESS, ids=lambda p: p.name)
+def test_harness_module_imports_first(path):
+    pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {_module_name(path)}"],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# (module, what a function in it imports when it runs): scipy for the few laws
+# that need it; runner's spec_of, which config validates with and which
+# imports config at load; the verify suites, which no demo loads; and a
+# process pool's modules, only when one starts.
+DEFERRED_IMPORTS = {
+    ("distributions.py", "scipy.special"),
+    ("harness/config.py", ".runner"),
+    ("harness/config.py", ".verify"),
+    ("harness/cli.py", ".verify"),
+    ("harness/runner.py", ".verify"),
+    ("harness/runner.py", "multiprocessing"),
+    ("harness/runner.py", "concurrent.futures"),
+}
+
+
+def test_function_level_imports_are_the_deferred_ones():
+    found = set()
+    for path in MODULES:
+        name = str(path.relative_to(SRC))
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Import):
+                    found.update((name, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    found.add((name, "." * node.level + (node.module or "")))
+    assert found == DEFERRED_IMPORTS
