@@ -321,14 +321,15 @@ class _ArmPulls:
     with ``draw_clean``, so these too depend only on its generator and j. Its
     adversary sees each round's pulls as one batch and places every
     contaminated value of a round at that round's ceil(nq)-th clean order
-    statistic. ``ends(n)`` gives the arm's round ends, counted in pulls from
-    its first, as an increasing array holding every end up to n; only a
-    batch-aware arm reads it. When it draws, such an arm resolves the
-    contaminated pulls of every round it now holds whole; those of the
-    trailing partial round stay NaN until the next draw. ``start`` counts
-    the pulls before that round, and ``clean`` and ``flags`` hold its clean
-    values and flags. ``held`` holds the pulls not yet handed out, which the
-    envelope scan reads; they leave as views and are joined only at a draw.
+    statistic. ``ends(start, n)`` gives the ends of the rounds that end
+    after pull ``start`` and by pull n, counted from the arm's first pull;
+    only a batch-aware arm reads it, for each block it draws. Such an arm
+    resolves the contaminated pulls of every round it now holds whole; those
+    of the trailing partial round stay NaN until the next draw. ``start``
+    counts the pulls before that round, and ``clean`` and ``flags`` hold its
+    clean values and flags. ``held`` holds the pulls not yet handed out,
+    which the envelope scan reads; they leave as views and are joined only
+    at a draw.
     """
 
     __slots__ = ("arm", "rng", "quantile", "ends", "held", "start", "clean", "flags")
@@ -351,8 +352,7 @@ class _ArmPulls:
             return
         ys, ds = zip(*(draw_clean(self.arm, _BLOCK, self.rng) for _ in range(blocks)))
         y, d = np.concatenate((self.clean, *ys)), np.concatenate((self.flags, *ds))
-        ends = self.ends(self.start + y.size) - self.start
-        ends = ends[ends.searchsorted(0, "right") : ends.searchsorted(y.size, "right")]
+        ends = self.ends(self.start, self.start + y.size) - self.start
         whole = int(ends[-1]) if ends.size else 0
         fill = np.full(y.size, np.nan)
         fill[:whole] = segment_quantiles(y[:whole], np.diff(ends, prepend=0), self.quantile)
@@ -376,15 +376,22 @@ def _log(a: np.ndarray) -> np.ndarray:
 
 
 class _RoundSchedule:
-    """A race's per-round quantities, indexed by round and extended by doubling.
+    """A race's rounds, indexed by round and extended by doubling.
 
-    ``cover(last)`` returns ``(cum, width, may_stop)`` reaching at least round
-    ``last``. ``cum[r]`` counts the pulls per survivor of rounds 1..r.
-    ``width[r]`` is twice the round radius, the drop test's distance behind
-    the leader. ``may_stop[r]`` marks the rounds at which the early stop or the
-    round cap fires. Index 0 is the warm-up and holds zeros. Pull counts and
-    radii take ``math.log``, as a round-by-round loop would, so the envelope
-    scan, the drop test and the stop test all read these arrays.
+    ``cover(last)`` returns ``(cum, width)`` reaching at least round
+    ``last``: ``cum[r]`` counts the pulls per survivor of rounds 1..r, after
+    the ``warmup`` pulls of round 0, and ``width[r]`` is twice the round
+    radius, the drop test's distance behind the leader. ``stop`` is the first
+    round, of those covered and ``max_rounds + 1``, at which a stop fires, and
+    ``stopped_by`` names it, the early stop when both fire. Pull counts and
+    radii take ``math.log`` as a round-by-round loop would, so the envelope
+    scan, the drop test and the stop test all read these.
+
+    Every radius takes log(3 / δ_r) (``numerator``): of the median bound's
+    numerators, 2 (oblivious, prescient) and 3 (malicious), the race takes
+    the larger, which holds under every model. The warm-up's log(π² k / (2 δ))
+    is log(3 / δ_1), and round r adds more than N log(δ_r / δ_{r+1}) pulls, N
+    the floor scale, so an arm keeps the bound's validity floor at every round.
 
     Every entry depends only on the constructor's arguments and its round, so
     one schedule serves every race on the same parameters (``_round_schedule``
@@ -392,57 +399,54 @@ class _RoundSchedule:
     race reads and the last ``race_schedule`` checks.
     """
 
-    def __init__(self, floor_scale, radius_scale2, k, delta, stop_radius, max_rounds):
-        self._floor_scale = floor_scale
-        self._radius_scale2 = radius_scale2
-        self._k = k
-        self._delta = delta
-        self.stop_radius = stop_radius
-        self.max_rounds = max_rounds
-        self._arrays = (np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=bool))
+    numerator = 3.0
 
-    def cover(self, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The arrays, made to reach round ``last`` or round ``max_rounds + 1``."""
-        cum, width, may_stop = self._arrays
+    def __init__(self, floor_scale, radius_scale2, k, delta, stop_radius, max_rounds, warmup):
+        self._rule = (floor_scale, radius_scale2, k, delta, stop_radius)
+        self.max_rounds, self.warmup = max_rounds, warmup
+        self.stop, self.stopped_by = max_rounds + 1, "round-cap"
+        self._arrays = (np.zeros(1, dtype=np.int64), np.zeros(1))
+
+    def cover(self, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(cum, width)``, made to reach round ``last`` or round ``max_rounds + 1``."""
+        cum, width = self._arrays
         size = cum.size
         if min(last, self.max_rounds + 1) < size:
             return self._arrays
+        floor_scale, radius_scale2, k, delta, stop_radius = self._rule
         r = np.arange(size, min(max(2 * size, last + 1), self.max_rounds + 2), dtype=float)
-        pulls = 1 + np.ceil(2.0 * self._floor_scale * _log((r + 1.0) / r)).astype(np.int64)
-        shares = elimination_round_delta(r, self._k, self._delta)
-        widths = 2.0 * np.sqrt(self._radius_scale2 * _log(3.0 / shares) / r)
-        stops = r > self.max_rounds
-        if self.stop_radius is not None:
-            stops |= widths <= self.stop_radius
-        self._arrays = (
-            np.concatenate((cum, cum[-1] + np.cumsum(pulls))),
-            np.concatenate((width, widths)),
-            np.concatenate((may_stop, stops)),
-        )
+        pulls = 1 + np.ceil(2.0 * floor_scale * _log((r + 1.0) / r)).astype(np.int64)
+        shares = elimination_round_delta(r, k, delta)
+        widths = 2.0 * np.sqrt(radius_scale2 * _log(self.numerator / shares) / r)
+        if stop_radius is not None and (early := widths <= stop_radius).any():
+            self.stop, self.stopped_by = min(self.stop, size + int(early.argmax())), "early-stop"
+        cum = np.concatenate((cum, cum[-1] + np.cumsum(pulls)))
+        self._arrays = cum, np.concatenate((width, widths))
         return self._arrays
 
-    def ends(self, warmup: int, n: int) -> np.ndarray:
-        """Every round end up to pull n or the round cap, counted from the first pull."""
+    def ends(self, start: int, n: int) -> np.ndarray:
+        """Round ends after pull ``start`` and by pull n or the cap, counted from the first pull."""
         cum = self.cover(0)[0]
-        while cum[-1] < n - warmup and cum.size <= self.max_rounds:
+        while cum[-1] < n - self.warmup and cum.size <= self.max_rounds:
             cum = self.cover(cum.size)[0]
-        return warmup + cum
+        lo, hi = cum.searchsorted((start - self.warmup, n - self.warmup), "right")
+        return self.warmup + cum[lo:hi]
 
 
 # The schedule shared by every race on the same parameters.
 _round_schedule = functools.lru_cache(maxsize=8)(_RoundSchedule)
 
 
-def race_schedule(k: int, config: AlgoConfig, model: AdversaryModel) -> tuple[_RoundSchedule, int]:
-    """The round schedule of a race on ``k`` arms under ``model`` and its
-    warm-up pulls per arm, drawing nothing. A radius grows with its round's
-    log term, so one whose log term at round ``max_rounds + 1`` overflows is
+def race_schedule(k: int, config: AlgoConfig, model: AdversaryModel) -> _RoundSchedule:
+    """The round schedule of a race on ``k`` arms under ``model``, its
+    warm-up included, drawing nothing. A radius grows with its round's log
+    term, so one whose log term at round ``max_rounds + 1`` overflows is
     rejected at ``delta``, and one whose scale 2 (S M)**2, alone or times that
     log term, overflows at the larger of ``slope_bound`` and ``mad_bound``."""
     params = config.estimation_params(model)
     warmup = warmup_pulls(k, config.delta, params)
     share = elimination_round_delta(config.max_rounds + 1.0, k, config.delta)
-    log_term = math.log(3.0 / share) if share else math.inf
+    log_term = math.log(_RoundSchedule.numerator / share) if share else math.inf
     if log_term == math.inf:
         message = f"delta={config.delta} is too small for a radius up to round {config.max_rounds + 1}"
         raise ParameterOutOfRangeError(message, "delta")
@@ -456,8 +460,8 @@ def race_schedule(k: int, config: AlgoConfig, model: AdversaryModel) -> tuple[_R
         raise ParameterOutOfRangeError(message, "slope_bound" if slope >= mad else "mad_bound")
     stop_radius = config.alpha / 2.0 if config.early_stop else None
     floor_scale = _BOUNDS["median"].floor_scale(params)
-    args = (floor_scale, radius_scale2, k, config.delta, stop_radius, config.max_rounds)
-    return _round_schedule(*args), warmup
+    args = (floor_scale, radius_scale2, k, config.delta, stop_radius, config.max_rounds, warmup)
+    return _round_schedule(*args)
 
 
 def _bracket(
@@ -548,10 +552,9 @@ class _Race:
 
     def __init__(self, instance: BanditInstance, config: AlgoConfig, rng: np.random.Generator):
         k = instance.k
-        self.schedule, warmup = race_schedule(k, config, instance.model)
-        ends = functools.partial(self.schedule.ends, warmup)
-        self.streams = [_ArmPulls(a, g, ends) for a, g in zip(instance.arms, rng.spawn(k))]
-        self.stores = [_MedianWindow(s.rounds(warmup)) for s in self.streams]
+        schedule = self.schedule = race_schedule(k, config, instance.model)
+        self.streams = [_ArmPulls(a, g, schedule.ends) for a, g in zip(instance.arms, rng.spawn(k))]
+        self.stores = [_MedianWindow(s.rounds(schedule.warmup)) for s in self.streams]
         self.survivors = list(range(k))
         self.r, self.span = 0, _SCAN_ROUNDS
         self.trace: list[tuple[int, tuple[int, ...]]] = []
@@ -560,8 +563,8 @@ class _Race:
         """The first round after ``r`` at which an elimination is possible or
         after which the race may stop, or at which the ranks to read leave a
         survivor's window; None once one survivor is left or the race stops."""
-        cum, _, may_stop = self.schedule.cover(self.r + 1)
-        if len(self.survivors) < 2 or may_stop[self.r + 1]:
+        cum = self.schedule.cover(self.r + 1)[0]
+        if len(self.survivors) < 2 or self.r + 1 >= self.schedule.stop:
             return None
         rows = [self.stores[i] for i in self.survivors]
         count = rows[0].count
@@ -575,7 +578,7 @@ class _Race:
         first, span, base = self.r + 1, self.span, cum[self.r]
         while True:
             last = min(first + span, self.schedule.max_rounds)
-            cum, width, may_stop = self.schedule.cover(last + 1)
+            cum, width = self.schedule.cover(last + 1)
             m = cum[first : last + 1] - base
             ok = int(m.searchsorted(reach, "right"))
             if ok:
@@ -585,7 +588,7 @@ class _Race:
                 # folded pairwise: ufunc.reduce over a tuple of rows stacks them first
                 low, high = functools.reduce(np.minimum, lows), functools.reduce(np.maximum, highs)
                 hit = low < high - width[first : first + ok]
-                hit |= may_stop[first + 1 : first + ok + 1]
+                hit[max(self.schedule.stop - first - 1, 0) :] = True
                 j = int(hit.argmax())
                 if hit[j]:
                     return first + j
@@ -597,7 +600,7 @@ class _Race:
     def advance(self, check: int) -> None:
         """Draw every survivor's pulls up to round ``check`` and drop those
         more than two radii behind the leader there."""
-        cum, width, _ = self.schedule.cover(check + 1)
+        cum, width = self.schedule.cover(check + 1)
         total = int(cum[check] - cum[self.r])
         self.r, self.span = check, 2 * (check - self.r)
         for i in self.survivors:
@@ -610,11 +613,7 @@ class _Race:
         self.survivors = keep
 
     def result(self) -> BanditRunResult:
-        width = self.schedule.cover(self.r + 1)[1][self.r + 1]
-        # the early stop wins when both stops fire at one round
-        early = self.schedule.stop_radius is not None and width <= self.schedule.stop_radius
-        stop = "early-stop" if early else "round-cap"
-        terminated_by = "single-survivor" if len(self.survivors) == 1 else stop
+        terminated_by = "single-survivor" if len(self.survivors) == 1 else self.schedule.stopped_by
         chosen = max(self.survivors, key=lambda i: (self.stores[i].median(), -i))
         pulls = tuple(s.count for s in self.stores)
         return BanditRunResult(int(chosen), pulls, self.r, tuple(self.trace), terminated_by)
@@ -629,7 +628,7 @@ def run_contaminated_successive_elimination(
     surviving arm (N the validity-floor scale), keeping every running median
     accurate to the round radius at the round's confidence share. In
     ``early_stop`` mode the loop returns the current front-runner once the
-    elimination diameter drops to alpha/2.
+    elimination diameter drops to alpha/2 (``_RoundSchedule.stop``).
 
     Medians are evaluated only at rounds where an elimination or a stop is
     possible (envelope skipping). Each survivor keeps the order statistics
@@ -656,7 +655,7 @@ def run_contaminated_successive_elimination(
     ``_ArmPulls``), so its pulls do not depend on when the kernel checks or on
     its rivals. An ``EmpiricalQuantileShift`` arm's contaminated values depend
     on their round's clean values only; its blocks hold those and the flags,
-    and its round ends come from the schedule (``_RoundSchedule.ends``).
+    and each block reads its rounds' ends from the schedule (``_RoundSchedule.ends``).
     """
     race = _Race(instance, config, rng)
     while (check := race.next_check()) is not None:

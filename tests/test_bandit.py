@@ -759,8 +759,8 @@ class TestRoundSchedule:
     def test_schedule_is_the_scalar_rule_bitwise(self, stop_radius, max_rounds, k):
         """On the lb demo's parameters, with its two arms and with four, every
         round's pull count and width equal the round-by-round loop's scalar
-        expressions bit for bit, and ``may_stop`` marks the rounds where the
-        early stop or the round cap fires. No round past ``max_rounds + 1``,
+        expressions bit for bit, and ``stop`` is the first round at which the
+        loop's early stop or round cap fires. No round past ``max_rounds + 1``,
         the last a race reads, is computed."""
         lifted = rb.oblivious_lifting([0.6, 0.4], 0.05)
         family = lifted.family_for(0.15)
@@ -769,41 +769,47 @@ class TestRoundSchedule:
         slope, mad = family.slope_bound, family.mad_bound
         s2 = 2.0 * (slope * mad) ** 2
         delta, last = 0.1, 1 << 16
-        schedule = bandit._RoundSchedule(floor_scale, s2, k, delta, stop_radius, max_rounds)
-        cum, width, may_stop = (a.tolist() for a in schedule.cover(last))
-        assert (cum[0], width[0], may_stop[0]) == (0, 0.0, False)
+        schedule = bandit._RoundSchedule(floor_scale, s2, k, delta, stop_radius, max_rounds, 0)
+        cum, width = (a.tolist() for a in schedule.cover(last))
+        assert (cum[0], width[0]) == (0, 0.0)
         last = min(last, max_rounds + 1)
         assert len(cum) == last + 1
-        bad_pulls, bad_width, bad_stop = [], [], []
+        bad_pulls, bad_width, stops = [], [], []
         for r in range(1, last + 1):
             if cum[r] - cum[r - 1] != 1 + math.ceil(2.0 * floor_scale * math.log((r + 1.0) / r)):
                 bad_pulls.append(r)
             w = 2.0 * math.sqrt(s2 * math.log(3.0 / rb.elimination_round_delta(r, k, delta)) / r)
             if width[r] != w:
                 bad_width.append(r)
-            if may_stop[r] != (r > max_rounds or (stop_radius is not None and w <= stop_radius)):
-                bad_stop.append(r)
-        assert (bad_pulls, bad_width, bad_stop) == ([], [], [])
-        assert 1 < may_stop.index(True) <= last
+            if r > max_rounds or (stop_radius is not None and w <= stop_radius):
+                stops.append(r)
+        assert (bad_pulls, bad_width) == ([], [])
+        assert 1 < schedule.stop == stops[0] <= last
+        assert schedule.stopped_by == ("round-cap" if stop_radius is None else "early-stop")
 
     @pytest.mark.parametrize("max_rounds", [10**6, 100])
     @pytest.mark.parametrize("n", [0, 299, 300, 301, 1_000, 40_000, 123_456])
     def test_ends_reach_pull_n_by_the_smallest_doubling(self, n, max_rounds):
-        """A fresh schedule asked for the round ends up to pull n covers the
-        fewest rounds, by doubling, whose ends reach n or pass the round cap,
-        but none past round max_rounds + 1; its ends are those of a longer
-        schedule."""
+        """A fresh schedule asked for the round ends after pull ``start`` and
+        up to pull n covers the fewest rounds, by doubling, whose ends reach n
+        or pass the round cap, but none past round max_rounds + 1. It returns
+        the ends of a longer schedule in (start, n], and the ends of
+        consecutive blocks join into every end up to n."""
         args, warmup = (812.5, 7.2, 2, 0.1, None, max_rounds), 300
-        cum = bandit._RoundSchedule(*args).cover(1 << 16)[0]
+        every = warmup + bandit._RoundSchedule(*args, warmup).cover(1 << 16)[0]
         size = 1
-        while size <= max_rounds and cum[size - 1] < n - warmup:
+        while size <= max_rounds and every[size - 1] < n:
             size *= 2
         size = min(size, max_rounds + 2)
-        schedule = bandit._RoundSchedule(*args)
-        ends = schedule.ends(warmup, n)
-        assert schedule.cover(0)[0].size == ends.size == size
-        assert ends[-1] >= n or size > max_rounds
-        assert np.array_equal(ends, warmup + cum[:size])
+        schedule = bandit._RoundSchedule(*args, warmup)
+        start = n // 3
+        ends = schedule.ends(start, n)
+        assert schedule.cover(0)[0].size == size
+        assert every[size - 1] >= n or size > max_rounds
+        every = every[:size]
+        assert np.array_equal(ends, every[(every > start) & (every <= n)])
+        joined = np.concatenate((schedule.ends(0, start), ends))
+        assert np.array_equal(joined, every[every <= n])
 
     def test_race_computes_no_width_past_its_cap(self):
         """At delta = 1e-305 the radius's log term overflows between rounds 6
@@ -857,6 +863,52 @@ class TestRoundSchedule:
         assert made[0].cover(0)[0].size > longer.rounds
         assert again == fresh
 
+    @mock.patch.object(bandit, "_BLOCK", 97)
+    def test_a_block_reads_only_the_round_ends_inside_it(self):
+        """A race of tied arms covers the shared schedule to round
+        ``max_rounds + 1``. A prescient race on the same parameters then
+        gives a fresh race's result, and each block of 97 draws that one of
+        its arms takes reads no more round ends than the rounds ending in it,
+        plus one: the lookup does not grow with the longest race run before."""
+        prescient = rb.AdversaryModel.PRESCIENT
+        shifts = ((0.0, 0.9), (0.5, 0.1), (1.0, 0.1))
+        arms = [quantile_arm(rb.Uniform(s, s + 1.0), q) for s, q in shifts]
+        flat = rb.ContaminatedArm(rb.Dirac(0.0), rb.FixedContamination(rb.Dirac(0.0)), 0.3, prescient)
+        config = rb.AlgoConfig(alpha=0.0, delta=0.1, family=FAMILY, eps0=0.3, max_rounds=3000)
+
+        def race(instance):
+            return rb.run_contaminated_successive_elimination(instance, config, np.random.default_rng(7))
+
+        bandit._round_schedule.cache_clear()
+        fresh = race(rb.BanditInstance(arms))
+        bandit._round_schedule.cache_clear()
+        capped = race(rb.BanditInstance([flat] * len(arms)))
+        assert (capped.terminated_by, capped.rounds) == ("round-cap", config.max_rounds)
+        reads = []
+
+        class Counted(bandit._ArmPulls):
+            __slots__ = ()
+
+            def __init__(self, arm, rng, ends):
+                def counted(*args):
+                    out = ends(*args)
+                    reads.append((self.start, args[-1], out.size))
+                    return out
+
+                super().__init__(arm, rng, counted)
+
+        with mock.patch.object(bandit, "_ArmPulls", Counted):
+            again = race(rb.BanditInstance(arms))
+        assert again == fresh
+        assert again.terminated_by == "single-survivor"
+        schedule = bandit._Race(rb.BanditInstance(arms), config, np.random.default_rng(0)).schedule
+        warmup = rb.warmup_pulls(len(arms), config.delta, config.estimation_params(prescient))
+        every = warmup + schedule.cover(0)[0]
+        assert every.size == config.max_rounds + 2
+        assert len(reads) > 2 * len(arms)
+        inside = [int(((every > start) & (every <= n)).sum()) for start, n, _ in reads]
+        assert [read for read, count in zip(reads, inside) if read[2] > count + 1] == []
+
 
 def iid_arms():
     """Arms whose pulls are iid, one per kind of contamination draw."""
@@ -890,6 +942,12 @@ def quantile_arm(base, q):
     return rb.ContaminatedArm(base, rb.EmpiricalQuantileShift(q), 0.3, rb.AdversaryModel.PRESCIENT)
 
 
+def block_ends(sizes):
+    """An ``ends(start, n)`` for rounds of ``sizes`` pulls: those ending in (start, n]."""
+    ends = np.cumsum(sizes)
+    return lambda start, n: ends[(ends > start) & (ends <= n)]
+
+
 def drawn_by(arm, draws):
     """A draw_batch stand-in that appends each call's n and values, for
     ``arm`` only, to ``draws``."""
@@ -918,8 +976,7 @@ class TestArmPulls:
 
         def pulled(calls):
             draws = []
-            ends = np.cumsum(sum(calls, []))
-            stream = bandit._ArmPulls(arm, np.random.default_rng(seed), lambda n: ends)
+            stream = bandit._ArmPulls(arm, np.random.default_rng(seed), block_ends(sum(calls, [])))
             with mock.patch.object(bandit, "draw_batch", drawn_by(arm, draws)):
                 values = np.concatenate([stream.rounds(sum(sizes)) for sizes in calls])
             return values, [n for n, _ in draws]
@@ -964,7 +1021,7 @@ class TestArmPulls:
 
         def pulled(calls):
             rng = np.random.default_rng(seed)
-            stream = bandit._ArmPulls(arm, rng, lambda n: np.cumsum(sizes))
+            stream = bandit._ArmPulls(arm, rng, block_ends(sizes))
             return np.concatenate([stream.rounds(sum(c)) for c in calls if c]), rng.bit_generator.state
 
         split = pulled([sizes[a:b] for a, b in zip(bounds, bounds[1:])])
@@ -980,7 +1037,7 @@ class TestArmPulls:
         quantile; the clean values and flags are those of whole debug batches
         of ``_BLOCK`` draws on the same generator."""
         arm = quantile_arm(base, q)
-        stream = bandit._ArmPulls(arm, np.random.default_rng(seed), lambda n: np.cumsum(sizes))
+        stream = bandit._ArmPulls(arm, np.random.default_rng(seed), block_ends(sizes))
         pulls = stream.rounds(sum(sizes))
         twin = np.random.default_rng(seed)
         batches = [
@@ -1015,7 +1072,7 @@ class TestArmPulls:
         picks = [np.quantile(clean[rounds == j], q, method="inverted_cdf") for j in range(len(sizes))]
         x = np.where(flags, np.append(picks, np.nan)[rounds], clean)
         with mock.patch.object(bandit, "_BLOCK", 97):
-            stream = bandit._ArmPulls(arm, np.random.default_rng(5), lambda n: ends)
+            stream = bandit._ArmPulls(arm, np.random.default_rng(5), block_ends(sizes))
             handed = 0
             for n in sizes:
                 before = stream.held
