@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +115,9 @@ class AlgoConfig:
             raise ParameterOutOfRangeError(
                 f"alpha must be nonnegative and finite, got {self.alpha}", "alpha"
             )
-        if self.max_rounds < 1:
-            raise ParameterOutOfRangeError("max_rounds must be positive", "max_rounds")
+        # the round schedule computes max_rounds + 1.0, so a float must hold it
+        if not 1 <= self.max_rounds <= sys.float_info.max:
+            raise ParameterOutOfRangeError("max_rounds must lie in [1, 1.8e308]", "max_rounds")
 
     def estimation_params(self, model: AdversaryModel) -> EstimationParams:
         return EstimationParams(eps0=self.eps0, family=self.family, model=model)

@@ -27,18 +27,28 @@ The format is flat sectioned key-value text::
 
 Values are scalars (int, float, true/false, bare or quoted strings), lists
 ``[...]`` or tagged maps ``{key: value, ...}``; ``_TOKEN`` states what a
-token is. The ``arm`` key repeats, one line per arm. Lines starting with
-``#`` are comments. A distribution or strategy literal's fields are its
-class's dataclass fields. The parser validates a config by building its
-run's spec with the runner's own set-up (``runner.spec_of``), whose library
-objects each state their own ranges, and reports a rejection at the config
-key and line of the parameter it names, so a bad config fails at parse time.
+token is. The ``arm`` key repeats, one line per arm; any other key is
+stated at most once. Lines starting with ``#`` are comments. A distribution
+or strategy literal's fields are its class's dataclass fields. The parser
+validates a config by building its run's spec with the runner's own set-up
+(``runner.spec_of``), whose library objects each state their own ranges,
+and reports a rejection at the config key and line of the parameter it
+names, so a bad config fails at parse time.
 
-``_KINDS`` states each experiment kind once: the CLI command that runs it,
-what its ``[instance]`` declares, the statistic it estimates or races on,
-and the ``[algorithm]`` keys it requires and those it also reads; a config
-that sets any other ``[algorithm]`` key is rejected. The CLI's subcommands
-and the runner's dispatch are read from it.
+Three tables state what a config may hold. ``_KEYS`` maps every key to its
+section, its type and its default; no two sections share a key. ``_KINDS``
+states each experiment kind once: the CLI command that runs it, the
+statistic it estimates or races on, the keys it requires and the other keys
+it reads, in any section (every kind also reads ``kind``, ``replications``,
+``seed`` and ``dir``). ``_CHOICES`` lists the values a string key may take.
+The CLI's subcommands and the runner's dispatch are read from ``_KINDS``.
+
+A config's faults are reported in this order, the first one found: its
+lines (a section, a key or a value no config may state, a key stated
+twice), then ``kind``, then each key the kind does not read in line order,
+then the first missing required key in ``_KEYS`` order, then each value
+against its type and choices, then the arms in line order, then the run's
+spec.
 """
 
 from __future__ import annotations
@@ -278,58 +288,70 @@ def strategy_from_spec(spec: Any, key: str = "strategy", line: int | None = None
 
 # -- config assembly -----------------------------------------------------------
 
-# [algorithm] key -> (type, default or None). parse_config fills in each
-# default the config leaves out; the library objects the kind runs state the
-# ranges.
-_ALGORITHM = {
-    "alpha": (float, 0.0),
-    "delta": (float, None),
-    "eps0": (float, None),
-    "t_bar": (float, None),
-    "slope_bound": (float, None),
-    "mad_bound": (float, None),
-    "mad_ratio": (float, 0.0),
-    "error_level": (float, None),
-    "mad_source": (str, "true"),
-    "early_stop": (bool, False),
-    "max_rounds": (int, 10**6),
-    "c_eta": (float, 1.0),
+# key -> (section, type, default or None). Every value a config states, and
+# every default it leaves out, is read as its type by _coerce. An [algorithm]
+# default is filled in whether or not the kind reads the key; the library
+# objects the kind runs state the ranges.
+_KEYS = {
+    "kind": ("experiment", str, ""),
+    "replications": ("experiment", int, 1),
+    "seed": ("experiment", int, 0),
+    "suites": ("experiment", [str], None),
+    "model": ("instance", str, None),
+    "eps": ("instance", float, 0.0),
+    "arm": ("instance", dict, None),
+    "p": ("instance", [float], None),
+    "alpha": ("algorithm", float, 0.0),
+    "delta": ("algorithm", float, None),
+    "eps0": ("algorithm", float, None),
+    "t_bar": ("algorithm", float, None),
+    "slope_bound": ("algorithm", float, None),
+    "mad_bound": ("algorithm", float, None),
+    "mad_ratio": ("algorithm", float, 0.0),
+    "error_level": ("algorithm", float, None),
+    "mad_source": ("algorithm", str, "true"),
+    "early_stop": ("algorithm", bool, False),
+    "max_rounds": ("algorithm", int, 10**6),
+    "c_eta": ("algorithm", float, 1.0),
+    "dir": ("output", str, None),
 }
+
+# the keys every kind reads
+_EVERY = frozenset({"kind", "replications", "seed", "dir"})
 
 
 class _Kind(NamedTuple):
     command: str  # the CLI subcommand that runs the kind
-    instance: str  # what [instance] declares: "arms", one "arm", "p" or ""
     statistic: str | None  # what it estimates or races on: "median", "mad" or None
-    required: frozenset[str]  # the [algorithm] keys the config must set
-    optional: frozenset[str]  # the other [algorithm] keys it reads, if set
+    required: frozenset[str]  # the keys the config must set
+    optional: frozenset[str]  # the other keys it reads, if set
 
 
 _FAMILY = frozenset({"t_bar", "slope_bound", "mad_bound"})
-_ESTIMATE = _FAMILY | {"delta", "eps0", "error_level"}
-_RACE = _FAMILY | {"alpha", "delta", "eps0"}
-_RACING = frozenset({"early_stop", "max_rounds", "mad_ratio"})
-_NONE = frozenset()
-_MAD_SOURCE = frozenset({"mad_source"})
+_ARMS = _FAMILY | {"model", "arm"}  # a family and contaminated arms, all gaps requires
+_ESTIMATE = _ARMS | {"delta", "eps0", "error_level"}
+_RACE = frozenset({"alpha", "delta", "eps0"})
+_EPS = frozenset({"eps"})  # every kind with an instance reads eps
+_RACING = _EPS | {"early_stop", "max_rounds", "mad_ratio"}
 
 _KINDS = {
-    "estimate-median": _Kind("estimate", "arm", "median", _ESTIMATE, _MAD_SOURCE),
-    "estimate-mad": _Kind("estimate", "arm", "mad", _ESTIMATE | {"mad_ratio"}, _MAD_SOURCE),
-    "bai-simple": _Kind("bai", "arms", "median", _RACE, frozenset({"mad_ratio"})),
-    "bai-succelim": _Kind("bai", "arms", "median", _RACE, _RACING),
-    "gaps": _Kind("gaps", "arms", None, _FAMILY, _NONE),
-    "lower-bound": _Kind("lb", "p", "median", _RACE, _RACING | {"c_eta"}),
-    "verify": _Kind("verify", "", None, _NONE, _NONE),
-}
-
-_KNOWN_KEYS = {
-    "experiment": {"kind", "replications", "seed", "suites"},
-    "instance": {"model", "eps", "arm", "p"},
-    "algorithm": set(_ALGORITHM),
-    "output": {"dir"},
+    "estimate-median": _Kind("estimate", "median", _ESTIMATE, _EPS | {"mad_source"}),
+    "estimate-mad": _Kind("estimate", "mad", _ESTIMATE | {"mad_ratio"}, _EPS | {"mad_source"}),
+    "bai-simple": _Kind("bai", "median", _ARMS | _RACE, _EPS | {"mad_ratio"}),
+    "bai-succelim": _Kind("bai", "median", _ARMS | _RACE, _RACING),
+    "gaps": _Kind("gaps", None, _ARMS, _EPS),
+    "lower-bound": _Kind("lb", "median", _FAMILY | _RACE | {"model", "p"}, _RACING | {"c_eta"}),
+    "verify": _Kind("verify", None, frozenset(), frozenset({"suites"})),
 }
 
 _MODELS = {m.value: m for m in AdversaryModel}
+
+# key -> (the values it may take, the error a value outside them raises)
+_CHOICES = {
+    "kind": (_KINDS, TypeMismatchError),
+    "model": (_MODELS, TypeMismatchError),
+    "mad_source": (("true", "bound"), FeasibilityViolationError),
+}
 
 
 @dataclass
@@ -359,30 +381,27 @@ class ExperimentConfig:
         return AlgoConfig(family=self.family(), **{key: self.algorithm[key] for key in keys})
 
 
+# a scalar type as _coerce's messages name it
+_EXPECTED = {float: "a number", int: "an integer", bool: "true/false", str: "a string", dict: "a map"}
+
+
 def _coerce(value, want, key, line):
+    """``value`` as ``want``: a scalar type, ``Distribution`` (a literal) or
+    ``[t]``, a list of ``t``. A bool is no number, and an integer is a float."""
     if isinstance(want, list):
         if not isinstance(value, list):
             raise TypeMismatchError(f"expected a list, got {value!r}", key, line)
         return [_coerce(v, want[0], key, line) for v in value]
     if want is Distribution:
         return distribution_from_spec(value, key, line)
-    if want is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeMismatchError(f"expected a number, got {value!r}", key, line)
-        return float(value)
-    if want is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeMismatchError(f"expected an integer, got {value!r}", key, line)
+    if isinstance(value, want) and not (want is int and isinstance(value, bool)):
         return value
-    if want is bool:
-        if not isinstance(value, bool):
-            raise TypeMismatchError(f"expected true/false, got {value!r}", key, line)
-        return value
-    if want is str:
-        if not isinstance(value, str):
-            raise TypeMismatchError(f"expected a string, got {value!r}", key, line)
-        return value
-    raise AssertionError(want)
+    if want is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the floats reads as the word 1e400 does
+            return math.inf if value > 0 else -math.inf
+    raise TypeMismatchError(f"expected {_EXPECTED[want]}, got {value!r}", key, line)
 
 
 def check_seed(seed: int, line: int | None = None) -> int:
@@ -395,6 +414,7 @@ def check_seed(seed: int, line: int | None = None) -> int:
 def _parse_sections(text: str):
     """Returns {section: [(key, value, line)]} with values decoded."""
     sections: dict[str, list[tuple[str, Any, int]]] = {}
+    stated: set[str] = set()
     current: str | None = None
     # only "\n" ends a line; strip() drops the "\r" of a "\r\n"
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -403,7 +423,7 @@ def _parse_sections(text: str):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip()
-            if current not in _KNOWN_KEYS:
+            if all(section != current for section, *_ in _KEYS.values()):
                 raise UnknownKeyError(f"unknown section [{current}]", line=lineno)
             sections.setdefault(current, [])
             continue
@@ -413,25 +433,14 @@ def _parse_sections(text: str):
             raise ConfigError(f"expected 'key = value', got {stripped!r}", line=lineno)
         key, _, rest = stripped.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS[current]:
+        if _KEYS.get(key, ("",))[0] != current:
             raise UnknownKeyError(f"unknown key in [{current}]", key=key, line=lineno)
         value = _parse_value(rest.strip(), key, lineno)
+        if key in stated and key != "arm":
+            raise ConfigError(f"duplicate key {key!r}", key=key, line=lineno)
+        stated.add(key)
         sections[current].append((key, value, lineno))
     return sections
-
-
-def _section_map(entries: list[tuple[str, Any, int]], repeatable: set[str] = frozenset()):
-    out: dict[str, Any] = {}
-    lines: dict[str, int] = {}
-    for key, value, lineno in entries:
-        if key in repeatable:
-            out.setdefault(key, []).append((value, lineno))
-        elif key in out:
-            raise ConfigError(f"duplicate key {key!r}", key=key, line=lineno)
-        else:
-            out[key] = value
-            lines[key] = lineno
-    return out, lines
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -446,140 +455,93 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _parse_config(text: str) -> ExperimentConfig:
-    sections = _parse_sections(text)
+    entries = sorted((e for s in _parse_sections(text).values() for e in s), key=lambda e: e[2])
+    values = {key: value for key, value, _ in entries}
+    lines = {key: lineno for key, _, lineno in reversed(entries)}  # an arm's is the first arm's
 
-    exp, exp_lines = _section_map(sections.get("experiment", []))
-    kind = _coerce(exp.get("kind", ""), str, "kind", exp_lines.get("kind"))
-    if kind not in _KINDS:
-        raise TypeMismatchError(
-            f"kind must be one of {', '.join(_KINDS)}; got {kind!r}",
-            key="kind",
-            line=exp_lines.get("kind"),
-        )
-    replications = _coerce(exp.get("replications", 1), int, "replications", exp_lines.get("replications"))
+    def read(key: str):
+        """``key``'s stated value, else its default, as its type and one of its choices."""
+        _, want, default = _KEYS[key]
+        value, line = values.get(key, default), lines.get(key)
+        if value is None:
+            return None
+        choices, error = _CHOICES.get(key, ((), None))
+        if value is True and "true" in choices:
+            value = "true"  # the value parser reads a bare true as a bool
+        if key == "suites" and isinstance(value, str):
+            value = [value]  # one suite may be named bare
+        value = _coerce(value, want, key, line)
+        if error is not None and value not in choices:
+            raise error(f"{key} must be one of {', '.join(choices)}; got {value!r}", key, line)
+        return value
+
+    name = read("kind")
+    kind = _KINDS[name]
+    reads = kind.required | kind.optional | _EVERY
+    for key, _, lineno in entries:
+        if key not in reads:
+            raise UnknownKeyError(f"{name} reads no [{_KEYS[key][0]}] key {key!r}", key, lineno)
+    missing = next((key for key in _KEYS if key in kind.required and key not in lines), None)
+    if missing is not None:
+        raise ConfigError(f"[{_KEYS[missing][0]}] is missing a key {name} requires", missing)
+
+    replications = read("replications")
     if replications < 1:
-        raise FeasibilityViolationError(
-            f"replications must be at least 1, got {replications}",
-            key="replications",
-            line=exp_lines.get("replications"),
-        )
-    seed_line = exp_lines.get("seed")
-    seed = check_seed(_coerce(exp.get("seed", 0), int, "seed", seed_line), seed_line)
-
-    suites: tuple[str, ...] = ()
-    if "suites" in exp:
-        if kind != "verify":
-            raise UnknownKeyError(f"{kind} reads no suites", key="suites", line=exp_lines["suites"])
-        raw = exp["suites"]
-        if isinstance(raw, str):
-            raw = [raw]
-        if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-            raise TypeMismatchError("suites must be a list of names", key="suites", line=exp_lines.get("suites"))
+        message = f"replications must be at least 1, got {replications}"
+        raise FeasibilityViolationError(message, "replications", lines.get("replications"))
+    seed = check_seed(read("seed"), lines.get("seed"))
+    suites = read("suites")
+    if suites is not None:
         from .verify import check_suites
 
-        suites = check_suites(raw, exp_lines.get("suites"))
-
-    out, out_lines = _section_map(sections.get("output", []))
-    out_dir = _coerce(out["dir"], str, "dir", out_lines.get("dir")) if "dir" in out else None
-
-    algo, algo_lines = _section_map(sections.get("algorithm", []))
-    algorithm = {key: default for key, (_, default) in _ALGORITHM.items() if default is not None}
-    algo_reads = _KINDS[kind].required | _KINDS[kind].optional
-    for key, value in algo.items():
-        if key not in algo_reads:
-            raise UnknownKeyError(
-                f"{kind} reads no [algorithm] key {key!r}", key=key, line=algo_lines[key]
-            )
-        if key == "mad_source" and value is True:
-            value = "true"  # the value parser reads a bare true as a bool
-        algorithm[key] = _coerce(value, _ALGORITHM[key][0], key, algo_lines[key])
-        if key == "mad_source" and value not in ("true", "bound"):
-            raise FeasibilityViolationError(
-                f"mad_source must be true or bound, got {value!r}", key=key, line=algo_lines[key]
-            )
-    missing = _KINDS[kind].required - set(algo)
-    if missing:
-        raise ConfigError(
-            f"[algorithm] is missing required keys for {kind}: {', '.join(sorted(missing))}"
-        )
-
-    instance = _KINDS[kind].instance
-    reads = {"model", "eps", "p" if instance == "p" else "arm"} if instance else set()
-    for key, _, lineno in sections.get("instance", []):
-        if key not in reads:
-            raise UnknownKeyError(f"{kind} reads no [instance] key {key!r}", key=key, line=lineno)
-    inst, inst_lines = _section_map(sections.get("instance", []), repeatable={"arm"})
-
-    model = None
-    if "model" in inst:
-        name = _coerce(inst["model"], str, "model", inst_lines.get("model"))
-        if name not in _MODELS:
-            raise TypeMismatchError(
-                f"model must be one of {', '.join(_MODELS)}; got {name!r}",
-                key="model",
-                line=inst_lines.get("model"),
-            )
-        model = _MODELS[name]
-    eps = _coerce(inst.get("eps", 0.0), float, "eps", inst_lines.get("eps"))
-
-    p = tuple(_coerce(inst["p"], [float], "p", inst_lines["p"])) if "p" in inst else ()
+        suites = check_suites(suites, lines["suites"])
+    p = tuple(read("p") or ())
+    if "p" in lines and len(p) < 2:
+        raise ConfigError("[instance] must list at least two p values", key="p", line=lines["p"])
+    eps, model, out_dir = read("eps"), _MODELS.get(read("model")), read("dir")
+    algorithm = {
+        key: value
+        for key, (section, *_) in _KEYS.items()
+        if section == "algorithm" and (value := read(key)) is not None
+    }
 
     arms: list[ContaminatedArm] = []
-    for value, lineno in inst.get("arm", []):
-        if not isinstance(value, dict) or not value.keys() <= {"dist", "strategy"}:
-            raise TypeMismatchError(
-                f"arm must be a map with dist and strategy, got {value!r}", "arm", lineno
-            )
+    for value, lineno in ((value, lineno) for key, value, lineno in entries if key == "arm"):
+        if kind.command == "estimate" and arms:
+            raise FeasibilityViolationError("estimation experiments use exactly one arm", "arm", lineno)
+        value = _coerce(value, dict, "arm", lineno)
+        if not value.keys() <= {"dist", "strategy"}:
+            message = f"arm must be a map with dist and strategy, got {value!r}"
+            raise TypeMismatchError(message, "arm", lineno)
         dist = distribution_from_spec(value.get("dist"), "arm", lineno)
-        strategy = strategy_from_spec(
-            value.get("strategy", {"kind": "shift_median_up"}), "arm", lineno
-        )
+        strategy = strategy_from_spec(value.get("strategy", {"kind": "shift_median_up"}), "arm", lineno)
         try:
             arms.append(ContaminatedArm(dist=dist, strategy=strategy, eps=eps, model=model))
         except (IncompatibleStrategyError, ParameterOutOfRangeError) as exc:
             if isinstance(exc, ParameterOutOfRangeError) and exc.key == "eps":
-                raise FeasibilityViolationError(str(exc), "eps", inst_lines.get("eps")) from exc
+                raise FeasibilityViolationError(str(exc), "eps", lines.get("eps")) from exc
             raise FeasibilityViolationError(str(exc), key="arm", line=lineno) from exc
-        if instance == "arms" and not _median_mad(dist)[2]:
-            raise FeasibilityViolationError(
-                "effective gaps need every arm's median to be unique", key="arm", line=lineno
-            )
+        if kind.command != "estimate" and not _median_mad(dist)[2]:
+            message = "effective gaps need every arm's median to be unique"
+            raise FeasibilityViolationError(message, key="arm", line=lineno)
 
     config = ExperimentConfig(
-        kind=kind,
-        replications=replications,
-        seed=seed,
-        out_dir=out_dir,
-        model=model,
-        eps=eps,
-        arms=tuple(arms),
-        p=p,
-        algorithm=algorithm,
-        suites=suites,
+        kind=name, replications=replications, seed=seed, out_dir=out_dir, model=model, eps=eps,
+        arms=tuple(arms), p=p, algorithm=algorithm, suites=suites or ()
     )
-    _validate_feasibility(config, inst_lines, algo_lines)
+    if kind.command != "verify":
+        _check_run(config, lines)
     return config
 
 
-def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> None:
-    """Check the rules no library object states, then build the run's spec as
-    the run does (``runner.spec_of``), each object built stating its own
-    ranges. A rejection is reported at the key it names and that key's line
-    (the lower bound's gaps at ``p``), an infeasible margin or warm-up at ``eps0``."""
+def _check_run(config: ExperimentConfig, lines: dict[str, int]) -> None:
+    """Build the run's spec as the run does (``runner.spec_of``), each object
+    built stating its own ranges, then check that ``eps`` is at most ``eps0``,
+    the rule no library object states. A rejection is reported at the key it
+    names and that key's line (the lower bound's gaps at ``p``), an
+    infeasible margin or warm-up at ``eps0``."""
     from .runner import spec_of  # runner imports this module at load
 
-    kind = _KINDS[config.kind]
-    if not kind.instance:
-        return
-    if config.model is None:
-        raise ConfigError("[instance] must set a model", key="model")
-    if kind.instance == "p" and len(config.p) < 2:
-        raise ConfigError("[instance] must list at least two p values", key="p")
-    if kind.instance != "p" and not config.arms:
-        raise ConfigError("[instance] must declare at least one arm", key="arm")
-    if kind.instance == "arm" and len(config.arms) != 1:
-        raise FeasibilityViolationError("estimation experiments use exactly one arm", key="arm")
-    lines = {**inst_lines, **algo_lines}
     try:
         spec_of(config)
     except ParameterOutOfRangeError as exc:
@@ -588,9 +550,6 @@ def _validate_feasibility(config: ExperimentConfig, inst_lines, algo_lines) -> N
     except InfeasibleRegimeError as exc:
         raise FeasibilityViolationError(str(exc), key="eps0", line=lines.get("eps0")) from exc
     # eps0 is the known upper bound on the contamination level
-    if "eps0" in kind.required and config.eps > config.algorithm["eps0"]:
-        raise FeasibilityViolationError(
-            f"eps0 must be at least the instance's eps {config.eps}, got {config.algorithm['eps0']}",
-            key="eps0",
-            line=algo_lines.get("eps0"),
-        )
+    if "eps0" in _KINDS[config.kind].required and config.eps > config.algorithm["eps0"]:
+        message = f"eps0 must be at least the instance's eps {config.eps}, got {config.algorithm['eps0']}"
+        raise FeasibilityViolationError(message, key="eps0", line=lines.get("eps0"))

@@ -29,8 +29,8 @@ from robandit.harness import (
 from robandit.bandit import exploration_pulls, race_schedule
 from robandit.harness import cli, runner
 from robandit.harness.config import (
-    _ALGORITHM,
     _DISTRIBUTIONS,
+    _KEYS,
     _KINDS,
     _STRATEGIES,
     _parse_sections,
@@ -156,6 +156,23 @@ def _containers(inner):
 
 
 _VALUE = st.recursive(_SCALAR, _containers, max_leaves=10)
+
+
+# The configs the whole-config property edits, and the values it states.
+_WHOLE_CONFIGS = [_demo(name) for name in ("bai", "estimate", "gaps", "lb", "prescient")] + [_BASES["verify"]]
+_POOL = [
+    "0", "-1", "2", "0.5", "-0.0", "1e-300", "5e-324", "1e300", "inf", "-inf", "nan", str(2**64),
+    "1" + "0" * 400, "true", "word", "[]", "{}", _MINIMAL_ARM, "[0.6, 0.4]", "[quality]", "quality",
+    *(model.value for model in rb.AdversaryModel), *_KINDS,
+]
+
+
+def _stated_key(line: str) -> str | None:
+    """The key a config line states, if it states one."""
+    stripped = line.strip()
+    if stripped.startswith(("#", "[")) or "=" not in stripped:
+        return None
+    return stripped.partition("=")[0].strip()
 
 
 class TestParser:
@@ -467,7 +484,7 @@ class TestParser:
     def test_single_arm_lower_bound_rejected(self):
         """A lower bound compares arms, so a one-arm lifting is no config."""
         assert "p = [0.6, 0.4]" in LOWER_BOUND
-        with pytest.raises(ConfigError, match=r"at least two p values \(key 'p'\)") as err:
+        with pytest.raises(ConfigError, match=r"at least two p values \(key 'p', line 10: p = \[0\.6\]\)") as err:
             parse_config(LOWER_BOUND.replace("p = [0.6, 0.4]", "p = [0.6]"))
         assert err.value.key == "p"
 
@@ -584,11 +601,70 @@ class TestParser:
         strat = strategy_from_spec({"kind": "fixed", "dist": {"kind": "dirac", "x": 1.0}})
         assert isinstance(strat, rb.FixedContamination)
 
-    def test_missing_required_algorithm_key(self):
-        bad = MINIMAL.replace("delta = 0.2\n", "")
-        with pytest.raises(Exception) as err:
-            parse_config(bad)
-        assert "delta" in str(err.value)
+    @pytest.mark.parametrize(
+        "base, old, key",
+        [
+            ("minimal", "delta = 0.2\n", "delta"),
+            ("minimal", "model = oblivious\n", "model"),
+            ("estimate", "arm = {dist: {kind: uniform, lo: 0.0, hi: 1.0}, "
+             "strategy: {kind: shift_median_up, magnitude: 1e6}}\n", "arm"),
+            ("lower-bound", "p = [0.6, 0.4]\n", "p"),
+        ],
+    )
+    def test_missing_required_algorithm_key(self, base, old, key):
+        """A key the kind requires and the config leaves out is named, with no line."""
+        text = _BASES[base]
+        assert old in text
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace(old, ""))
+        assert (err.value.key, err.value.line) == (key, None)
+        assert str(err.value).endswith(f"(key {key!r})")
+
+    @settings(max_examples=1500, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_each_rejection_names_a_stated_key_and_its_line(self, data):
+        """A demo or verify config with one line deleted, doubled, inserted
+        (any key, a value from _POOL) or given a value from _POOL either
+        parses or raises a ConfigError that names a key and that key's line,
+        names a key the config does not state and no line, or names a line
+        and no key."""
+        lines = data.draw(st.sampled_from(_WHOLE_CONFIGS)).split("\n")
+        at = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["delete", "duplicate", "insert", "replace"]))
+        value = data.draw(st.sampled_from(_POOL))
+        if edit == "delete":
+            del lines[at]
+        elif edit == "duplicate":
+            lines.insert(at, lines[at])
+        elif edit == "insert":
+            lines.insert(at, f"{data.draw(st.sampled_from(list(_KEYS)))} = {value}")
+        else:
+            at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if _stated_key(line)]))
+            lines[at] = f"{_stated_key(lines[at])} = {value}"
+        try:
+            parse_config("\n".join(lines))
+        except ConfigError as exc:
+            stated = [_stated_key(line) for line in lines]
+            if exc.key is None:
+                assert exc.line is not None, str(exc)
+            elif exc.line is None:
+                assert exc.key not in stated, str(exc)
+            else:
+                assert stated[exc.line - 1] == exc.key, str(exc)
+
+    def test_integer_past_the_floats_is_infinite(self):
+        """An integer too large for a float, where a number is due, reads as
+        inf, as the word 1e400 does, and fails the range that inf fails."""
+        huge = "1" + "0" * 400
+        for old, new, key in [
+            ("eps0 = 0.1", f"eps0 = {huge}", "eps0"),
+            ("hi: 1.3}", f"hi: {huge}}}", "arm"),
+            # the round schedule computes max_rounds + 1.0
+            ("delta = 0.1", f"delta = 0.1\nmax_rounds = {huge}", "max_rounds"),
+        ]:
+            with pytest.raises(FeasibilityViolationError) as err:
+                parse_config(_demo("bai").replace(old, new))
+            assert err.value.key == key
 
     def test_unknown_distribution_kind(self):
         with pytest.raises(TypeMismatchError):
@@ -829,7 +905,7 @@ class TestLibraryStatesTheRanges:
         value, a signed zero, an infinity, nan or any other number: the config
         parses exactly when the library objects accept the value, and
         otherwise fails at the key they name and its line."""
-        if _ALGORITHM[key][0] is int:
+        if _KEYS[key][1] is int:
             value = data.draw(st.integers(-2, 2) | st.sampled_from([10**6, 2**63]))
         else:
             value = data.draw(st.sampled_from(_EDGE_FLOATS) | st.floats())
@@ -1573,7 +1649,7 @@ def test_quality_suite_artifact_serialized(tmp_path):
 def test_readme_config_format_names_every_key_and_kind():
     readme = (REPO_ROOT / "README.md").read_text()
     section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
-    names = list(_ALGORITHM) + list(_DISTRIBUTIONS) + list(_STRATEGIES)
+    names = list(_KEYS) + list(_KINDS) + list(_DISTRIBUTIONS) + list(_STRATEGIES)
     assert [name for name in names if f"`{name}" not in section and f"{name} =" not in section] == []
 
 
