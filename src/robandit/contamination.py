@@ -162,7 +162,7 @@ class ContaminatedArm:
             # a coupling may flag an eps share of the pulls, with twice the slack
             # that malicious_median_attack's 1e-9 check on F(median) lets through
             rate = _flag_rate(self)
-            if rate > self.eps + 2e-9 * self.strategy.flip_prob:
+            if not rate <= self.eps + 2e-9 * self.strategy.flip_prob:
                 raise ParameterOutOfRangeError(
                     f"{type(self.strategy).__name__} flags {rate} of the pulls, above eps {self.eps}"
                 )
@@ -172,12 +172,14 @@ class ContaminatedArm:
             )
         if isinstance(self.strategy, UniformTailShift) and not isinstance(self.dist, Uniform):
             raise IncompatibleStrategyError("uniform tail shift needs a uniform base distribution")
-        if isinstance(self.strategy, UniformTailShift) and self.eps:
-            # built once here, so that a stretched law that overflows fails before any pull
+        if self.eps and not isinstance(self.strategy, EmpiricalQuantileShift):
+            # built once here, so that a law no pull could draw (a point mass at
+            # inf or nan, a stretched law that overflows) fails before any pull
             try:
                 _fixed_component(self)
             except ParameterOutOfRangeError as exc:
-                raise ParameterOutOfRangeError(f"tail shift's stretched law: {exc}") from exc
+                name = type(self.strategy).__name__
+                raise ParameterOutOfRangeError(f"{name}'s contamination law: {exc}") from exc
 
 
 def _flag_rate(arm: ContaminatedArm) -> float:

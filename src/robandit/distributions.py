@@ -5,14 +5,10 @@ Every distribution exposes a right-continuous ``cdf``, left/right quantiles
 sampler, and robust moments: the median, the median absolute deviation (MAD)
 and the MAD of the absolute deviations themselves (a second-order spread).
 Quantiles and robust moments use closed forms where the variant admits them
-and a bracketed k-section search otherwise. Each step evaluates the cdf once,
-vectorized, on the 63 evenly spaced points that bisection could visit in its
-next six halvings, then follows bisection's own path through them, until the
-bracket ends are adjacent floats. It evaluates the cdf at the points bisection
-would and makes the same decisions, so it returns the float that bisection
-driven to adjacency does, even where rounding makes the cdf wobble; for a cdf
-monotone in floating point that is the smallest x with F(x) >= p (or > p).
-It takes a sixth of the Python-level steps.
+and a bracketed bisection otherwise, halving until the bracket ends are
+adjacent floats. For a cdf monotone in floating point it returns the smallest
+x with F(x) >= p (or > p); where rounding makes the cdf wobble, the float
+bisection's own path settles on.
 """
 
 from __future__ import annotations
@@ -58,10 +54,6 @@ __all__ = [
 # are orders of magnitude wider than this.
 _UNIQUE_TOL = 1e-10
 
-# Halvings per step of the quantile search: one cdf call on the 2**6 - 1 = 63
-# evenly spaced points of the bisection tree below the bracket.
-_SECTION_DEPTH = 6
-
 _GAUSSIAN_MAD = 0.6744897501960817  # MAD of the standard normal: float(ndtri(0.75))
 # median of ||X| - _GAUSSIAN_MAD| for a standard normal X, the numeric search's result
 _GAUSSIAN_MAD2 = 0.3990915958297282
@@ -106,7 +98,7 @@ class Distribution:
 
     A law states only its math on float arrays: ``_cdf``, ``_atom_mass`` if it
     has atoms, and ``_quantile_left``/``_quantile_right`` if it has closed
-    forms (the k-section search otherwise). A law with a closed-form upper
+    forms (bisection otherwise). A law with a closed-form upper
     tail also states ``_upper_quantile_left``/``_upper_quantile_right``, its
     quantiles at level 1 - p computed from p, which keep a small p that
     ``1.0 - p`` rounds away. The public methods take a scalar
@@ -185,8 +177,8 @@ def _check_reach(dist: Distribution) -> None:
 
 
 def _search_quantile(dist: Distribution, p: float, strict: bool) -> float:
-    """Smallest float x with F(x) >= p (or > p when strict), as bisection to
-    float adjacency finds it, _SECTION_DEPTH halvings per vectorized cdf call."""
+    """Smallest float x with F(x) >= p (or > p when strict), by bisection
+    to float adjacency."""
     if strict:
         pred = lambda x: dist.cdf(x) > p
     else:
@@ -208,27 +200,15 @@ def _search_quantile(dist: Distribution, p: float, strict: bool) -> float:
             raise ParameterOutOfRangeError(unreached)
         lo -= step
         step *= 2.0
-    # Invariant: pred(lo) is False, pred(hi) is True. Each step evaluates, in
-    # one cdf call, every midpoint bisection could visit in its next
-    # _SECTION_DEPTH halvings, then follows bisection's own path through them.
-    while True:
-        edges = [lo, hi]
-        for _ in range(_SECTION_DEPTH):
-            split = [lo]
-            for a, b in zip(edges, edges[1:]):
-                split += (0.5 * (a + b), b)
-            edges = split
-        holds = [False, *pred(np.array(edges[1:-1])).tolist(), True]
-        i, j = 0, len(edges) - 1
-        while j - i > 1:
-            m = (i + j) // 2
-            if not (edges[i] < edges[m] < edges[j]):
-                return edges[j]
-            if holds[m]:
-                j = m
-            else:
-                i = m
-        lo, hi = edges[i], edges[j]
+    # Invariant: pred(lo) is False, pred(hi) is True.
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for name, path in result.files.items():
         print(f"{name}: {path}")
-    for key, value in result.summary.items():
-        print(f"{key} = {value}")
+    print(result.files["summary"].read_text(), end="")
     return result.exit_code
 
 

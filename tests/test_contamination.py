@@ -72,6 +72,21 @@ class TestCompatibility:
         with pytest.raises(rb.ParameterOutOfRangeError, match="of the pulls, above eps"):
             make_arm(strategy, eps=eps, model=MAL, dist=dist)
 
+    @pytest.mark.parametrize(
+        "strategy, model, match",
+        [
+            (rb.ShiftMedianUp(math.inf), OBL, "ShiftMedianUp's contamination law: dirac draws must stay finite"),
+            (rb.BelowMedianCoupling(0.5, 0.2, math.nan), MAL, "BelowMedianCoupling's contamination law: dirac"),
+            # a NaN threshold flags no pull, at a flag rate of NaN
+            (rb.BelowMedianCoupling(math.nan, 0.2, 0.7), MAL, "BelowMedianCoupling flags nan of the pulls"),
+        ],
+        ids=["shift-to-inf", "coupling-to-nan", "nan-threshold"],
+    )
+    def test_contamination_law_no_pull_could_draw_rejected(self, strategy, model, match):
+        """Rejected when the arm is built, not at its first draw."""
+        with pytest.raises(rb.ParameterOutOfRangeError, match=match):
+            make_arm(strategy, eps=0.1, model=model)
+
     @pytest.mark.parametrize("eps", [1e-6, 0.01, 0.1, 0.3, 0.49])
     @pytest.mark.parametrize("dist", [rb.Uniform(-1.0, 1.0), rb.Gaussian(0.3, 2.0), rb.Cauchy(1.0, 0.5)])
     def test_couplings_at_their_eps_build(self, dist, eps):

@@ -265,9 +265,9 @@ def _cauchy_tan_reference(p: float) -> Decimal:
 
 
 def _bisection_oracle(dist, p, strict, max_steps=200):
-    """The bracketed bisection the k-section search replaced, kept as its
-    reference: the old loop with its 200-step cap as a parameter. Returns the
-    float and whether the bracket reached float adjacency within the cap."""
+    """The search's own rule, bracketed bisection to float adjacency, with a
+    step cap as a parameter. Returns the float and whether the bracket
+    reached float adjacency within the cap."""
     if strict:
         pred = lambda x: dist.cdf(x) > p
     else:

@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,15 @@ def _malicious_coupling(flip_prob: float) -> tuple[str, str]:
         "model = malicious\neps = 0.1\narm = {dist: {kind: uniform, lo: 0.0, hi: 1.0}, "
         f"strategy: {{kind: below_median_coupling, threshold: 0.5, flip_prob: {flip_prob}, point: 5.0}}}}",
     )
+
+
+def _uncontaminated_estimate(t_bar: str) -> tuple[str, str]:
+    """(old, new) that set the estimate demo's eps and eps0 to 0.0 and its
+    t_bar to ``t_bar``: the span from eps through t_bar, restated."""
+    text = _BASES["estimate"]
+    old = text[text.index("eps = 0.1") : text.index("t_bar = 0.4") + len("t_bar = 0.4")]
+    new = old.replace("eps = 0.1", "eps = 0.0").replace("eps0 = 0.1", "eps0 = 0.0")
+    return old, new.replace("t_bar = 0.4", f"t_bar = {t_bar}")
 
 
 # Value trees for the grammar round trip, each drawn as (text, decoded value).
@@ -1467,18 +1477,53 @@ class TestCli:
             # a model without a lifting, and a racing key uniform exploration never reads
             ("lb", "lower-bound", "model = oblivious", "model = prescient", "model"),
             ("bai", "minimal", "delta = 0.2", "delta = 0.2\nmax_rounds = 5", "max_rounds"),
+            # a quantile margin or an error level that asks for more than the per-arm draw cap
+            ("lb", "lb", "t_bar = 0.15", "t_bar = 0.0264", "eps0"),
+            ("estimate", "estimate", "error_level = 0.05", "error_level = 1e-5", "error_level"),
+            # a margin so small that its sample size overflows to inf
+            ("estimate", "estimate", *_uncontaminated_estimate("1e-200"), "eps0"),
+            # a delta whose log overflows, and one whose share delta / k leaves no sample size
+            ("bai", "bai", "delta = 0.1", "delta = 5e-324", "delta"),
+            ("bai", "minimal", "delta = 0.2", "delta = 5e-324", "delta"),
+            # a race whose radius overflows by round max_rounds + 1
+            ("bai", "bai", "delta = 0.1", "delta = 1e-300", "delta"),
+            ("bai", "bai", "mad_bound = 0.25", "mad_bound = 3e153", "mad_bound"),
+            ("lb", "lb", "slope_bound = 5.43", "slope_bound = 1e200", "slope_bound"),
+            # a second arm in an estimate, and a lower bound with one p value
+            ("estimate", "estimate", "magnitude: 1e6}}", f"magnitude: 1e6}}}}\narm = {_FLAT_ARM}", "arm"),
+            ("lb", "lb", "p = [0.6, 0.4]", "p = [0.6]", "p"),
         ],
     )
     def test_config_the_runner_cannot_run_is_usage_error(
         self, tmp_path, capsys, command, base, old, new, key
     ):
-        """Rejected at parse time with its key and line: exit 2, no output directory."""
+        """Rejected at parse time with its key and line, quoted as the config
+        states it: exit 2, no output directory, and no warning."""
+        assert old in _BASES[base]
+        bad = _BASES[base].replace(old, new)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(_BASES[base].replace(old, new))
+        cfg.write_text(bad)
         out = tmp_path / "out"
-        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"(key {key!r}, line " in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        lines = enumerate(bad.splitlines(), 1)
+        assert any(err.endswith(f"(key {key!r}, line {n}: {stated})\n") for n, stated in lines)
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", list(_KINDS))
+    def test_printed_summary_is_summary_txt(self, tmp_path, monkeypatch, capsys, kind):
+        """In process: stdout ends with the summary file's path and then its
+        lines as written, so both outputs go through one formatter."""
+        monkeypatch.delenv("ROBANDIT_SEED", raising=False)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(OUTPUT_CASES[kind])
+        out = tmp_path / "out"
+        assert cli.main([_KINDS[kind].command, "--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert printed[-len(summary) - 1 :] == [f"summary: {out / 'summary.txt'}", *summary]
 
     def test_non_finite_result_writes_nothing(self, tmp_path, monkeypatch, capsys):
         """A non-finite value that reaches the writer fails the run (exit 1)
@@ -1522,7 +1567,7 @@ class TestCli:
             "verify", "--suites", "kl,delta-budget", "--out", str(tmp_path / "v"), "--seed", "3"
         )
         assert proc.returncode == 0, proc.stderr
-        assert "all_passed = True" in proc.stdout
+        assert "all_passed = true" in proc.stdout
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unknown_suite_is_usage_error(self, tmp_path, source):
