@@ -19,7 +19,6 @@ from .bandit import (
     elimination_round_delta,
     run_contaminated_successive_elimination,
     run_simple,
-    simple_exploration_estimates,
     warmup_pulls,
 )
 from .contamination import (
@@ -29,17 +28,14 @@ from .contamination import (
     ContaminatedArm,
     EmpiricalQuantileShift,
     FixedContamination,
-    MarginalReport,
     ShiftMedianDown,
     ShiftMedianUp,
     UniformTailShift,
     contaminated_cdf,
     draw_batch,
     draw_sample,
-    ks_distance,
     malicious_median_attack,
     median_sandwich_bounds,
-    verify_marginals,
 )
 from .distributions import (
     AdversaryModel,
@@ -56,7 +52,6 @@ from .distributions import (
     Uniform,
     abs_deviation_of,
     contamination_bias,
-    eps_ceiling,
     in_mad_family,
     in_quantile_family,
     median_shift_bound,

@@ -3,7 +3,8 @@
 Two algorithms:
 
 * ``run_simple`` pulls every arm the same precomputed number of times and
-  returns the arm with the best empirical median.
+  chooses the arm with the best empirical median, keeping every arm's
+  empirical median and MAD.
 * ``run_contaminated_successive_elimination`` races contaminated arms by
   successive elimination: a warm-up phase buys the validity floor of the median
   concentration bound, later rounds top up samples so the running medians stay
@@ -51,7 +52,6 @@ __all__ = [
     "EffectiveGapReport",
     "effective_gaps",
     "run_simple",
-    "simple_exploration_estimates",
     "SimpleRunOutcome",
     "run_contaminated_successive_elimination",
     "elimination_round_delta",
@@ -196,7 +196,7 @@ class SimpleRunOutcome:
     mads: tuple[float, ...]
 
 
-def simple_exploration_estimates(
+def run_simple(
     instance: BanditInstance, config: AlgoConfig, rng: np.random.Generator
 ) -> SimpleRunOutcome:
     """Uniform exploration, retaining per-arm empirical medians and MADs.
@@ -235,12 +235,6 @@ def exploration_pulls(k: int, config: AlgoConfig, model: AdversaryModel) -> int:
             message = f"delta={config.delta} is too small: its share per arm leaves no sample size"
         key = "alpha" if exc.key == "error_level" else "delta"
         raise ParameterOutOfRangeError(message, key) from exc
-
-
-def run_simple(
-    instance: BanditInstance, config: AlgoConfig, rng: np.random.Generator
-) -> BanditRunResult:
-    return simple_exploration_estimates(instance, config, rng).result
 
 
 def elimination_round_delta(r: int, k: int, delta: float) -> float:

@@ -25,10 +25,9 @@ from .distributions import (
     _median_pair,
     _on_floats,
 )
-from .errors import EmptyInputError, IncompatibleStrategyError, ParameterOutOfRangeError
+from .errors import IncompatibleStrategyError, ParameterOutOfRangeError
 
 __all__ = [
-    "AdversaryModel",
     "FixedContamination",
     "ShiftMedianUp",
     "ShiftMedianDown",
@@ -45,9 +44,6 @@ __all__ = [
     "contaminated_cdf",
     "malicious_median_attack",
     "median_sandwich_bounds",
-    "MarginalReport",
-    "verify_marginals",
-    "ks_distance",
 ]
 
 
@@ -396,61 +392,3 @@ def malicious_median_attack(dist: Distribution, eps: float) -> ContaminatedArm:
     point = dist.quantile_right(_median_levels(eps, AdversaryModel.MALICIOUS)[1])
     strategy = BelowMedianCoupling(threshold=median, flip_prob=2.0 * eps, point=point)
     return ContaminatedArm(dist=dist, strategy=strategy, eps=eps, model=AdversaryModel.MALICIOUS)
-
-
-@dataclass(frozen=True)
-class MarginalReport:
-    """``verify_marginals``' verdict, with the flag frequency and the clean
-    KS statistic beside the bands they were judged by, so a failing check
-    shows how far it missed."""
-
-    passed: bool
-    n: int
-    d_frequency: float
-    d_band: float
-    ks_statistic: float
-    ks_bound: float
-
-
-def ks_distance(values, dist: Distribution) -> float:
-    """sup_x |empirical cdf - F|, tie-aware so atoms are handled correctly.
-
-    For checking a sampler against a law: ``verify_marginals`` judges the
-    clean values with it, and the tests judge the samplers, the observed
-    laws and the replication generators. No command calls it."""
-    xs = np.asarray(values, dtype=float)
-    n = xs.size
-    if n == 0:
-        raise EmptyInputError("KS distance needs at least one sample")
-    uniq, counts = np.unique(xs, return_counts=True)
-    ecdf_hi = np.cumsum(counts) / n
-    ecdf_lo = ecdf_hi - counts / n
-    fs = dist.cdf(uniq)
-    fs_left = fs - dist.atom_mass(uniq)
-    return float(max(np.max(np.abs(fs - ecdf_hi)), np.max(np.abs(fs_left - ecdf_lo))))
-
-
-def verify_marginals(
-    arm: ContaminatedArm, n: int, rng: np.random.Generator, delta: float = 0.01
-) -> MarginalReport:
-    """Draw a debug batch and check the contamination-flag frequency and the
-    clean-sample KS distance against their concentration bands.
-
-    For whoever adds a strategy or changes the generator the runs draw from:
-    the tests certify each adversary's flag marginal and the replication
-    streams with it. No command or verify suite calls it."""
-    if n < 1:
-        raise ParameterOutOfRangeError(f"batch size must be at least 1, got {n}")
-    band = math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-    if arm.eps > 0 and not band < arm.eps / 2.0:
-        raise ParameterOutOfRangeError(
-            f"n={n} too small: the Hoeffding band {band:.4g} must be below eps/2"
-        )
-    batch = draw_batch(arm, n, rng, debug=True)
-    d_freq = float(batch.d.mean())
-    ks = ks_distance(batch.y, arm.dist)
-    ks_bound = 2.0 * band
-    passed = abs(d_freq - arm.eps) <= band and ks <= ks_bound
-    return MarginalReport(
-        passed=passed, n=n, d_frequency=d_freq, d_band=band, ks_statistic=ks, ks_bound=ks_bound
-    )

@@ -46,7 +46,6 @@ __all__ = [
     "in_mad_family",
     "median_shift_bound",
     "contamination_bias",
-    "eps_ceiling",
 ]
 
 # Uniqueness of a quantile is decided by comparing the left and right
@@ -621,15 +620,6 @@ class FamilyParams:
             if not holds:
                 value = getattr(self, name)
                 raise ParameterOutOfRangeError(f"{name} must {requirement}, got {value}", name)
-
-
-def eps_ceiling(t_bar: float) -> float:
-    """Largest contamination level controllable with neighborhood half-width t_bar.
-
-    For a user choosing ``t_bar`` for a known contamination level; the library
-    checks feasibility through the margins of ``EstimationParams`` and does
-    not call it."""
-    return 2.0 * t_bar / (1.0 + 2.0 * t_bar)
 
 
 def _slope_check(dist: Distribution, lo: float, hi: float, inv_slope: float, grid: int) -> bool:

@@ -124,10 +124,6 @@ class RobustEstimateReport:
     n: int
     model: AdversaryModel
 
-    def interval(self) -> tuple[float, float]:
-        radius = self.bias + self.half_width
-        return self.estimate - radius, self.estimate + radius
-
 
 # The most values an estimate batch or a race warm-up may draw per arm:
 # 2**27 float64 values fill 1 GiB.

@@ -144,8 +144,10 @@ class RaceSpec:
     pulls: ClassVar[str] = "total_pulls"
 
     def row(self, rng: np.random.Generator) -> dict[str, Any]:
-        run = run_simple if self.simple else run_contaminated_successive_elimination
-        result = run(self.instance, self.algo, rng)
+        if self.simple:
+            result = run_simple(self.instance, self.algo, rng).result
+        else:
+            result = run_contaminated_successive_elimination(self.instance, self.algo, rng)
         chosen = result.chosen_arm
         return {
             "chosen_arm": chosen,
@@ -260,10 +262,12 @@ def run_experiment(
 
 def spec_of(config: ExperimentConfig) -> tuple[RaceSpec | EstimateSpec | None, dict[str, Any]]:
     """The replication spec of ``config``'s run (none for gaps) and the set-up
-    figures it reports, built as the run builds them, drawing nothing. A race
-    with an arm whose effective gap is not positive and no early stop at
-    alpha > 0 may run to the round cap, and is rejected at ``alpha``; a lower
-    bound for a model without a lifting is rejected at ``model``."""
+    figures it reports, built as the run builds them, drawing nothing. A
+    ``bai-succelim`` race with an arm whose effective gap is not positive and
+    no early stop at alpha > 0 may run to the round cap, and is rejected at
+    ``alpha``; a lower bound computes no effective gaps, so its race may run
+    to the cap too. A lower bound for a model without a lifting is rejected at
+    ``model``."""
     kind = _KINDS[config.kind]
     if kind.command == "gaps":
         return None, {"report": effective_gaps(BanditInstance(config.arms), config.family())}

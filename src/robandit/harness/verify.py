@@ -20,10 +20,9 @@ from ..bandit import (
     effective_gaps,
     elimination_round_delta,
     exploration_pulls,
-    simple_exploration_estimates,
+    run_simple,
 )
 from ..contamination import (
-    AdversaryModel,
     ContaminatedArm,
     FixedContamination,
     ShiftMedianDown,
@@ -36,6 +35,7 @@ from ..contamination import (
     median_sandwich_bounds,
 )
 from ..distributions import (
+    AdversaryModel,
     Affine,
     Bernoulli,
     Cauchy,
@@ -492,7 +492,7 @@ class _QualitySpec:
     t_values: tuple[float, ...]
 
     def row(self, rng: np.random.Generator) -> dict[str, Any]:
-        outcome = simple_exploration_estimates(self.instance, self.algo, rng)
+        outcome = run_simple(self.instance, self.algo, rng)
         chosen = outcome.result.chosen_arm
         fresh = float(self.instance.arms[chosen].dist.sample(1, rng)[0])
         algo, family = self.algo, self.algo.family

@@ -84,7 +84,7 @@ class TestRunSimple:
     def test_single_arm(self):
         instance = clean_instance([0.5])
         config = rb.AlgoConfig(alpha=0.2, delta=0.1, family=FAMILY, eps0=0.0)
-        result = rb.run_simple(instance, config, np.random.default_rng(0))
+        result = rb.run_simple(instance, config, np.random.default_rng(0)).result
         assert result.chosen_arm == 0
         assert result.rounds == 1
 
@@ -94,7 +94,7 @@ class TestRunSimple:
         params = config.estimation_params(OBL)
         per_arm = rb.sample_size_median(0.1, 0.025, params)
         for seed in range(3):
-            result = rb.run_simple(instance, config, np.random.default_rng(seed))
+            result = rb.run_simple(instance, config, np.random.default_rng(seed)).result
             assert result.pulls_per_arm == (per_arm,) * 4
             assert result.total_pulls == 4 * per_arm
 
@@ -104,10 +104,10 @@ class TestRunSimple:
         with pytest.raises(rb.ParameterOutOfRangeError):
             rb.run_simple(instance, config, np.random.default_rng(0))
 
-    def test_estimates_variant_returns_per_arm_stats(self):
+    def test_returns_per_arm_stats(self):
         instance = tail_instance([0.0, 0.5], eps=0.05, best=1)
         config = rb.AlgoConfig(alpha=0.2, delta=0.1, family=FAMILY, eps0=0.05)
-        outcome = rb.simple_exploration_estimates(instance, config, np.random.default_rng(1))
+        outcome = rb.run_simple(instance, config, np.random.default_rng(1))
         assert len(outcome.medians) == 2
         assert len(outcome.mads) == 2
         assert outcome.result.chosen_arm == int(np.argmax(outcome.medians))
@@ -116,7 +116,7 @@ class TestRunSimple:
         instance = tail_instance([0.0, 0.3, 0.6], eps=0.1, best=2)
         config = rb.AlgoConfig(alpha=0.1, delta=0.1, family=FAMILY, eps0=0.1)
         rng = np.random.default_rng(2)
-        wins = sum(rb.run_simple(instance, config, rng).chosen_arm == 2 for _ in range(50))
+        wins = sum(rb.run_simple(instance, config, rng).result.chosen_arm == 2 for _ in range(50))
         assert wins >= 45
 
 

@@ -12,6 +12,8 @@ import robandit as rb
 from robandit.contamination import _fixed_component, _flag_rate, draw_clean, segment_quantiles
 from robandit.harness import replication_rng
 
+from goodness_of_fit import ks_distance
+
 OBL = rb.AdversaryModel.OBLIVIOUS
 PRE = rb.AdversaryModel.PRESCIENT
 MAL = rb.AdversaryModel.MALICIOUS
@@ -581,39 +583,11 @@ class TestMaliciousAttack:
             assert np.mean(xs <= x) == pytest.approx(rb.contaminated_cdf(arm, x), abs=0.01)
 
 
-class TestVerifyMarginals:
-    def test_oblivious_fixed_passes(self):
-        arm = make_arm(rb.FixedContamination(rb.Dirac(0.0)), eps=0.2)
-        report = rb.verify_marginals(arm, 100_000, np.random.default_rng(17), delta=0.01)
-        assert report.passed
-
-    def test_malicious_coupling_passes(self):
-        arm = rb.malicious_median_attack(rb.Uniform(-1.0, 1.0), 0.1)
-        report = rb.verify_marginals(arm, 100_000, np.random.default_rng(18), delta=0.01)
-        assert report.passed
-
-    def test_zero_eps_passes_with_zero_frequency(self):
-        arm = make_arm(rb.ShiftMedianUp(), eps=0.0)
-        report = rb.verify_marginals(arm, 10_000, np.random.default_rng(19), delta=0.01)
-        assert report.passed
-        assert report.d_frequency == 0.0
-
-    def test_rejects_insufficient_samples(self):
-        arm = make_arm(rb.ShiftMedianUp(), eps=0.01)
-        with pytest.raises(rb.ParameterOutOfRangeError):
-            rb.verify_marginals(arm, 100, np.random.default_rng(20))
-
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_rejects_empty_batch(self, n):
-        arm = make_arm(rb.ShiftMedianUp(), eps=0.0)
-        with pytest.raises(rb.ParameterOutOfRangeError):
-            rb.verify_marginals(arm, n, np.random.default_rng(20))
-
-
 class TestReplicationStream:
     """The generators every run draws from (``replication_rng``, and for a
-    race each arm's spawned child) give each arm its laws: the flag frequency
-    and the clean values pass ``verify_marginals``, and ``draw_sample``
+    race each arm's spawned child) give each arm its laws: in a debug batch the
+    flag frequency lies within the Hoeffding band of eps and the clean values
+    within twice that band of the arm's law in KS distance, and ``draw_sample``
     follows the observed law (1 - eps) F + eps G within the DKW band."""
 
     N = 20_000
@@ -636,10 +610,11 @@ class TestReplicationStream:
             assert isinstance(rng.bit_generator, np.random.SFC64)
             if child is not None:
                 rng = rng.spawn(2)[child]
-            report = rb.verify_marginals(arm, self.N, rng, delta=self.DELTA)
-            assert report.passed, report
+            batch = rb.draw_batch(arm, self.N, rng, debug=True)
+            assert abs(batch.d.mean() - arm.eps) <= band
+            assert ks_distance(batch.y, arm.dist) <= 2.0 * band
             observed = rb.Mixture((1.0 - arm.eps, arm.eps), (arm.dist, _fixed_component(arm)))
-            assert rb.ks_distance(rb.draw_sample(arm, self.N, rng), observed) <= band
+            assert ks_distance(rb.draw_sample(arm, self.N, rng), observed) <= band
 
 
 class TestSandwich:
@@ -683,12 +658,12 @@ class TestKsDistance:
     def test_handles_atoms(self):
         dist = rb.SmoothedBernoulli(0.4)
         xs = dist.sample(50_000, np.random.default_rng(22))
-        assert rb.ks_distance(xs, dist) < 0.01
+        assert ks_distance(xs, dist) < 0.01
 
     def test_detects_wrong_law(self):
         xs = rb.Uniform(0, 1).sample(10_000, np.random.default_rng(23))
-        assert rb.ks_distance(xs, rb.Uniform(0.2, 1.2)) > 0.1
+        assert ks_distance(xs, rb.Uniform(0.2, 1.2)) > 0.1
 
     def test_rejects_empty_sample(self):
         with pytest.raises(rb.EmptyInputError):
-            rb.ks_distance([], rb.Uniform(0, 1))
+            ks_distance([], rb.Uniform(0, 1))

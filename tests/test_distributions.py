@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import robandit as rb
 from robandit.distributions import _GAUSSIAN_MAD, _AbsDeviation, _median_mad, _search_quantile
 
+from goodness_of_fit import ks_distance
+
 RNG = lambda seed=0: np.random.default_rng(seed)
 
 ALL_DISTS = [
@@ -264,34 +266,6 @@ def _cauchy_tan_reference(p: float) -> Decimal:
         return -_cot_pi(level) if level < Decimal("0.5") else _cot_pi(1 - level)
 
 
-def _bisection_oracle(dist, p, strict, max_steps=200):
-    """The search's own rule, bracketed bisection to float adjacency, with a
-    step cap as a parameter. Returns the float and whether the bracket
-    reached float adjacency within the cap."""
-    if strict:
-        pred = lambda x: dist.cdf(x) > p
-    else:
-        pred = lambda x: dist.cdf(x) >= p
-    lo, hi = -1.0, 1.0
-    step = 1.0
-    while not pred(hi):
-        hi += step
-        step *= 2.0
-    step = 1.0
-    while pred(lo):
-        lo -= step
-        step *= 2.0
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            return hi, True
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi, False
-
-
 _components = st.one_of(
     st.floats(0.0, 1.0).map(rb.Bernoulli),
     st.builds(lambda lo, width: rb.Uniform(lo, lo + width), st.floats(-3.0, 3.0), st.floats(0.01, 3.0)),
@@ -319,7 +293,7 @@ def _searched_dists(draw):
     centred at an arbitrary point or at the base's median as the MAD is."""
     dist = draw(_mixtures)
     for _ in range(draw(st.integers(0, 2))):
-        median = _bisection_oracle(dist, 0.5, False)[0]
+        median = dist.quantile_left(0.5)
         dist = _AbsDeviation(dist, draw(st.one_of(st.just(median), st.floats(-2.0, 2.0))))
     return dist
 
@@ -335,38 +309,29 @@ _levels = st.one_of(
 class TestQuantileSearch:
     @settings(max_examples=150, deadline=None)
     @given(dist=_searched_dists(), p=_levels)
-    # ndtr dips by an ulp at 0.9231869695111343, so this cdf is not monotone in
-    # floating point there; bisection settles on 0.9231869695111344, above the
-    # first float where the level is reached, and the search must too
-    @example(
-        dist=rb.Mixture(
-            [0.46096654275092935, 0.06319702602230483, 0.4758364312267658],
-            [rb.Gaussian(0.0, 1.0), rb.Bernoulli(0.0), rb.Bernoulli(0.0)],
-        ),
-        p=0.91796875,
-    )
-    def test_matches_bisection_bitwise(self, dist, p):
+    def test_reaches_the_level_where_the_float_below_does_not(self, dist, p):
         for strict, quantile in ((False, dist.quantile_left), (True, dist.quantile_right)):
             reached = (lambda x: dist.cdf(x) > p) if strict else (lambda x: dist.cdf(x) >= p)
             try:
                 got = quantile(p)
             except rb.ParameterOutOfRangeError:
-                # the level is never crossed in floating point, where
-                # bisection's bracket search would expand forever
+                # the level is never crossed in floating point, where the
+                # bracket search would expand forever
                 assert not reached(math.inf) or reached(-math.inf)
                 continue
             assert type(got) is float
-            want, adjacent = _bisection_oracle(dist, p, strict)
-            if adjacent:
-                assert got == want, (dist, p, strict, got, want)
-                continue
-            # Excluded from the bitwise comparison: the 200-step cap stopped
-            # bisection short of adjacency, which happens when the answer is
-            # 0 (an atom there) or within ~2**-190 of it. Check instead that
-            # the level is reached at got but not at the float below it, and
-            # that got lies in bisection's last bracket.
-            assert reached(got) and not reached(np.nextafter(got, -np.inf))
-            assert got <= want
+            assert reached(got) and not reached(np.nextafter(got, -np.inf)), (dist, p, strict, got)
+
+    def test_non_monotone_cdf(self):
+        # ndtr dips by an ulp at 0.9231869695111343, so this cdf is not
+        # monotone in floating point there; bisection settles on
+        # 0.9231869695111344, above the first float where the level is reached
+        dist = rb.Mixture(
+            [0.46096654275092935, 0.06319702602230483, 0.4758364312267658],
+            [rb.Gaussian(0.0, 1.0), rb.Bernoulli(0.0), rb.Bernoulli(0.0)],
+        )
+        assert dist.quantile_left(0.91796875) == 0.9231869695111344
+        assert dist.quantile_right(0.91796875) == 0.9231869695111358
 
     def test_level_never_crossed_raises(self):
         # the weights sum to 1 - 2**-53 in floating point, so F stays below
@@ -385,12 +350,25 @@ class TestQuantileSearch:
         eps = 0.05
         hidden = rb.oblivious_lifting([0.6, 0.4], eps).lifted_arms[0].dist
         dev = _AbsDeviation(hidden, hidden.quantile_left(0.5))
-        for dist in (hidden, dev, _AbsDeviation(dev, dev.quantile_left(0.5))):
-            for p in (0.5, (1.0 - 2.0 * eps) / (2.0 * (1.0 - eps)), 1.0 / (2.0 * (1.0 - eps))):
-                for strict in (False, True):
-                    want, adjacent = _bisection_oracle(dist, p, strict)
-                    assert adjacent
-                    assert _search_quantile(dist, p, strict) == want
+        levels = (0.5, (1.0 - 2.0 * eps) / (2.0 * (1.0 - eps)), 1.0 / (2.0 * (1.0 - eps)))
+        # (non-strict, strict) at each level, as bisection to float adjacency finds them
+        want = {
+            "hidden": [
+                (0.6499999999999999, 0.6500000000000001),
+                (0.6, 0.6000000000000002),
+                (0.6999999999999998, 0.7000000000000001),
+            ],
+            "|X - median|": [(0.35000000000000003, 0.35000000000000003)] * 3,
+            "its |X - median|": [
+                (0.11666666666666661, 0.11666666666666661),
+                (0.0999999999999999, 0.10000000000000007),
+                (0.13333333333333333, 0.13333333333333333),
+            ],
+        }
+        laws = (hidden, dev, _AbsDeviation(dev, dev.quantile_left(0.5)))
+        for (name, pairs), dist in zip(want.items(), laws):
+            got = [tuple(_search_quantile(dist, p, strict) for strict in (False, True)) for p in levels]
+            assert got == pairs, name
 
 
 class TestSampling:
@@ -404,7 +382,7 @@ class TestSampling:
     def test_degenerate_mixture_matches_uniform_law(self):
         mix = rb.Mixture([1.0], [rb.Uniform(0.0, 1.0)])
         xs = mix.sample(50_000, RNG(2))
-        ks = rb.ks_distance(xs, rb.Uniform(0.0, 1.0))
+        ks = ks_distance(xs, rb.Uniform(0.0, 1.0))
         assert ks <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * xs.size))
 
     @pytest.mark.parametrize(
@@ -414,7 +392,7 @@ class TestSampling:
     def test_sampler_matches_cdf(self, dist):
         n = 50_000
         xs = dist.sample(n, RNG(3))
-        assert rb.ks_distance(xs, dist) <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * n))
+        assert ks_distance(xs, dist) <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * n))
 
     @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (2.0, 3.0), (-1e3, 1e-3), (0.3, 7.7)])
     @pytest.mark.parametrize("n", [1, 2, 4096, 19087])
@@ -755,13 +733,10 @@ class TestBiasBounds:
             bias = rb.contamination_bias(eps, slope, mad, rb.AdversaryModel.OBLIVIOUS)
             assert shift <= bias + 1e-9
 
-    def test_eps_ceiling(self):
-        assert rb.eps_ceiling(0.4) == pytest.approx(0.8 / 1.8)
-
 
 def test_abs_deviation_distribution_consistency():
     dist = rb.Mixture([0.5, 0.5], [rb.Bernoulli(0.4), rb.Uniform(0.0, 1.0)])
     med = rb.robust_moments(dist).median
     dev = _AbsDeviation(dist, med)
     xs = np.abs(dist.sample(50_000, RNG(4)) - med)
-    assert rb.ks_distance(xs, dev) <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * xs.size))
+    assert ks_distance(xs, dev) <= 2.0 * math.sqrt(math.log(2 / 1e-3) / (2 * xs.size))

@@ -158,7 +158,7 @@ class TestOneCopySelection:
         assert (rb.empirical_median(xs).hex(), rb.empirical_mad(xs).hex()) == want
         # every arm's draws are xs
         with mock.patch("robandit.bandit.draw_sample", lambda arm, n, rng: xs):
-            outcome = rb.simple_exploration_estimates(
+            outcome = rb.run_simple(
                 _TWO_ARMS, rb.AlgoConfig(0.2, 0.1, FAMILY, 0.0), np.random.default_rng(0)
             )
         assert [(m.hex(), d.hex()) for m, d in zip(outcome.medians, outcome.mads)] == [want] * 2
@@ -210,7 +210,8 @@ class TestMedianCi:
         assert report.bias == 0.0
         expected_half = 4.0 * 0.25 * math.sqrt(2 * math.log(2 / 0.05) / 2000)
         assert report.half_width == pytest.approx(expected_half, rel=1e-12)
-        lo, hi = report.interval()
+        radius = report.bias + report.half_width
+        lo, hi = report.estimate - radius, report.estimate + radius
         assert hi - lo == pytest.approx(2 * expected_half, rel=1e-12)
 
     def test_floor_enforced(self):
@@ -239,8 +240,8 @@ class TestMedianCi:
         reps = 200
         for _ in range(reps):
             report = rb.estimate_median_ci(rb.draw_batch(arm, n, rng), delta, p, mad_used=0.25)
-            lo, hi = report.interval()
-            failures += not (lo <= 0.5 <= hi)
+            radius = report.bias + report.half_width
+            failures += not (report.estimate - radius <= 0.5 <= report.estimate + radius)
         assert failures / reps <= delta + 3 * math.sqrt(delta * (1 - delta) / reps)
 
     def test_prescient_strategy_coverage_quick(self):
@@ -256,8 +257,8 @@ class TestMedianCi:
         reps = 200
         for _ in range(reps):
             report = rb.estimate_median_ci(rb.draw_batch(arm, n, rng), delta, p, mad_used=0.25)
-            lo, hi = report.interval()
-            failures += not (lo <= 0.5 <= hi)
+            radius = report.bias + report.half_width
+            failures += not (report.estimate - radius <= 0.5 <= report.estimate + radius)
         assert failures / reps <= delta + 3 * math.sqrt(delta * (1 - delta) / reps)
 
 
@@ -294,8 +295,8 @@ class TestMadCi:
         reps = 150
         for _ in range(reps):
             report = rb.estimate_mad_ci(rb.draw_batch(arm, n, rng), delta, p, mad_used=0.25)
-            lo, hi = report.interval()
-            failures += not (lo <= 0.25 <= hi)
+            radius = report.bias + report.half_width
+            failures += not (report.estimate - radius <= 0.25 <= report.estimate + radius)
         assert failures / reps <= delta + 3 * math.sqrt(delta * (1 - delta) / reps)
 
 

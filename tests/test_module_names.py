@@ -14,6 +14,7 @@ import ast
 import builtins
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,79 @@ def test_every_exported_name_is_bound(path):
     module = importlib.import_module(_module_name(path))
     stale = [name for name in module.__all__ if not hasattr(module, name)]
     assert not stale, f"{path.name}: names in __all__ but not bound: {stale}"
+
+
+REPO = SRC.parents[1]
+# Public names that nothing in src/robandit or perfbench/ calls yet, each with
+# the open ROADMAP item that will call it.
+AWAITING_CALLERS = {
+    "in_mad_family": "item 21",
+}
+
+
+def _public_names(package_init: Path) -> list[str]:
+    """The names a package's ``__init__`` imports and does not mark private."""
+    tree = ast.parse(package_init.read_text())
+    names = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _loads_outside_definitions(tree: ast.AST) -> set[str]:
+    """Names loaded anywhere but inside the function or class of that name."""
+    loads = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in defining:
+                loads.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return loads
+
+
+def _named_in(tree: ast.AST) -> set[str]:
+    """Every name an import, a name, an attribute or a string constant spells."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    return named
+
+
+def test_every_public_name_has_a_caller():
+    """Each name ``robandit`` or ``robandit.harness`` binds is loaded in
+    src/robandit outside its own definition, or named by a perfbench/ file
+    (the benchmark's tracer patches and spans names), or awaits the open item
+    ``AWAITING_CALLERS`` lists for it. A name that loses its last caller fails
+    here, and so does a table entry that has found one."""
+    names = _public_names(SRC / "__init__.py") + _public_names(SRC / "harness" / "__init__.py")
+    loaded = set().union(*(_loads_outside_definitions(ast.parse(p.read_text())) for p in MODULES))
+    perfbench = (REPO / "perfbench").rglob("*.py")
+    named = set().union(*(_named_in(ast.parse(p.read_text())) for p in perfbench))
+    called = loaded | named
+    uncalled = [name for name in names if name not in called and name not in AWAITING_CALLERS]
+    assert not uncalled, f"public names that nothing in src/robandit or perfbench/ calls: {uncalled}"
+    stale = sorted(name for name in AWAITING_CALLERS if name not in names or name in called)
+    assert not stale, f"AWAITING_CALLERS entries that are not public or already have a caller: {stale}"
+    open_items = (REPO / "ROADMAP.md").read_text().split("## Open items")[1]
+    numbers = re.findall(r"^(\d+)\. \*\*", open_items, re.M)
+    for name, item in AWAITING_CALLERS.items():
+        assert item.removeprefix("item ") in numbers, f"{name}: {item} is not an open ROADMAP item"
 
 
 def test_guard_sees_every_binding_form():

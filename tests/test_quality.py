@@ -108,7 +108,7 @@ def test_guarantee_holds_after_selection_quick():
     hits = 0
     t = 0.1
     for _ in range(reps):
-        outcome = rb.simple_exploration_estimates(instance, config, rng)
+        outcome = rb.run_simple(instance, config, rng)
         chosen = outcome.result.chosen_arm
         g = rb.quantile_guarantee(
             outcome.medians[chosen], outcome.mads[chosen], t, alpha, bias_bound,
