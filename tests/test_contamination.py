@@ -583,6 +583,39 @@ class TestMaliciousAttack:
             assert np.mean(xs <= x) == pytest.approx(rb.contaminated_cdf(arm, x), abs=0.01)
 
 
+class TestDebugMarginals:
+    """Each adversary's debug batch has the flag marginal and the clean law it
+    states: flag frequency within the Hoeffding band of eps, clean values within
+    twice that band of the arm's law in KS distance."""
+
+    N = 100_000
+    DELTA = 0.01
+
+    def assert_marginals(self, arm, seed):
+        band = math.sqrt(math.log(2.0 / self.DELTA) / (2.0 * self.N))
+        batch = rb.draw_batch(arm, self.N, np.random.default_rng(seed), debug=True)
+        assert abs(batch.d.mean() - arm.eps) <= band
+        assert ks_distance(batch.y, arm.dist) <= 2.0 * band
+        return batch
+
+    def test_oblivious_fixed(self):
+        self.assert_marginals(make_arm(rb.FixedContamination(rb.Dirac(0.0)), eps=0.2), 17)
+
+    def test_malicious_coupling(self):
+        self.assert_marginals(rb.malicious_median_attack(rb.Uniform(-1.0, 1.0), 0.1), 18)
+
+    def test_zero_eps_flags_nothing(self):
+        batch = self.assert_marginals(make_arm(rb.ShiftMedianUp(), eps=0.0), 19)
+        assert not batch.d.any()
+
+    @pytest.mark.parametrize("debug", [False, True])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_batch(self, n, debug):
+        arm = make_arm(rb.ShiftMedianUp(), eps=0.0)
+        with pytest.raises(rb.ParameterOutOfRangeError):
+            rb.draw_batch(arm, n, np.random.default_rng(20), debug)
+
+
 class TestReplicationStream:
     """The generators every run draws from (``replication_rng``, and for a
     race each arm's spawned child) give each arm its laws: in a debug batch the
